@@ -62,26 +62,6 @@ def _replace_pair(symbols: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def merge_step(word_counts: dict) -> tuple[MergeRecord, dict]:
-    """One reference merge step over {word -> count} with words as symbol tuples.
-
-    Returns the selected merge and the rewritten map. Slow (full recount
-    each call); the trainer uses an incremental equivalent.
-    """
-    pair_counts: Counter = Counter()
-    for symbols, count in word_counts.items():
-        for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] += count
-    if not pair_counts:
-        raise DataError("no adjacent pair to merge")
-    best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    (left, right), count = best
-    rewritten = {}
-    for symbols, c in word_counts.items():
-        rewritten[tuple(_replace_pair(list(symbols), left, right))] = c
-    return MergeRecord(left, right, left + right, count), rewritten
-
-
 def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[MergeRecord]]:
     """Grow a vocabulary from the corpus alphabet up to ``target_size``.
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, analysis, bpe, encoder, sage, unigram
-from .corpus import NormalizePolicy, load_corpus, pretokenize
+from .corpus import NormalizePolicy, build_index, load_corpus
 from .embeddings import EmbedConfig
 from .errors import ConfigError, DataError, SagetokError
 from .unigram import UnigramModel
@@ -82,30 +82,15 @@ def cmd_train_unigram(args) -> int:
 def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return cfg
 
-
-_SAGE_KEYS = (
-    "vocab_size",
-    "overshoot",
-    "prune_batch",
-    "candidate_pool",
-    "recalc_every",
-    "embed_every",
-    "window",
-    "dim",
-    "embed_window",
-    "negatives",
-    "epochs",
-    "lr",
-    "seed",
-    "base_trainer",
-    "initial_vocab",
-)
 
 _SAGE_DEFAULTS = {
     "vocab_size": 16000,
@@ -126,18 +111,27 @@ _SAGE_DEFAULTS = {
 }
 
 
+def _check_type(key: str, value) -> None:
+    """A config-file value must have its default's type (an int passes as a float)."""
+    default = _SAGE_DEFAULTS[key]
+    kinds = {float: (int, float), type(None): (str, type(None))}.get(type(default), type(default))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
+
+
 def _sage_config(args) -> sage.SageConfig:
     """Flags > config file > defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(_SAGE_KEYS)
+    unknown = set(file_cfg) - set(_SAGE_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
     values = {}
-    for key in _SAGE_KEYS:
+    for key in _SAGE_DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
         elif key in file_cfg:
+            _check_type(key, file_cfg[key])
             values[key] = file_cfg[key]
         else:
             values[key] = _SAGE_DEFAULTS[key]
@@ -201,25 +195,19 @@ def cmd_train_sage(args) -> int:
 def cmd_encode(args) -> int:
     vocab, _ = load_vocab(args.vocab)
     cv = encoder.compile(vocab)
-    corpus = load_corpus(args.input, _policy(args))
+    index = build_index(load_corpus(args.input, _policy(args)), cv)
+    # each word type is rendered once; a line joins the renderings of its words
+    if args.format == "ids":
+        rendered = [" ".join(map(str, seg)) for seg in index.segs]
+    else:
+        rendered = []
+        for seg, unks in zip(index.segs, index.unks):
+            unk_iter = iter(unks)
+            rendered.append(" ".join(next(unk_iter) if i == cv.unk_id else vocab.tokens[i] for i in seg))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        memo: dict[str, tuple[list[int], list[str]]] = {}
-        for line in corpus.lines:
-            pieces: list[str] = []
-            for word in pretokenize(line):
-                got = memo.get(word)
-                if got is None:
-                    got = cv.encode_word(word)
-                    memo[word] = got
-                ids, unks = got
-                if args.format == "ids":
-                    pieces.extend(str(i) for i in ids)
-                else:
-                    unk_iter = iter(unks)
-                    for i in ids:
-                        pieces.append(next(unk_iter) if i == cv.unk_id else vocab.tokens[i])
-            out.write(" ".join(pieces) + "\n")
+        for s in range(len(index.offsets) - 1):
+            out.write(" ".join(rendered[w] for w in index.sentence_types(s)) + "\n")
     finally:
         if args.out:
             out.close()
@@ -305,11 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-trainer", choices=("bpe", "unigram"), dest="base_trainer")
     p.add_argument("--initial-vocab", dest="initial_vocab", help="skip base training, prune this vocabulary file")
     p.add_argument("--events-out")
-    p.add_argument("--checkpoint", help="checkpoint file (.npz), written at iteration boundaries")
+    p.add_argument("--checkpoint", help="checkpoint file, written to exactly this path at iteration boundaries")
     p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--resume", help="resume from a checkpoint file")
-    p.add_argument("--deterministic", action="store_true", help="single-worker mode (runs are always seeded)")
-    p.add_argument("--threads", type=int, default=1, help="reserved; current pipeline is serial")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=cmd_train_sage)

@@ -1,16 +1,26 @@
-"""Corpus ingestion and the tokenized sentence store.
+"""Corpus ingestion, the word-type index and the tokenized sentence store.
 
 A corpus is one sentence per line. Loading normalizes whitespace, drops
 empty lines, and scrubs any literal boundary-marker character so that the
 marker is unambiguous downstream. Sentences are pretokenized into
 marker-prefixed words; skipgram windows never cross sentence boundaries.
+
+``build_index`` turns a corpus into a ``WordIndex``: its distinct words
+("types") with their counts, each sentence as a run of type ids, and each
+type's segmentation under a compiled vocabulary. The encoder, the SaGe
+trainer and the unigram trainer all segment through it. Pruning uses two
+steps on it: ``WordIndex.segment_without`` (pure: how the types holding a
+token would segment without it) and ``WordIndex.resegment`` (mutating:
+re-segment them after the token is removed). ``retokenize_sentences``
+applies a removal to the index and to a ``SentenceStore``, re-encoding
+only the sentences that held a removed token.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from collections.abc import Iterable
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -101,22 +111,21 @@ def pretokenize(line: str) -> tuple[str, ...]:
 class SentenceStore:
     """Corpus as token-id sequences under one vocabulary.
 
-    Holds, per sentence: the pretokenized words, the encoded id array,
-    the characters absorbed by UNK tokens (in emission order, for exact
-    round-trips), and optionally a cached per-sentence skipgram NLL.
+    Holds, per sentence: the encoded id array, the characters absorbed by
+    UNK tokens (in emission order, for exact round-trips), and optionally
+    a cached per-sentence skipgram NLL. ``vocab_digest`` is the digest of
+    the full vocabulary the ids index into.
     """
 
-    __slots__ = ("words", "ids", "unk_chars", "nll", "vocab_digest")
+    __slots__ = ("ids", "unk_chars", "nll", "vocab_digest")
 
     def __init__(
         self,
-        words: list[tuple[str, ...]],
         ids: list[np.ndarray],
         unk_chars: list[tuple[str, ...]],
         vocab_digest: str,
         nll: np.ndarray | None = None,
     ):
-        self.words = words
         self.ids = ids
         self.unk_chars = unk_chars
         self.vocab_digest = vocab_digest
@@ -158,62 +167,148 @@ class SentenceStore:
         return " ".join(w[1:] if w.startswith(MARKER) else w for w in self.decode_words(sentence, vocab))
 
 
-class TokenIndex:
-    """Inverted index: token id -> set of sentence ids containing it.
+class WordIndex:
+    """A corpus as word types, each segmented under one compiled vocabulary.
 
-    Empty postings are dropped, so an incrementally maintained index
-    compares equal to one rebuilt from scratch.
+    ``types`` are the distinct pretokenized words, ``counts`` their corpus
+    occurrences. Sentence ``s`` is the type-id run
+    ``type_ids[offsets[s]:offsets[s + 1]]`` and ``type_sentences[w]`` lists
+    the sentences holding type ``w``; neither ever changes. Pruning changes
+    ``segs`` (each type's token ids), ``unks`` (its UNK characters) and
+    ``postings`` (token id -> ids of the types whose segmentation holds
+    it; UNK is not indexed). A token's sentences and corpus frequency are
+    derived from these, so there is nothing else to keep in step.
     """
 
-    __slots__ = ("postings",)
+    __slots__ = ("types", "counts", "type_ids", "offsets", "type_sentences", "segs", "unks", "postings", "unk_id")
 
-    def __init__(self, postings: dict[int, set[int]] | None = None):
-        self.postings: dict[int, set[int]] = postings if postings is not None else {}
+    def __init__(self, types, counts, type_ids, offsets, type_sentences, unk_id: int):
+        self.types: tuple[str, ...] = types
+        self.counts: np.ndarray = counts
+        self.type_ids: np.ndarray = type_ids
+        self.offsets: np.ndarray = offsets
+        self.type_sentences: list[list[int]] = type_sentences
+        self.unk_id = unk_id
+        self.segs: list[list[int]] = [[] for _ in types]
+        self.unks: list[tuple[str, ...]] = [() for _ in types]
+        self.postings: dict[int, set[int]] = {}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, WordIndex)
+            and self.types == other.types
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.type_ids, other.type_ids)
+            and np.array_equal(self.offsets, other.offsets)
+            and self.type_sentences == other.type_sentences
+            and self.segs == other.segs
+            and self.unks == other.unks
+            and self.postings == other.postings
+        )
 
     def sentences(self, token_id: int) -> set[int]:
-        return self.postings.get(token_id, set())
+        """Ids of the sentences whose segmentation holds ``token_id``."""
+        return set().union(*(self.type_sentences[w] for w in self.postings.get(token_id, ())))
 
-    def update_sentence(self, sentence: int, old_ids: np.ndarray, new_ids: np.ndarray) -> None:
-        old = set(int(t) for t in np.unique(old_ids))
-        new = set(int(t) for t in np.unique(new_ids))
+    def frequencies(self) -> np.ndarray:
+        """Corpus occurrence count of every vocabulary id (UNK excluded)."""
+        lengths = [len(seg) for seg in self.segs]
+        flat = np.fromiter(chain.from_iterable(self.segs), dtype=np.int64, count=sum(lengths))
+        freq = np.zeros(self.unk_id + 1, dtype=np.int64)
+        np.add.at(freq, flat, np.repeat(self.counts, lengths))
+        return freq[: self.unk_id]
+
+    def sentence_types(self, s: int) -> list[int]:
+        """Type ids of sentence ``s`` in word order."""
+        return self.type_ids[self.offsets[s] : self.offsets[s + 1]].tolist()
+
+    def sentence(self, s: int, override: dict[int, list[int]] | None = None) -> list[int]:
+        """Token ids of sentence ``s``; ``override`` replaces some types' segmentations."""
+        ids: list[int] = []
+        for w in self.sentence_types(s):
+            ids.extend(override[w] if override and w in override else self.segs[w])
+        return ids
+
+    def unk_chars(self, s: int) -> tuple[str, ...]:
+        """UNK characters of sentence ``s`` in emission order."""
+        return tuple(ch for w in self.sentence_types(s) for ch in self.unks[w])
+
+    def store(self, vocab_digest: str) -> SentenceStore:
+        """Every sentence encoded under the current segmentations."""
+        n = len(self.offsets) - 1
+        ids = [np.asarray(self.sentence(s), dtype=np.int32) for s in range(n)]
+        return SentenceStore(ids, [self.unk_chars(s) for s in range(n)], vocab_digest)
+
+    def segment_without(self, token_id: int, cv) -> dict[int, list[int]]:
+        """New segmentation, with ``token_id`` banned, of every type holding it.
+
+        Pure: the index is not changed. Types that do not hold the token
+        keep their segmentation (greedy matching never reaches it there).
+        """
+        banned = frozenset((token_id,))
+        return {w: cv.encode_word(self.types[w], banned)[0] for w in self.postings.get(token_id, ())}
+
+    def resegment(self, removed, cv) -> None:
+        """Re-segment under ``cv`` every type holding a removed token.
+
+        ``cv`` must already exclude the removed tokens.
+        """
+        changed: set[int] = set()
+        for t in removed:
+            changed |= self.postings.pop(t, set())
+        for w in sorted(changed):
+            self._segment(w, cv)
+
+    def _segment(self, w: int, cv) -> None:
+        ids, unks = cv.encode_word(self.types[w])
+        old, new = set(self.segs[w]), set(ids)
         for t in old - new:
             bucket = self.postings.get(t)
             if bucket is not None:
-                bucket.discard(sentence)
+                bucket.discard(w)
                 if not bucket:
                     del self.postings[t]
-        for t in new - old:
-            self.postings.setdefault(t, set()).add(sentence)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TokenIndex) and self.postings == other.postings
-
-    def __len__(self) -> int:
-        return len(self.postings)
+        for t in new - old - {self.unk_id}:
+            self.postings.setdefault(t, set()).add(w)
+        self.segs[w] = ids
+        self.unks[w] = tuple(unks)
 
 
-def build_index(store: SentenceStore, unk_id: int | None = None) -> TokenIndex:
-    """Fresh index over the store. UNK ids are not indexed (not prunable)."""
-    postings: dict[int, set[int]] = {}
-    for s, ids in enumerate(store.ids):
-        for t in np.unique(ids):
-            t = int(t)
-            if unk_id is not None and t == unk_id:
-                continue
-            postings.setdefault(t, set()).add(s)
-    return TokenIndex(postings)
+def build_index(corpus: RawCorpus, cv) -> WordIndex:
+    """Word-type index of ``corpus`` with every type segmented by ``cv``."""
+    lines = [pretokenize(line) for line in corpus.lines]
+    words = list(chain.from_iterable(lines))
+    type_of = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    type_ids = list(map(type_of.__getitem__, words))
+    offsets = list(accumulate(map(len, lines), initial=0))
+    type_sentences: list[list[int]] = [[] for _ in type_of]
+    for s in range(len(lines)):
+        for w in set(type_ids[offsets[s] : offsets[s + 1]]):
+            type_sentences[w].append(s)
+    index = WordIndex(
+        tuple(type_of),
+        np.bincount(np.asarray(type_ids, dtype=np.int64), minlength=len(type_of)),
+        np.asarray(type_ids, dtype=np.int32),
+        np.asarray(offsets, dtype=np.int64),
+        type_sentences,
+        cv.unk_id,
+    )
+    for w in range(len(index.types)):
+        index._segment(w, cv)
+    return index
 
 
 def retokenize_sentences(
     store: SentenceStore,
-    index: TokenIndex,
+    index: WordIndex,
     removed: set[int],
     vocab: Vocabulary,
     cv,
     table=None,
     window: int | None = None,
-):
-    """Re-encode exactly the sentences containing any removed token.
+) -> float:
+    """Re-segment after removing tokens: update the index, then re-encode
+    exactly the sentences that held a removed token.
 
     ``cv`` must already exclude the removed tokens. Untouched sentences
     keep their arrays bit-identical. When the store carries a likelihood
@@ -228,79 +323,20 @@ def retokenize_sentences(
     if store.nll is not None and (table is None or window is None):
         raise VocabError("store has a likelihood cache: table and window are required")
 
-    affected: set[int] = set()
-    for t in removed:
-        affected |= index.sentences(t)
-    order = sorted(affected)
+    order = sorted(set().union(*(index.sentences(t) for t in removed)))
     if not order:
-        return store, index, 0.0
-
-    memo: dict[str, tuple[list[int], tuple[str, ...]]] = {}
-    new_arrays: list[np.ndarray] = []
+        return 0.0
+    index.resegment(removed, cv)
     for s in order:
-        ids: list[int] = []
-        unks: list[str] = []
-        for w in store.words[s]:
-            got = memo.get(w)
-            if got is None:
-                got = cv.encode_word(w)
-                memo[w] = got
-            ids.extend(got[0])
-            unks.extend(got[1])
-        arr = np.asarray(ids, dtype=np.int32)
-        new_arrays.append(arr)
-        index.update_sentence(s, store.ids[s], arr)
-        store.ids[s] = arr
-        store.unk_chars[s] = tuple(unks)
+        store.ids[s] = np.asarray(index.sentence(s), dtype=np.int32)
+        store.unk_chars[s] = index.unk_chars(s)
 
-    delta = 0.0
-    if store.nll is not None:
-        from .objective import batched_sentence_nll
+    if store.nll is None:
+        return 0.0
+    from .objective import batched_sentence_nll
 
-        new_nll = batched_sentence_nll([store.ids[s] for s in order], table, window)
-        old = np.asarray([store.nll[s] for s in order])
-        delta = float(np.sum(new_nll) - np.sum(old))
-        for pos, s in enumerate(order):
-            store.nll[s] = new_nll[pos]
-    return store, index, delta
-
-
-def save_store(store: SentenceStore, path) -> None:
-    """Binary store cache: id sequences plus a vocabulary digest header."""
-    flat = np.concatenate([a for a in store.ids]) if store.ids else np.zeros(0, dtype=np.int32)
-    lengths = np.asarray([len(a) for a in store.ids], dtype=np.int64)
-    unk_payload = json.dumps([list(u) for u in store.unk_chars])
-    np.savez_compressed(
-        path,
-        flat=flat.astype(np.int32),
-        lengths=lengths,
-        unks=np.frombuffer(unk_payload.encode("utf-8"), dtype=np.uint8),
-        vocab_digest=np.frombuffer(store.vocab_digest.encode("utf-8"), dtype=np.uint8),
-        nll=store.nll if store.nll is not None else np.zeros(0),
-        has_nll=np.asarray([store.nll is not None]),
-    )
-
-
-def load_store(path, corpus: RawCorpus, vocab: Vocabulary) -> SentenceStore:
-    """Load a store cache, verifying it was produced under ``vocab``."""
-    with np.load(path) as z:
-        digest = bytes(z["vocab_digest"]).decode("utf-8")
-        if digest != vocab.digest():
-            raise DataError(
-                f"store cache is stale: built under vocabulary {digest}, expected {vocab.digest()}"
-            )
-        lengths = z["lengths"]
-        flat = z["flat"]
-        unks = json.loads(bytes(z["unks"]).decode("utf-8"))
-        nll = z["nll"] if bool(z["has_nll"][0]) else None
-    if len(lengths) != len(corpus.lines):
-        raise DataError("store cache does not match corpus line count")
-    ids: list[np.ndarray] = []
-    offset = 0
-    for n in lengths:
-        ids.append(flat[offset : offset + int(n)].copy())
-        offset += int(n)
-    words = [pretokenize(line) for line in corpus.lines]
-    return SentenceStore(
-        words, ids, [tuple(u) for u in unks], digest, None if nll is None else nll.copy()
-    )
+    new_nll = batched_sentence_nll([store.ids[s] for s in order], table, window)
+    old = np.asarray([store.nll[s] for s in order])
+    for pos, s in enumerate(order):
+        store.nll[s] = new_nll[pos]
+    return float(np.sum(new_nll) - np.sum(old))

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
-from .corpus import RawCorpus, SentenceStore, pretokenize
+from .corpus import RawCorpus, SentenceStore, build_index
 from .errors import VocabError
 from .vocab import Vocabulary
 
@@ -34,14 +32,12 @@ class CompiledVocab:
     pruned subset still emits stable ids.
     """
 
-    __slots__ = ("vocab", "root", "unk_id", "active_count", "active_digest")
+    __slots__ = ("vocab", "root", "unk_id")
 
-    def __init__(self, vocab: Vocabulary, root: _TrieNode, active_count: int, active_digest: str):
+    def __init__(self, vocab: Vocabulary, root: _TrieNode):
         self.vocab = vocab
         self.root = root
         self.unk_id = vocab.unk_id
-        self.active_count = active_count
-        self.active_digest = active_digest
 
     def longest_prefix(self, text: str, start: int = 0, banned: frozenset[int] = frozenset()):
         """(token_id, match length) of the longest active token prefixing text[start:].
@@ -91,7 +87,6 @@ def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> Compi
         raise VocabError("cannot compile an empty vocabulary")
     ids = range(len(vocab)) if active_ids is None else sorted(set(active_ids))
     root = _TrieNode()
-    active_tokens: list[str] = []
     for token_id in ids:
         token = vocab.tokens[token_id]
         node = root
@@ -104,31 +99,9 @@ def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> Compi
         if node.token_id is not None:
             raise VocabError(f"duplicate token {token!r} while compiling")
         node.token_id = token_id
-        active_tokens.append(token)
-    import hashlib
-
-    digest = hashlib.sha256("\n".join(active_tokens).encode("utf-8")).hexdigest()[:16]
-    return CompiledVocab(vocab, root, len(active_tokens), digest)
+    return CompiledVocab(vocab, root)
 
 
 def encode_corpus(corpus: RawCorpus, cv: CompiledVocab) -> SentenceStore:
     """Pretokenize and encode every line; likelihood cache left unset."""
-    memo: dict[str, tuple[list[int], list[str]]] = {}
-    words_all: list[tuple[str, ...]] = []
-    ids_all: list[np.ndarray] = []
-    unks_all: list[tuple[str, ...]] = []
-    for line in corpus.lines:
-        words = pretokenize(line)
-        ids: list[int] = []
-        unks: list[str] = []
-        for w in words:
-            got = memo.get(w)
-            if got is None:
-                got = cv.encode_word(w)
-                memo[w] = got
-            ids.extend(got[0])
-            unks.extend(got[1])
-        words_all.append(words)
-        ids_all.append(np.asarray(ids, dtype=np.int32))
-        unks_all.append(tuple(unks))
-    return SentenceStore(words_all, ids_all, unks_all, cv.active_digest)
+    return build_index(corpus, cv).store(cv.vocab.digest())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SentenceStore, TokenIndex
+from .corpus import SentenceStore, WordIndex
 from .errors import VocabError
 from .vocab import Vocabulary, is_protected
 
@@ -114,20 +114,18 @@ def attach_nll_cache(store: SentenceStore, table, window: int) -> float:
 def ablation_loss(
     token_id: int,
     store: SentenceStore,
-    index: TokenIndex,
+    index: WordIndex,
     vocab: Vocabulary,
     table,
     cv,
     window: int,
-    word_cache: dict[str, list[int]] | None = None,
 ) -> AblationLoss:
-    """Score removing ``token_id``: re-encode only the sentences that
-    contain it (on scratch copies; the store is never touched) and return
-    new-minus-old NLL over those sentences.
+    """Score removing ``token_id``: re-segment the word types that hold it
+    (the index and the store are never touched), rebuild the sentences
+    that contain them, and return new-minus-old NLL over those sentences.
 
     Requires a cached per-sentence NLL so the old side is read, not
-    recomputed. ``word_cache`` may supply current word tokenizations so
-    only words actually containing the token are re-segmented.
+    recomputed.
     """
     token = vocab.tokens[token_id]
     if is_protected(token):
@@ -137,22 +135,8 @@ def ablation_loss(
     affected = sorted(index.sentences(token_id))
     if not affected:
         return AblationLoss(token_id, 0.0, 0)
-    banned = frozenset((token_id,))
-    memo: dict[str, list[int]] = {}
-    new_sentences: list[np.ndarray] = []
-    for s in affected:
-        ids: list[int] = []
-        for w in store.words[s]:
-            got = memo.get(w)
-            if got is None:
-                if word_cache is not None:
-                    cur = word_cache[w]
-                    got = cv.encode_word(w, banned)[0] if token_id in cur else cur
-                else:
-                    got = cv.encode_word(w, banned)[0]
-                memo[w] = got
-            ids.extend(got)
-        new_sentences.append(np.asarray(ids, dtype=np.int64))
+    changed = index.segment_without(token_id, cv)
+    new_sentences = [np.asarray(index.sentence(s, changed), dtype=np.int64) for s in affected]
     new_vals = batched_sentence_nll(new_sentences, table, window)
     old_vals = np.asarray([store.nll[s] for s in affected])
     loss = float(np.sum(new_vals) - np.sum(old_vals))

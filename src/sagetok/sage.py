@@ -7,8 +7,11 @@ the corpus skipgram likelihood. Heavy steps are amortized: full loss
 recalculation happens every ``recalc_period`` iterations (candidates in
 between come from a cached bottom set), and embeddings are retrained
 every ``embed_period`` full-recalculation cycles. Protected tokens are
-never candidates, all bookkeeping is incremental at sentence level, and
-every pruning decision is appended to a replayable event log.
+never candidates. One word-type index (``corpus.WordIndex``) carries the
+segmentation: a candidate is scored by re-segmenting only the word types
+that hold it, and a prune re-segments those types and re-encodes only
+the sentences holding them. Every pruning decision is appended to a
+replayable event log, and a checkpoint resumes the loop exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import encoder
-from .bpe import train_bpe, word_type_counts
-from .corpus import RawCorpus, SentenceStore, TokenIndex, build_index, retokenize_sentences
+from .bpe import train_bpe
+from .corpus import RawCorpus, SentenceStore, WordIndex, build_index, retokenize_sentences
 from .embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from .errors import ConfigError, DataError, VocabError
 from .objective import ablation_loss, attach_nll_cache, corpus_nll
@@ -99,21 +105,17 @@ class SageConfig:
 class PruneState:
     """Everything the pruning loop mutates, plus its replayable event log."""
 
-    iteration: int
     vocab: Vocabulary
     alive: set[int]
-    store: SentenceStore
-    index: TokenIndex
-    table: SkipGramTable
-    bottom: list[int]
-    losses: dict[int, float]
-    events: list[dict]
-    total_nll: float
-    freq: np.ndarray
     cv: encoder.CompiledVocab
-    word_ids: dict[str, list[int]]
-    token_words: dict[int, set[str]]
-    word_weight: dict[str, int]
+    index: WordIndex
+    store: SentenceStore
+    table: SkipGramTable
+    total_nll: float
+    iteration: int = 0
+    bottom: list[int] = field(default_factory=list)
+    losses: dict[int, float] = field(default_factory=dict)
+    events: list[dict] = field(default_factory=list)
     loss_evals: list[int] = field(default_factory=list)
     embeddings_fresh: bool = True
 
@@ -157,84 +159,22 @@ def init_state(corpus: RawCorpus, cfg: SageConfig) -> PruneState:
             f"target size {cfg.final_size} is below the {n_protected} protected tokens "
             "of the base vocabulary"
         )
-    cv = encoder.compile(vocab)
-    store = encoder.encode_corpus(corpus, cv)
-    index = build_index(store, unk_id=vocab.unk_id)
-    table = train_embeddings(store, vocab, cfg.embed)
+    return _encoded_state(corpus, cfg, vocab, set(range(len(vocab))))
+
+
+def _encoded_state(
+    corpus: RawCorpus, cfg: SageConfig, vocab: Vocabulary, alive: set[int], table=None
+) -> PruneState:
+    """Loop state at a pruning boundary: the corpus segmented under the
+    ``alive`` tokens and its NLL cache under ``table`` (trained afresh
+    when not given)."""
+    cv = encoder.compile(vocab, alive)
+    index = build_index(corpus, cv)
+    store = index.store(vocab.digest())
+    if table is None:
+        table = train_embeddings(store, vocab, cfg.embed)
     total_nll = attach_nll_cache(store, table, cfg.window)
-
-    wcounts = word_type_counts(corpus)
-    word_ids: dict[str, list[int]] = {}
-    token_words: dict[int, set[str]] = {}
-    freq = np.zeros(len(vocab), dtype=np.int64)
-    for word, weight in wcounts.items():
-        ids = cv.encode_word(word)[0]
-        word_ids[word] = ids
-        for t in ids:
-            if t != vocab.unk_id:
-                freq[t] += weight
-        for t in set(ids):
-            if t != vocab.unk_id:
-                token_words.setdefault(t, set()).add(word)
-
-    return PruneState(
-        iteration=0,
-        vocab=vocab,
-        alive=set(range(len(vocab))),
-        store=store,
-        index=index,
-        table=table,
-        bottom=[],
-        losses={},
-        events=[],
-        total_nll=total_nll,
-        freq=freq,
-        cv=cv,
-        word_ids=word_ids,
-        token_words=token_words,
-        word_weight=dict(wcounts),
-    )
-
-
-def _rank_key(state: PruneState, losses: dict[int, float]):
-    """Prune order: lowest loss, then lowest corpus frequency, then token string."""
-
-    def key(t: int):
-        return (losses[t], int(state.freq[t]), state.vocab.tokens[t])
-
-    return key
-
-
-def _commit_prune(state: PruneState, cfg: SageConfig, pruned: set[int]) -> float:
-    """Remove tokens, re-encode affected sentences, refresh all caches."""
-    state.alive -= pruned
-    state.cv = encoder.compile(state.vocab, state.alive)
-    _, _, delta = retokenize_sentences(
-        state.store, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
-    )
-    changed: set[str] = set()
-    for t in pruned:
-        changed |= state.token_words.pop(t, set())
-    for word in sorted(changed):
-        new_ids = state.cv.encode_word(word)[0]
-        old_ids = state.word_ids[word]
-        weight = state.word_weight[word]
-        for t in old_ids:
-            if t != state.vocab.unk_id:
-                state.freq[t] -= weight
-        for t in new_ids:
-            if t != state.vocab.unk_id:
-                state.freq[t] += weight
-        for t in set(old_ids) - set(new_ids):
-            bucket = state.token_words.get(t)
-            if bucket is not None:
-                bucket.discard(word)
-                if not bucket:
-                    del state.token_words[t]
-        for t in set(new_ids) - set(old_ids):
-            state.token_words.setdefault(t, set()).add(word)
-        state.word_ids[word] = new_ids
-    return delta
+    return PruneState(vocab, alive, cv, index, store, table, total_nll)
 
 
 def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
@@ -275,16 +215,15 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
             state.table,
             state.cv,
             cfg.window,
-            word_cache=state.word_ids,
         ).loss
     state.loss_evals.append(len(candidates))
 
-    if full:
-        ranked = sorted(candidates, key=_rank_key(state, losses))
-        state.bottom = ranked[: cfg.candidate_pool]
-    else:
-        ranked = sorted(state.bottom, key=_rank_key(state, losses))
-        state.bottom = ranked
+    # prune order: lowest loss, then lowest corpus frequency, then token
+    # string; between full recalculations the bottom set is within the pool
+    freq = state.index.frequencies()
+    state.bottom = sorted(
+        candidates, key=lambda t: (losses[t], int(freq[t]), state.vocab.tokens[t])
+    )[: cfg.candidate_pool]
     state.losses = {t: losses[t] for t in state.bottom}
 
     pruned_list = state.bottom[:need]
@@ -292,8 +231,11 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     state.bottom = state.bottom[need:]
     event_losses = {t: state.losses.pop(t) for t in pruned_list}
 
-    delta = _commit_prune(state, cfg, pruned)
-    state.total_nll += delta
+    state.alive -= pruned
+    state.cv = encoder.compile(state.vocab, state.alive)
+    state.total_nll += retokenize_sentences(
+        state.store, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
+    )
 
     state.events.append(
         {
@@ -366,14 +308,15 @@ def load_events(path) -> tuple[list[dict], dict]:
 
 
 def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path) -> None:
-    """Resumable snapshot at an iteration boundary.
+    """Resumable snapshot at an iteration boundary, written to exactly
+    ``path``: into a temporary file beside it, then renamed into place,
+    so a reader never sees a partial file.
 
     The store is not serialized: re-encoding the corpus under the alive
     vocabulary reproduces it exactly, and per-sentence likelihoods are
     recomputed from the dumped tables bit-for-bit.
     """
-    np.savez_compressed(
-        path,
+    arrays = dict(
         tokens=np.frombuffer(
             json.dumps(list(state.vocab.tokens)).encode("utf-8"), dtype=np.uint8
         ),
@@ -393,65 +336,51 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
         corpus_digest=np.frombuffer(corpus.digest().encode("utf-8"), dtype=np.uint8),
         embeddings_fresh=np.asarray([state.embeddings_fresh]),
     )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez_compressed(f, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path, corpus: RawCorpus, cfg: SageConfig) -> PruneState:
+    """Resume a snapshot written by :func:`save_checkpoint`.
+
+    A missing, truncated, non-checkpoint or incomplete file is a
+    DataError; one written under another configuration is a ConfigError.
+    """
     cfg.validate()
-    with np.load(path) as z:
-        if bytes(z["config_digest"]).decode() != cfg.digest():
-            raise ConfigError("checkpoint was written under a different configuration")
-        if bytes(z["corpus_digest"]).decode() != corpus.digest():
-            raise DataError("checkpoint was written for a different corpus")
-        tokens = json.loads(bytes(z["tokens"]).decode("utf-8"))
-        provenance = json.loads(bytes(z["provenance"]).decode("utf-8"))
-        alive = set(int(t) for t in z["alive"])
-        iteration = int(z["iteration"][0])
-        table = SkipGramTable(
-            z["target"].copy(), z["context"].copy(), z["target"].shape[1], int(z["window"][0])
-        )
-        bottom = [int(t) for t in z["bottom"]]
-        bottom_losses = [float(x) for x in z["bottom_losses"]]
-        events = json.loads(bytes(z["events"]).decode("utf-8"))
-        total_nll = float(z["total_nll"][0])
-        fresh = bool(z["embeddings_fresh"][0])
-
-    vocab = Vocabulary(tokens, provenance)
-    table.vocab_digest = vocab.digest()
-    cv = encoder.compile(vocab, alive)
-    store = encoder.encode_corpus(corpus, cv)
-    store.vocab_digest = vocab.digest()
-    index = build_index(store, unk_id=vocab.unk_id)
-    attach_nll_cache(store, table, cfg.window)
-
-    wcounts = word_type_counts(corpus)
-    word_ids: dict[str, list[int]] = {}
-    token_words: dict[int, set[str]] = {}
-    freq = np.zeros(len(vocab), dtype=np.int64)
-    for word, weight in wcounts.items():
-        ids = cv.encode_word(word)[0]
-        word_ids[word] = ids
-        for t in ids:
-            if t != vocab.unk_id:
-                freq[t] += weight
-        for t in set(ids):
-            if t != vocab.unk_id:
-                token_words.setdefault(t, set()).add(word)
-
-    return PruneState(
-        iteration=iteration,
-        vocab=vocab,
-        alive=alive,
-        store=store,
-        index=index,
-        table=table,
-        bottom=bottom,
-        losses=dict(zip(bottom, bottom_losses)),
-        events=events,
-        total_nll=total_nll,
-        freq=freq,
-        cv=cv,
-        word_ids=word_ids,
-        token_words=token_words,
-        word_weight=dict(wcounts),
-        embeddings_fresh=fresh,
-    )
+    try:
+        with np.load(path) as z:
+            if bytes(z["config_digest"]).decode() != cfg.digest():
+                raise ConfigError("checkpoint was written under a different configuration")
+            if bytes(z["corpus_digest"]).decode() != corpus.digest():
+                raise DataError("checkpoint was written for a different corpus")
+            vocab = Vocabulary(
+                json.loads(bytes(z["tokens"]).decode("utf-8")),
+                json.loads(bytes(z["provenance"]).decode("utf-8")),
+            )
+            alive = set(int(t) for t in z["alive"])
+            table = SkipGramTable(
+                z["target"].copy(), z["context"].copy(), z["target"].shape[1],
+                int(z["window"][0]), vocab.digest(),
+            )
+            bottom = [int(t) for t in z["bottom"]]
+            if not set(bottom) <= alive <= set(range(len(vocab))) or table.rows() != len(vocab):
+                raise DataError(f"checkpoint {path} does not match its own vocabulary")
+            saved = dict(
+                iteration=int(z["iteration"][0]),
+                bottom=bottom,
+                losses=dict(zip(bottom, (float(x) for x in z["bottom_losses"]))),
+                events=json.loads(bytes(z["events"]).decode("utf-8")),
+                total_nll=float(z["total_nll"][0]),
+                embeddings_fresh=bool(z["embeddings_fresh"][0]),
+            )
+    except (OSError, EOFError, ValueError, KeyError, IndexError, TypeError,
+            zipfile.BadZipFile, zlib.error, VocabError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    state = _encoded_state(corpus, cfg, vocab, alive, table)
+    return dataclasses.replace(state, **saved)

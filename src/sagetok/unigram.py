@@ -5,6 +5,8 @@ removes the batch of tokens whose ablation costs the least corpus
 log-likelihood, where likelihood uses maximum-likelihood unigram
 probabilities refit to the retokenized corpus. Decoding is the shared
 greedy encoder throughout, and protected tokens are never candidates.
+Candidates are scored and prunes applied on the same word-type index
+as the SaGe trainer (``corpus.WordIndex``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import encoder
 from .bpe import word_type_counts
-from .corpus import RawCorpus, SentenceStore
+from .corpus import RawCorpus, SentenceStore, build_index
 from .errors import ConfigError, DataError, VocabError
 from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, is_protected
 
@@ -126,36 +128,24 @@ def train_unigram(
     if target_size >= len(vocab):
         return vocab
 
-    wcounts = word_type_counts(corpus)
-    word_list = sorted(wcounts)
-    word_weight = np.asarray([wcounts[w] for w in word_list], dtype=np.int64)
-
     alive = set(range(len(vocab)))
     cv = encoder.compile(vocab, alive)
-    word_ids: list[list[int]] = [cv.encode_word(w)[0] for w in word_list]
-    token_words: dict[int, set[int]] = {}
-    counts = np.zeros(len(vocab), dtype=np.int64)
-    for wi, ids in enumerate(word_ids):
-        for t in ids:
-            counts[t] += word_weight[wi]
-        for t in set(ids):
-            token_words.setdefault(t, set()).add(wi)
-
+    index = build_index(corpus, cv)
     while len(alive) > target_size:
         batch = min(prune_batch, len(alive) - target_size)
+        counts = index.frequencies()
         base = _loglik_from_counts(counts)
         scored: list[tuple[float, int, str, int]] = []
         for t in sorted(alive):
             if is_protected(vocab.tokens[t]):
                 continue
             trial = counts.copy()
-            for wi in token_words.get(t, ()):
-                new_ids = cv.encode_word(word_list[wi], frozenset((t,)))[0]
-                w = word_weight[wi]
-                for old_t in word_ids[wi]:
-                    trial[old_t] -= w
+            for w, new_ids in index.segment_without(t, cv).items():
+                weight = index.counts[w]
+                for old_t in index.segs[w]:
+                    trial[old_t] -= weight
                 for new_t in new_ids:
-                    trial[new_t] += w
+                    trial[new_t] += weight
             loss = _loglik_from_counts(trial) - base
             scored.append((loss, int(counts[t]), vocab.tokens[t], t))
         scored.sort(key=lambda item: item[:3])
@@ -163,25 +153,7 @@ def train_unigram(
 
         alive -= pruned
         cv = encoder.compile(vocab, alive)
-        changed = set()
-        for t in pruned:
-            changed |= token_words.pop(t, set())
-        for wi in sorted(changed):
-            new_ids = cv.encode_word(word_list[wi])[0]
-            w = word_weight[wi]
-            for old_t in word_ids[wi]:
-                counts[old_t] -= w
-            for new_t in new_ids:
-                counts[new_t] += w
-            for old_t in set(word_ids[wi]) - set(new_ids):
-                bucket = token_words.get(old_t)
-                if bucket is not None:
-                    bucket.discard(wi)
-                    if not bucket:
-                        del token_words[old_t]
-            for new_t in set(new_ids) - set(word_ids[wi]):
-                token_words.setdefault(new_t, set()).add(wi)
-            word_ids[wi] = new_ids
+        index.resegment(pruned, cv)
 
     return vocab.subset(alive)
 

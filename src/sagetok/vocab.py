@@ -84,13 +84,6 @@ class Vocabulary:
         """Reserved id for characters outside the alphabet (one past the last token)."""
         return len(self.tokens)
 
-    def protected_ids(self) -> set[int]:
-        return {i for i, t in enumerate(self.tokens) if is_protected(t)}
-
-    def multi_char_ids(self) -> list[int]:
-        """Ids of prunable tokens (content length >= 2), in vocabulary order."""
-        return [i for i, t in enumerate(self.tokens) if not is_protected(t)]
-
     def digest(self) -> str:
         """Stable hash of the ordered token list, used for staleness checks."""
         h = hashlib.sha256("\n".join(self.tokens).encode("utf-8"))
@@ -108,14 +101,6 @@ class Vocabulary:
             for i in keep
         ]
         return Vocabulary(tokens, prov)
-
-
-def corpus_characters(words: Iterable[str]) -> set[str]:
-    """Distinct characters over marker-prefixed words (includes the marker)."""
-    chars: set[str] = set()
-    for w in words:
-        chars.update(w)
-    return chars
 
 
 def corpus_alphabet(words: Iterable[str]) -> tuple[list[str], list[str]]:
@@ -167,8 +152,11 @@ def load_vocab(path) -> tuple[Vocabulary, dict]:
                     meta[key] = value
                 elif line:
                     tokens.append(line)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
     if not tokens:
         raise DataError(f"vocabulary file {path} contains no tokens")
-    return Vocabulary(tokens), meta
+    try:
+        return Vocabulary(tokens), meta
+    except VocabError as exc:
+        raise DataError(f"vocabulary file {path}: {exc}") from exc

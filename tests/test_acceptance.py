@@ -65,7 +65,6 @@ class TestCriterion1SkipgramOracle:
             from sagetok.corpus import SentenceStore
 
             store = SentenceStore(
-                [() for _ in id_lists],
                 [np.asarray(a, dtype=np.int32) for a in id_lists],
                 [() for _ in id_lists],
                 "",
@@ -176,7 +175,8 @@ class TestCriterion4IncrementalCaches:
                 np.sum(batched_sentence_nll(scratch.ids, state.table, cfg.window))
             )
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
-            assert build_index(state.store, unk_id=state.vocab.unk_id) == state.index
+            assert build_index(corpus, state.cv) == state.index
+            assert all(np.array_equal(a, b) for a, b in zip(state.store.ids, scratch.ids))
         assert state.alive_size() == target
         _report("4", f"({base}->{target} run, {iterations} iterations, cache within 1e-6 rel and index exact each iteration)")
 

@@ -3,9 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from sagetok.bpe import MergeRecord, load_merges, merge_step, save_merges, train_bpe
+from sagetok.bpe import MergeRecord, load_merges, save_merges, train_bpe
 from sagetok.corpus import RawCorpus
-from sagetok.errors import ConfigError, DataError
+from sagetok.errors import ConfigError
 from sagetok.vocab import MARKER, PROV_ALPHABET, PROV_MERGED
 
 from oracles import bpe_merge_oracle
@@ -78,20 +78,25 @@ class TestTrainBpe:
 
 
 class TestMergeStep:
-    def test_enumeration_example(self):
-        wc = {(MARKER, "a"): 1, (MARKER, "a", "b"): 2}
-        record, rewritten = merge_step(wc)
-        assert (record.left, record.right, record.count) == (MARKER, "a", 3)
-        assert (MARKER + "a", "b") in rewritten
+    """Single merge steps of the brute-force oracle that the trainer is checked against."""
 
-    def test_no_pairs_is_an_error(self):
-        with pytest.raises(DataError):
-            merge_step({(MARKER + "x",): 1})
+    def test_enumeration_example(self):
+        # words ▁a x1 and ▁ab x2: (▁, a) occurs 3 times and merges first,
+        # and the rewritten words then merge (▁a, b) twice
+        tokens, merges = bpe_merge_oracle(["a ab ab"], 5)
+        assert merges == [(MARKER, "a", 3), (MARKER + "a", "b", 2)]
+        assert tokens[-2:] == [MARKER + "a", MARKER + "ab"]
+
+    def test_no_pairs_gives_no_merges(self):
+        tokens, merges = bpe_merge_oracle(["x"], 10)
+        assert merges == []
+        assert tokens == sorted({MARKER, "x"})
 
     def test_result_is_concatenation(self):
-        wc = {("a", "b"): 2}
-        record, _ = merge_step(wc)
-        assert record.result == record.left + record.right
+        tokens, merges = bpe_merge_oracle(["ab ab", "ba ba"], 8)
+        assert merges
+        merged = tokens[len(tokens) - len(merges):]
+        assert merged == [left + right for left, right, _ in merges]
 
 
 class TestProperties:

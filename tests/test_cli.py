@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sagetok
 from sagetok.cli import main
 from sagetok.vocab import MARKER, load_vocab
 
@@ -136,6 +142,18 @@ class TestTrainSageCommand:
         direct_tokens = load_vocab(direct)[0].tokens
         assert load_vocab(resumed)[0].tokens == direct_tokens
 
+    def test_checkpoint_written_to_exact_path(self, tmp_path, corpus_file):
+        direct = tmp_path / "direct.vocab"
+        main(_sage_args(corpus_file, direct))
+        ckpt = tmp_path / "run.ckpt"
+        rc = main(_sage_args(corpus_file, tmp_path / "first.vocab") + ["--checkpoint", str(ckpt)])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if "ckpt" in p.name) == ["run.ckpt"]
+        resumed = tmp_path / "resumed.vocab"
+        rc = main(_sage_args(corpus_file, resumed) + ["--resume", str(ckpt)])
+        assert rc == 0
+        assert load_vocab(resumed)[0].tokens == load_vocab(direct)[0].tokens
+
     def test_initial_vocab_bypasses_base_training(self, tmp_path, corpus_file):
         base = tmp_path / "base.vocab"
         main(["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "70", "--out", str(base)])
@@ -245,3 +263,81 @@ class TestDiffCommand:
         report = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
         assert report["only_a"]["word_initial_fraction"] == 1.0
         assert report["only_b"]["word_initial_fraction"] == 0.0
+
+
+def _write_bad_input(tmp_path, kind):
+    """A malformed input file of the given kind; returns its path."""
+    path = tmp_path / f"bad.{kind.split('-')[0]}"
+    if kind == "vocab-invalid-utf8":
+        path.write_bytes(b"a\n\xff\xfe\n")
+    elif kind == "vocab-duplicate-token":
+        path.write_text("a\nb\na\n", encoding="utf-8")
+    elif kind == "config-not-json":
+        path.write_text("{", encoding="utf-8")
+    elif kind == "config-not-object":
+        path.write_text("5", encoding="utf-8")
+    elif kind == "config-invalid-utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    elif kind == "config-vocab-size-string":
+        path.write_text(json.dumps({"vocab_size": "abc"}), encoding="utf-8")
+    elif kind == "config-lr-string":
+        path.write_text(json.dumps({"lr": "x"}), encoding="utf-8")
+    elif kind == "corpus-invalid-utf8":
+        path.write_bytes(b"fine line\n\xff broken\n")
+    elif kind == "corpus-empty":
+        path.write_text("\n \n", encoding="utf-8")
+    elif kind == "checkpoint-missing":
+        pass
+    elif kind == "checkpoint-not-npz":
+        path.write_text("not a checkpoint\n", encoding="utf-8")
+    elif kind == "checkpoint-npy":
+        with open(path, "wb") as f:
+            np.save(f, np.arange(3))
+    elif kind in ("checkpoint-truncated", "checkpoint-missing-keys"):
+        with open(path, "wb") as f:
+            np.savez_compressed(f, tokens=np.arange(500), alive=np.arange(500))
+        if kind == "checkpoint-truncated":
+            path.write_bytes(path.read_bytes()[:200])
+    else:
+        raise AssertionError(kind)
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("vocab-invalid-utf8", 3),
+        ("vocab-duplicate-token", 3),
+        ("config-not-json", 2),
+        ("config-not-object", 2),
+        ("config-invalid-utf8", 2),
+        ("config-vocab-size-string", 2),
+        ("config-lr-string", 2),
+        ("corpus-invalid-utf8", 3),
+        ("corpus-empty", 3),
+        ("checkpoint-missing", 3),
+        ("checkpoint-not-npz", 3),
+        ("checkpoint-npy", 3),
+        ("checkpoint-truncated", 3),
+        ("checkpoint-missing-keys", 3),
+    ],
+)
+def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expected):
+    bad = _write_bad_input(tmp_path, kind)
+    out = tmp_path / "out.vocab"
+    role = kind.split("-")[0]
+    if role == "vocab":
+        argv = ["encode", "--vocab", str(bad), "--in", str(corpus_file), "--out", str(out)]
+    elif role == "config":
+        argv = ["train-sage", "--corpus", str(corpus_file), "--out", str(out), "--config", str(bad)]
+    elif role == "corpus":
+        argv = ["train-bpe", "--corpus", str(bad), "--vocab-size", "50", "--out", str(out)]
+    else:
+        argv = _sage_args(corpus_file, out) + ["--resume", str(bad)]
+    env = dict(os.environ, PYTHONPATH=str(Path(sagetok.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sagetok.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(("config error:", "data error:"))

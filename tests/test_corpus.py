@@ -5,20 +5,23 @@ from sagetok import encoder
 from sagetok.corpus import (
     NormalizePolicy,
     RawCorpus,
+    WordIndex,
     build_index,
     load_corpus,
-    load_store,
     normalize_line,
     pretokenize,
     retokenize_sentences,
-    save_store,
 )
+from sagetok.embeddings import EmbedConfig
 from sagetok.errors import DataError, VocabError
 from sagetok.objective import attach_nll_cache
+from sagetok.sage import SageConfig, init_state, prune_iteration
+from sagetok.unigram import init_substring_vocab, train_unigram
 from sagetok.vocab import MARKER, Vocabulary
 
 from conftest import random_table
 from oracles import naive_encode_word
+from textgen import generate_corpus
 
 
 class TestLoadCorpus:
@@ -78,28 +81,49 @@ class TestPretokenize:
 
 
 class TestBuildIndex:
-    def _store(self, id_lists):
-        ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
-        words = [() for _ in id_lists]
-        unks = [() for _ in id_lists]
-        from sagetok.corpus import SentenceStore
-
-        return SentenceStore(words, ids, unks, "x")
-
     def test_direct_enumeration(self):
-        index = build_index(self._store([[1, 2], [2, 3]]))
-        assert index.postings == {1: {0}, 2: {0, 1}, 3: {1}}
+        corpus = RawCorpus.from_lines(["ab b", "b"])
+        vocab = Vocabulary([MARKER, "a", "b", MARKER + "a", MARKER + "ab", MARKER + "b"])
+        index = build_index(corpus, encoder.compile(vocab))
+        assert index.types == (MARKER + "ab", MARKER + "b")
+        assert index.counts.tolist() == [1, 2]
+        assert index.type_ids.tolist() == [0, 1, 1]
+        assert index.offsets.tolist() == [0, 2, 3]
+        assert index.type_sentences == [[0], [0, 1]]
+        assert index.segs == [[4], [5]]
+        assert index.postings == {4: {0}, 5: {1}}
+        assert index.sentences(4) == {0}
+        assert index.sentences(5) == {0, 1}
+        assert index.sentences(1) == set()
+        assert index.frequencies().tolist() == [0, 0, 0, 0, 1, 2]
 
     def test_empty_store(self):
-        assert build_index(self._store([])).postings == {}
+        index = build_index(RawCorpus(()), encoder.compile(Vocabulary([MARKER])))
+        assert index.postings == {}
+        assert index.frequencies().tolist() == [0]
+        assert len(index.store("x")) == 0
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(7)
-        id_lists = [rng.integers(0, 12, size=rng.integers(1, 15)).tolist() for _ in range(50)]
-        index = build_index(self._store(id_lists))
-        for token in range(12):
-            expected = {s for s, ids in enumerate(id_lists) if token in ids}
+        lines = [
+            " ".join("".join(rng.choice(list("abcd¤"), size=rng.integers(1, 6)))
+                     for _ in range(rng.integers(1, 6)))
+            for _ in range(50)
+        ]
+        corpus = RawCorpus.from_lines(lines)
+        tokens = [MARKER, "a", "b", "c", MARKER + "a", MARKER + "ab", "ab", "bc", "cd", "abc", "dd"]
+        vocab = Vocabulary(tokens)
+        index = build_index(corpus, encoder.compile(vocab))
+        # naive greedy segmentation of every word, UNK pieces dropped
+        segmented = [
+            [tokens.index(p) for w in pretokenize(line) for p in naive_encode_word(tokens, w)
+             if not isinstance(p, tuple)]
+            for line in corpus.lines
+        ]
+        for token in range(len(vocab)):
+            expected = {s for s, ids in enumerate(segmented) if token in ids}
             assert index.sentences(token) == expected
+            assert index.frequencies()[token] == sum(ids.count(token) for ids in segmented)
 
 
 def _setup_encoded(corpus_lines, extra_tokens, seed=0):
@@ -108,8 +132,8 @@ def _setup_encoded(corpus_lines, extra_tokens, seed=0):
     tokens = chars + [t for t in extra_tokens if t not in chars]
     vocab = Vocabulary(tokens)
     cv = encoder.compile(vocab)
-    store = encoder.encode_corpus(corpus, cv)
-    index = build_index(store, unk_id=vocab.unk_id)
+    index = build_index(corpus, cv)
+    store = index.store(vocab.digest())
     rng = np.random.default_rng(seed)
     table = random_table(len(vocab), 6, rng)
     attach_nll_cache(store, table, 2)
@@ -124,7 +148,7 @@ class TestRetokenize:
         unused = vocab.id_of["zzz"]
         before = [a.copy() for a in store.ids]
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {unused})
-        _, _, delta = retokenize_sentences(store, index, {unused}, vocab, cv2, table, 2)
+        delta = retokenize_sentences(store, index, {unused}, vocab, cv2, table, 2)
         assert delta == 0.0
         assert all(np.array_equal(a, b) for a, b in zip(before, store.ids))
 
@@ -161,7 +185,7 @@ class TestRetokenize:
         retokenize_sentences(store, index, {target}, vocab, cv2, table, 2)
         scratch = encoder.encode_corpus(corpus, cv2)
         assert all(np.array_equal(a, b) for a, b in zip(store.ids, scratch.ids))
-        assert build_index(scratch, unk_id=vocab.unk_id) == index
+        assert build_index(corpus, cv2) == index
 
     def test_locality_untouched_sentences_bit_identical(self):
         corpus, vocab, cv, store, index, table = _setup_encoded(
@@ -186,7 +210,7 @@ class TestRetokenize:
         total_before = store.total_nll()
         abc = vocab.id_of[MARKER + "abc"]
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        _, _, delta = retokenize_sentences(store, index, {abc}, vocab, cv2, table, 2)
+        delta = retokenize_sentences(store, index, {abc}, vocab, cv2, table, 2)
         assert store.total_nll() == pytest.approx(total_before + delta, rel=1e-12)
 
 
@@ -196,7 +220,7 @@ class TestRoundTrip:
             ["the cat", "a hat"], [MARKER + "the", "at"]
         )
         for s in range(len(store)):
-            assert store.decode_words(s, vocab) == store.words[s]
+            assert store.decode_words(s, vocab) == pretokenize(corpus.lines[s])
             assert store.decode_line(s, vocab) == corpus.lines[s]
 
     def test_decode_with_unk_characters(self):
@@ -216,23 +240,44 @@ class TestRoundTrip:
             assert got == naive_encode_word(vocab.tokens, word)
 
 
-class TestStoreCache:
-    def test_roundtrip(self, tmp_path, tiny_corpus):
-        vocab = Vocabulary([MARKER] + sorted({c for l in tiny_corpus.lines for c in l if c != " "}))
-        cv = encoder.compile(vocab)
-        store = encoder.encode_corpus(tiny_corpus, cv)
-        path = tmp_path / "store.npz"
-        save_store(store, path)
-        loaded = load_store(path, tiny_corpus, vocab)
-        assert all(np.array_equal(a, b) for a, b in zip(store.ids, loaded.ids))
-        assert loaded.words == store.words
+def _assert_matches_rebuild(corpus, index, cv, store):
+    """The maintained index equals a scratch build under ``cv``, the store
+    equals a fresh encode, and derived frequencies equal a store bincount."""
+    assert index == build_index(corpus, cv)
+    fresh = encoder.encode_corpus(corpus, cv)
+    assert len(store) == len(fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(store.ids, fresh.ids))
+    assert store.unk_chars == fresh.unk_chars
+    n = cv.unk_id
+    counts = np.bincount(np.concatenate(store.ids), minlength=n + 1)[:n]
+    assert np.array_equal(index.frequencies(), counts)
 
-    def test_stale_cache_rejected(self, tmp_path, tiny_corpus):
-        vocab = Vocabulary([MARKER] + sorted({c for l in tiny_corpus.lines for c in l if c != " "}))
-        cv = encoder.compile(vocab)
-        store = encoder.encode_corpus(tiny_corpus, cv)
-        path = tmp_path / "store.npz"
-        save_store(store, path)
-        other = Vocabulary(list(vocab.tokens) + ["zz"])
-        with pytest.raises(DataError, match="stale"):
-            load_store(path, tiny_corpus, other)
+
+@pytest.mark.parametrize("trainer", ["sage", "unigram"])
+def test_index_matches_rebuild_after_every_step(trainer, monkeypatch):
+    corpus = RawCorpus.from_lines(generate_corpus(60, seed=17, n_stems=50))
+    if trainer == "sage":
+        cfg = SageConfig(
+            final_size=70, overshoot=1.5, prune_batch=5, recalc_period=2, candidate_pool=20,
+            embed_period=2, window=2, embed=EmbedConfig(dim=6, window=2, negatives=2, epochs=1),
+        )
+        state = init_state(corpus, cfg)
+        steps = 0
+        while state.alive_size() > cfg.final_size:
+            prune_iteration(state, cfg)
+            _assert_matches_rebuild(corpus, state.index, state.cv, state.store)
+            steps += 1
+    else:
+        resegment = WordIndex.resegment
+        steps = 0
+
+        def checked(index, removed, cv):
+            nonlocal steps
+            resegment(index, removed, cv)
+            _assert_matches_rebuild(corpus, index, cv, index.store(cv.vocab.digest()))
+            steps += 1
+
+        monkeypatch.setattr(WordIndex, "resegment", checked)
+        full = init_substring_vocab(corpus, max_len=6)
+        train_unigram(corpus, len(full) - 40, prune_batch=4, max_len=6)
+    assert steps >= 5

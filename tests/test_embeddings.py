@@ -102,7 +102,7 @@ class TestTrainEmbeddings:
         vocab = Vocabulary([MARKER, "a"])
         from sagetok.corpus import SentenceStore
 
-        store = SentenceStore([], [], [], vocab.digest())
+        store = SentenceStore([], [], vocab.digest())
         with pytest.raises(DataError):
             train_embeddings(store, vocab, EmbedConfig(dim=4))
 

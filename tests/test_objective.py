@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sagetok import encoder
-from sagetok.corpus import RawCorpus, build_index
+from sagetok.corpus import RawCorpus, build_index, pretokenize
 from sagetok.errors import VocabError
 from sagetok.objective import (
     ablation_loss,
@@ -57,7 +57,7 @@ class TestCorpusNll:
         from sagetok.corpus import SentenceStore
 
         ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
-        return SentenceStore([() for _ in ids], ids, [() for _ in ids], "")
+        return SentenceStore(ids, [() for _ in ids], "")
 
     def test_empty_store(self):
         assert corpus_nll(self._store([]), zero_table(3, 2), 2) == 0.0
@@ -112,8 +112,8 @@ def _ablation_setup(lines, extras, seed=0, window=2, dim=5):
     chars = sorted({ch for line in corpus.lines for ch in MARKER + line.replace(" ", "")})
     vocab = Vocabulary(chars + [t for t in extras if t not in chars])
     cv = encoder.compile(vocab)
-    store = encoder.encode_corpus(corpus, cv)
-    index = build_index(store, unk_id=vocab.unk_id)
+    index = build_index(corpus, cv)
+    store = index.store(vocab.digest())
     rng = np.random.default_rng(seed)
     table = random_table(len(vocab), dim, rng)
     attach_nll_cache(store, table, window)
@@ -164,26 +164,28 @@ class TestAblationLoss:
         )
         ids_before = [a.copy() for a in store.ids]
         nll_before = store.nll.copy()
-        postings_before = {t: set(s) for t, s in index.postings.items()}
         ablation_loss(vocab.id_of["ab"], store, index, vocab, table, cv, 2)
         assert all(np.array_equal(a, b) for a, b in zip(ids_before, store.ids))
         assert np.array_equal(nll_before, store.nll)
-        assert index.postings == postings_before
+        assert index == build_index(corpus, cv)
 
-    def test_word_cache_path_gives_identical_loss(self):
+    def test_stored_segmentations_give_identical_loss(self):
+        # ablation re-segments only the word types holding the token and
+        # reuses the index's segmentation for the rest; banning the token
+        # while re-segmenting every word of the affected sentences agrees
         lines = ["abc abc ab", "ab abc", "cc ab cc"]
         extras = ["ab", "abc", MARKER + "ab", MARKER + "abc", "cc"]
         corpus, vocab, cv, store, index, table = _ablation_setup(lines, extras)
-        cache = {}
-        for words in store.words:
-            for w in words:
-                if w not in cache:
-                    cache[w] = cv.encode_word(w)[0]
         for token in ["ab", "abc", MARKER + "abc"]:
             t = vocab.id_of[token]
-            without = ablation_loss(t, store, index, vocab, table, cv, 2)
-            with_cache = ablation_loss(t, store, index, vocab, table, cv, 2, word_cache=cache)
-            assert without.loss == with_cache.loss
+            affected = sorted(index.sentences(t))
+            banned = frozenset((t,))
+            rescored = [
+                np.asarray([i for w in pretokenize(corpus.lines[s]) for i in cv.encode_word(w, banned)[0]])
+                for s in affected
+            ]
+            want = float(np.sum(batched_sentence_nll(rescored, table, 2)) - np.sum(store.nll[affected]))
+            assert ablation_loss(t, store, index, vocab, table, cv, 2).loss == want
 
     def test_protected_token_rejected(self):
         corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], [])

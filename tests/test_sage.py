@@ -6,7 +6,7 @@ import pytest
 from sagetok import encoder
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig
-from sagetok.errors import ConfigError, VocabError
+from sagetok.errors import ConfigError, DataError, VocabError
 from sagetok.objective import batched_sentence_nll
 from sagetok.sage import (
     SageConfig,
@@ -72,14 +72,14 @@ class TestInitState:
         for s in range(len(state.store)):
             assert state.store.decode_line(s, state.vocab) == corpus.lines[s]
         # index equals a fresh build
-        assert build_index(state.store, unk_id=state.vocab.unk_id) == state.index
+        assert build_index(corpus, state.cv) == state.index
         # cached likelihoods sum to the maintained total
         assert state.total_nll == pytest.approx(state.store.total_nll(), rel=1e-12)
         # frequencies match a scratch count
         counts = np.zeros(len(state.vocab), dtype=np.int64)
         for ids in state.store.ids:
             counts += np.bincount(ids, minlength=len(state.vocab))[: len(state.vocab)]
-        assert np.array_equal(counts, state.freq)
+        assert np.array_equal(counts, state.index.frequencies())
 
     def test_one_step_when_overshoot_is_one_token(self):
         corpus = _toy_corpus(40)
@@ -196,7 +196,7 @@ class TestPruneIteration:
             )
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
             # maintained index against a fresh build
-            assert build_index(state.store, unk_id=state.vocab.unk_id) == state.index
+            assert build_index(corpus, state.cv) == state.index
             # maintained store against a fresh encode
             assert all(
                 np.array_equal(a, b) for a, b in zip(state.store.ids, scratch.ids)
@@ -337,6 +337,18 @@ class TestCheckpoint:
                            candidate_pool=10, window=2, embed=_small_embed())
         with pytest.raises(ConfigError):
             load_checkpoint(path, corpus, other)
+
+    def test_checkpoint_ids_outside_vocabulary_rejected(self, tmp_path):
+        corpus = _toy_corpus(30, seed=15)
+        cfg = SageConfig(final_size=55, overshoot=1.3, prune_batch=2, recalc_period=2,
+                         candidate_pool=10, window=2, embed=_small_embed())
+        state = init_state(corpus, cfg)
+        prune_iteration(state, cfg)
+        state.alive.add(len(state.vocab))
+        path = tmp_path / "ckpt"
+        save_checkpoint(state, cfg, corpus, path)
+        with pytest.raises(DataError, match="does not match"):
+            load_checkpoint(path, corpus, cfg)
 
 
 class TestEventLogIO:

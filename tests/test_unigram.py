@@ -59,7 +59,7 @@ class TestInitSubstringVocab:
 class TestCorpusLoglik:
     def _store(self, id_lists, vocab):
         ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
-        return SentenceStore([() for _ in ids], ids, [() for _ in ids], vocab.digest())
+        return SentenceStore(ids, [() for _ in ids], vocab.digest())
 
     def test_prob_one_gives_zero(self):
         vocab = Vocabulary(["a"])
