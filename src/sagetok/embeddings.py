@@ -5,14 +5,15 @@ corpus order grouped by window offset, negatives come from one seeded
 stream, and updates are applied in mini-batches with a fixed reduction
 order. Randomness is keyed to token *strings*, not ids (row
 initialization and the noise distribution use a canonical string order),
-so relabeling ids and remapping rows commute with training.
+so relabeling ids and permuting rows commute with training. Row sums
+use one weighted ``np.bincount`` per column, which adds in batch order at
+double precision like ``np.unique`` + ``np.add.at`` (the test oracle) but
+without the sort, so the tables stay bit-identical to that plain form.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .vocab import Vocabulary
 
 _NOISE_POWER = 0.75
 _MAX_EXP = 6.0
-_MAGIC = b"SAGETBL\x00"
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,14 @@ def _apply_clipped(matrix: np.ndarray, ids: np.ndarray, grads: np.ndarray, clip:
     Sequential reference updates are self-limiting; summed stale-row
     updates are not, so rows hit many times in one batch need the cap.
     """
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    buf = np.zeros((len(uniq), grads.shape[1]))
-    np.add.at(buf, inverse, grads)
+    rows = matrix.shape[0]
+    touched = np.flatnonzero(np.bincount(ids, minlength=rows))
+    buf = np.empty((len(touched), grads.shape[1]))
+    for j in range(grads.shape[1]):
+        buf[:, j] = np.bincount(ids, weights=grads[:, j], minlength=rows)[touched]
     norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
     np.clip(norms / clip, 1.0, None, out=norms)
-    matrix[uniq] += buf / norms[:, None]
+    matrix[touched] += buf / norms[:, None]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -144,9 +146,8 @@ def _pair_arrays(store: SentenceStore, window: int) -> tuple[np.ndarray, np.ndar
 
 def _noise_cdf(store: SentenceStore, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Unigram^0.75 noise distribution in canonical (string-sorted) order."""
-    counts = np.zeros(len(vocab), dtype=np.float64)
-    for ids in store.ids:
-        counts += np.bincount(ids, minlength=len(vocab))[: len(vocab)]
+    counts = np.bincount(np.concatenate(store.ids), minlength=len(vocab))[: len(vocab)]
+    counts = counts.astype(np.float64)
     canon = np.argsort(np.asarray(vocab.tokens, dtype=object))
     weights = counts[canon] ** _NOISE_POWER
     total = weights.sum()
@@ -178,6 +179,9 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     total_updates = n_pairs * cfg.epochs
     tgt, ctx = table.target, table.context
+    k = cfg.negatives
+    # context-side gradients of a batch: b positive rows, then b*k negative
+    ctx_grads_buf = np.empty((cfg.batch_pairs * (1 + k), cfg.dim))
     done = 0
     for _epoch in range(cfg.epochs):
         for start in range(0, n_pairs, cfg.batch_pairs):
@@ -188,10 +192,7 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
                 (done + np.arange(b)) / max(total_updates - 1, 1)
             )
             done += b
-            n_ids = None
-            if cfg.negatives > 0:
-                u = rng.random((b, cfg.negatives))
-                n_ids = canon[np.minimum(np.searchsorted(cdf, u), len(canon) - 1)]
+            ctx_grads = ctx_grads_buf[: b * (1 + k)]
 
             t_rows = tgt[t_ids]
             c_rows = ctx[c_ids]
@@ -199,75 +200,20 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
             g_pos = (1.0 - _sigmoid(dots)) * lr
             grad_t = g_pos[:, None] * c_rows
             ctx_ids = c_ids
-            ctx_grads = g_pos[:, None] * t_rows
-            if n_ids is not None:
+            np.multiply(g_pos[:, None], t_rows, out=ctx_grads[:b])
+            if k > 0:
+                u = rng.random((b, k))
+                n_ids = canon[np.minimum(np.searchsorted(cdf, u), len(canon) - 1)]
                 n_rows = ctx[n_ids]
                 neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows, n_rows), -_MAX_EXP, _MAX_EXP)
                 g_neg = -_sigmoid(neg_dots) * lr[:, None]
                 grad_t += np.einsum("ik,ikj->ij", g_neg, n_rows)
                 ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
-                ctx_grads = np.concatenate(
-                    [ctx_grads, (g_neg[:, :, None] * t_rows[:, None, :]).reshape(-1, cfg.dim)]
+                np.multiply(
+                    g_neg[:, :, None], t_rows[:, None, :], out=ctx_grads[b:].reshape(b, k, cfg.dim)
                 )
             _apply_clipped(tgt, t_ids, grad_t, cfg.clip_row)
             _apply_clipped(ctx, ctx_ids, ctx_grads, cfg.clip_row)
     if not (np.isfinite(tgt).all() and np.isfinite(ctx).all()):
         raise VocabError("embedding training diverged to non-finite values")
     return table
-
-
-def remap_tables(table: SkipGramTable, old_vocab: Vocabulary, new_vocab: Vocabulary) -> SkipGramTable:
-    """Reorder rows for a vocabulary that is a subset of the old one."""
-    rows = []
-    for token in new_vocab.tokens:
-        old_id = old_vocab.id_of.get(token)
-        if old_id is None:
-            raise VocabError(f"token {token!r} missing from the source vocabulary")
-        rows.append(old_id)
-    sel = np.asarray(rows, dtype=np.int64)
-    return SkipGramTable(
-        table.target[sel].copy(),
-        table.context[sel].copy(),
-        table.dim,
-        table.window,
-        new_vocab.digest(),
-    )
-
-
-def save_table(table: SkipGramTable, path) -> None:
-    """Binary dump: magic, JSON header (vocab digest, dim, rows, window),
-    then row-major float32 target matrix followed by the context matrix."""
-    header = json.dumps(
-        {
-            "vocab_digest": table.vocab_digest,
-            "dim": table.dim,
-            "rows": table.rows(),
-            "window": table.window,
-        }
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(np.ascontiguousarray(table.target, dtype=np.float32).tobytes())
-        f.write(np.ascontiguousarray(table.context, dtype=np.float32).tobytes())
-
-
-def load_table(path) -> SkipGramTable:
-    with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path} is not an embedding table dump")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(hlen).decode("utf-8"))
-        rows, dim = meta["rows"], meta["dim"]
-        count = rows * dim
-        target = np.frombuffer(f.read(count * 4), dtype=np.float32).reshape(rows, dim)
-        context = np.frombuffer(f.read(count * 4), dtype=np.float32).reshape(rows, dim)
-    return SkipGramTable(
-        target.astype(np.float64),
-        context.astype(np.float64),
-        dim,
-        meta["window"],
-        meta["vocab_digest"],
-    )

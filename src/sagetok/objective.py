@@ -7,6 +7,14 @@ the sigmoid of the target/context embedding dot product. Windows span
 every ordered (target, context) pair contributes one term. No negative
 sampling enters this computation; it is pure likelihood estimation over
 frozen embedding tables.
+
+:func:`ablation_losses` scores the re-segmented sentences of consecutive
+candidates in one pass of up to ``_SCORE_BUDGET_TOKENS`` tokens, paying
+numpy's per-call cost once per batch. Per-sentence values do not depend
+on the grouping, so the budget never moves a score; it bounds memory. A
+pass gathers 2 x 8,192 x dim doubles, the size of the context-gradient
+buffer alone of one default embedding-training batch (1,024 pairs x 16
+rows), so scoring stays below training's transient whatever the dim.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ import numpy as np
 from .corpus import SentenceStore, WordIndex
 from .errors import VocabError
 from .vocab import Vocabulary, is_protected
+
+# tokens per batched scoring pass: a memory bound (see the module docstring)
+_SCORE_BUDGET_TOKENS = 8192
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -69,12 +80,13 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
         same = sent_of[:-delta] == sent_of[delta:]
         if not same.any():
             continue
-        seg = sent_of[:-delta][same]
-        # target at i predicting context at i+delta, and the reverse
-        fwd = np.einsum("ij,ij->i", tgt[:-delta][same], ctx[delta:][same])
-        bwd = np.einsum("ij,ij->i", tgt[delta:][same], ctx[:-delta][same])
+        # target at i predicting context at i+delta, and the reverse; dot
+        # products on the shifted views, then only in-sentence pairs kept
+        fwd = np.einsum("ij,ij->i", tgt[:-delta], ctx[delta:])[same]
+        bwd = np.einsum("ij,ij->i", tgt[delta:], ctx[:-delta])[same]
         vals = softplus(-fwd) + softplus(-bwd)
-        np.add.at(acc, seg, vals)
+        # widening first is exact and lets add.at take its same-dtype path
+        np.add.at(acc, sent_of[:-delta][same], vals.astype(np.longdouble))
     return acc.astype(np.float64)
 
 
@@ -111,6 +123,61 @@ def attach_nll_cache(store: SentenceStore, table, window: int) -> float:
     return corpus_nll(store, table, window)
 
 
+def ablation_losses(
+    candidates,
+    store: SentenceStore,
+    index: WordIndex,
+    vocab: Vocabulary,
+    table,
+    cv,
+    window: int,
+) -> list[AblationLoss]:
+    """Score removing each of ``candidates``, in order: re-segment the word
+    types that hold the token (the index and the store are never
+    touched), rebuild the sentences that contain them, and return
+    new-minus-old NLL over those sentences, scored in batches.
+
+    Requires a cached per-sentence NLL so the old side is read, not
+    recomputed.
+    """
+    if store.nll is None:
+        raise VocabError("ablation scoring requires a store with a likelihood cache")
+    results: list[AblationLoss] = []
+    for pending, batch in _rebuilt_batches(candidates, index, vocab, cv):
+        vals = batched_sentence_nll(batch, table, window)
+        offset = 0
+        for token_id, affected in pending:
+            end = offset + len(affected)
+            loss = float(np.sum(vals[offset:end]) - np.sum(store.nll[affected]))
+            results.append(AblationLoss(token_id, loss, len(affected)))
+            offset = end
+    return results
+
+
+def _rebuilt_batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
+    """Yield ``(candidates with their sorted affected sentences, the
+    sentences rebuilt without each candidate)``, closing a batch once it
+    holds ``_SCORE_BUDGET_TOKENS`` tokens."""
+    pending: list[tuple[int, list[int]]] = []
+    batch: list[np.ndarray] = []
+    tokens = 0
+    for token_id in candidates:
+        token = vocab.tokens[token_id]
+        if is_protected(token):
+            raise VocabError(f"token {token!r} is protected and cannot be ablated")
+        affected = sorted(index.sentences(token_id))
+        changed = index.segment_without(token_id, cv)
+        for s in affected:
+            batch.append(np.asarray(index.sentence(s, changed), dtype=np.int64))
+            tokens += len(batch[-1])
+        pending.append((token_id, affected))
+        if tokens >= _SCORE_BUDGET_TOKENS:
+            yield pending, batch
+            pending, batch, tokens = [], [], 0
+    if pending:
+        yield pending, batch
+
+
 def ablation_loss(
     token_id: int,
     store: SentenceStore,
@@ -120,24 +187,5 @@ def ablation_loss(
     cv,
     window: int,
 ) -> AblationLoss:
-    """Score removing ``token_id``: re-segment the word types that hold it
-    (the index and the store are never touched), rebuild the sentences
-    that contain them, and return new-minus-old NLL over those sentences.
-
-    Requires a cached per-sentence NLL so the old side is read, not
-    recomputed.
-    """
-    token = vocab.tokens[token_id]
-    if is_protected(token):
-        raise VocabError(f"token {token!r} is protected and cannot be ablated")
-    if store.nll is None:
-        raise VocabError("ablation scoring requires a store with a likelihood cache")
-    affected = sorted(index.sentences(token_id))
-    if not affected:
-        return AblationLoss(token_id, 0.0, 0)
-    changed = index.segment_without(token_id, cv)
-    new_sentences = [np.asarray(index.sentence(s, changed), dtype=np.int64) for s in affected]
-    new_vals = batched_sentence_nll(new_sentences, table, window)
-    old_vals = np.asarray([store.nll[s] for s in affected])
-    loss = float(np.sum(new_vals) - np.sum(old_vals))
-    return AblationLoss(token_id, loss, len(affected))
+    """Score removing one token; :func:`ablation_losses` for one candidate."""
+    return ablation_losses([token_id], store, index, vocab, table, cv, window)[0]

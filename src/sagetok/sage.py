@@ -31,7 +31,9 @@ from .bpe import train_bpe
 from .corpus import RawCorpus, SentenceStore, WordIndex, build_index, retokenize_sentences
 from .embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from .errors import ConfigError, DataError, VocabError
-from .objective import ablation_loss, attach_nll_cache, corpus_nll
+# ablation_loss, the one-candidate scorer, stays importable from here for
+# callers that look it up in this module
+from .objective import ablation_loss, ablation_losses, attach_nll_cache, corpus_nll  # noqa: F401
 from .unigram import train_unigram
 from .vocab import Vocabulary, is_protected, load_vocab
 
@@ -205,17 +207,10 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     else:
         candidates = list(state.bottom)
 
-    losses: dict[int, float] = {}
-    for t in candidates:
-        losses[t] = ablation_loss(
-            t,
-            state.store,
-            state.index,
-            state.vocab,
-            state.table,
-            state.cv,
-            cfg.window,
-        ).loss
+    scored = ablation_losses(
+        candidates, state.store, state.index, state.vocab, state.table, state.cv, cfg.window
+    )
+    losses = {r.token_id: r.loss for r in scored}
     state.loss_evals.append(len(candidates))
 
     # prune order: lowest loss, then lowest corpus frequency, then token

@@ -168,3 +168,89 @@ def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batc
             pruned_sequence.append(item[3])
             alive.discard(item[3])
     return pruned_sequence
+
+
+def sgns_reference_trainer(store, vocab, cfg):
+    """SGNS training with the plain scatter: per-sentence noise counts,
+    concatenated context gradients, and ``np.unique`` + ``np.add.at``
+    row sums. Same seeded pair order, sampling and clipping as
+    ``train_embeddings``, so the two must agree bit for bit.
+
+    Returns ``(target, context)``.
+    """
+    import numpy as np
+
+    from sagetok.embeddings import init_tables
+
+    max_exp, noise_power = 6.0, 0.75
+
+    def sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def apply_clipped(matrix, ids, grads):
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        buf = np.zeros((len(uniq), grads.shape[1]))
+        np.add.at(buf, inverse, grads)
+        norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
+        np.clip(norms / cfg.clip_row, 1.0, None, out=norms)
+        matrix[uniq] += buf / norms[:, None]
+
+    table = init_tables(vocab, cfg)
+    tgt, ctx = table.target, table.context
+    flat = np.concatenate(store.ids).astype(np.int64)
+    sent_of = np.repeat(np.arange(len(store.ids)), [len(a) for a in store.ids])
+    t_parts, c_parts = [], []
+    for delta in range(1, cfg.window + 1):
+        if delta >= len(flat):
+            break
+        same = sent_of[:-delta] == sent_of[delta:]
+        left, right = flat[:-delta][same], flat[delta:][same]
+        t_parts.extend((left, right))
+        c_parts.extend((right, left))
+    targets, contexts = np.concatenate(t_parts), np.concatenate(c_parts)
+
+    counts = np.zeros(len(vocab), dtype=np.float64)
+    for ids in store.ids:
+        counts += np.bincount(ids, minlength=len(vocab))[: len(vocab)]
+    canon = np.argsort(np.asarray(vocab.tokens, dtype=object))
+    weights = counts[canon] ** noise_power
+    cdf = np.cumsum(weights / weights.sum())
+    canon = canon.astype(np.int64)
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n_pairs = len(targets)
+    total_updates = n_pairs * cfg.epochs
+    done = 0
+    for _epoch in range(cfg.epochs):
+        for start in range(0, n_pairs, cfg.batch_pairs):
+            t_ids = targets[start : start + cfg.batch_pairs]
+            c_ids = contexts[start : start + cfg.batch_pairs]
+            b = len(t_ids)
+            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (
+                (done + np.arange(b)) / max(total_updates - 1, 1)
+            )
+            done += b
+            t_rows, c_rows = tgt[t_ids], ctx[c_ids]
+            dots = np.clip(np.einsum("ij,ij->i", t_rows, c_rows), -max_exp, max_exp)
+            g_pos = (1.0 - sigmoid(dots)) * lr
+            grad_t = g_pos[:, None] * c_rows
+            ctx_ids, ctx_grads = c_ids, g_pos[:, None] * t_rows
+            if cfg.negatives > 0:
+                u = rng.random((b, cfg.negatives))
+                n_ids = canon[np.minimum(np.searchsorted(cdf, u), len(canon) - 1)]
+                n_rows = ctx[n_ids]
+                neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows, n_rows), -max_exp, max_exp)
+                g_neg = -sigmoid(neg_dots) * lr[:, None]
+                grad_t += np.einsum("ik,ikj->ij", g_neg, n_rows)
+                ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
+                ctx_grads = np.concatenate(
+                    [ctx_grads, (g_neg[:, :, None] * t_rows[:, None, :]).reshape(-1, cfg.dim)]
+                )
+            apply_clipped(tgt, t_ids, grad_t)
+            apply_clipped(ctx, ctx_ids, ctx_grads)
+    return tgt, ctx

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from sagetok import encoder
+from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
-from sagetok.embeddings import (
-    EmbedConfig,
-    init_tables,
-    load_table,
-    remap_tables,
-    save_table,
-    train_embeddings,
-)
-from sagetok.errors import ConfigError, DataError, VocabError
+from sagetok.embeddings import EmbedConfig, init_tables, train_embeddings
+from sagetok.errors import ConfigError, DataError
 from sagetok.vocab import MARKER, Vocabulary
+
+from oracles import sgns_reference_trainer
+from textgen import generate_corpus
 
 
 def _encode(lines, tokens):
@@ -120,61 +117,21 @@ class TestTrainEmbeddings:
         perm_store = encoder.encode_corpus(RawCorpus.from_lines(lines), perm_cv)
         permuted = train_embeddings(perm_store, perm_vocab, cfg)
 
-        remapped = remap_tables(permuted, perm_vocab, vocab)
-        assert np.array_equal(remapped.target, base.target)
-        assert np.array_equal(remapped.context, base.context)
+        rows = [perm_vocab.id_of[token] for token in vocab.tokens]
+        assert np.array_equal(permuted.target[rows], base.target)
+        assert np.array_equal(permuted.context[rows], base.context)
 
-
-class TestRemapTables:
-    def test_identity(self):
-        vocab = Vocabulary([MARKER, "a", "b"])
-        table = init_tables(vocab, EmbedConfig(dim=4))
-        out = remap_tables(table, vocab, vocab)
-        assert np.array_equal(out.target, table.target)
-
-    def test_drop_one_token(self):
-        vocab = Vocabulary([MARKER, "a", "b", "ab"])
-        table = init_tables(vocab, EmbedConfig(dim=4))
-        smaller = vocab.subset([0, 1, 2])
-        out = remap_tables(table, vocab, smaller)
-        assert out.rows() == 3
-        assert np.array_equal(out.target, table.target[:3])
-
-    def test_random_prune_rows_survive_bit_identical(self):
-        rng = np.random.default_rng(8)
-        tokens = [MARKER] + [f"t{i}" for i in range(49)]
-        vocab = Vocabulary(tokens)
-        table = init_tables(vocab, EmbedConfig(dim=6, seed=2))
-        keep = sorted(rng.choice(np.arange(50), size=40, replace=False).tolist())
-        if 0 not in keep:
-            keep[0] = 0
-        smaller = vocab.subset(keep)
-        out = remap_tables(table, vocab, smaller)
-        for new_id, token in enumerate(smaller.tokens):
-            old_id = vocab.id_of[token]
-            assert np.array_equal(out.target[new_id], table.target[old_id])
-            assert np.array_equal(out.context[new_id], table.context[old_id])
-
-    def test_unknown_token_rejected(self):
-        vocab = Vocabulary([MARKER, "a"])
-        table = init_tables(vocab, EmbedConfig(dim=4))
-        with pytest.raises(VocabError):
-            remap_tables(table, vocab, Vocabulary(["zz"]))
-
-
-class TestTableIO:
-    def test_roundtrip_float32(self, tmp_path):
-        vocab = Vocabulary([MARKER, "a", "b"])
-        table = init_tables(vocab, EmbedConfig(dim=4, seed=5))
-        path = tmp_path / "emb.bin"
-        save_table(table, path)
-        loaded = load_table(path)
-        assert loaded.rows() == 3
-        assert loaded.vocab_digest == vocab.digest()
-        assert np.allclose(loaded.target, table.target, atol=1e-7)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"not a table")
-        with pytest.raises(DataError):
-            load_table(path)
+    @pytest.mark.parametrize("negatives", [0, 6])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_reference_scatter_bit_for_bit(self, seed, negatives):
+        # the bincount scatter and the in-place gradient buffer add in the
+        # same order and precision as np.unique + np.add.at over
+        # concatenated gradients, so the tables are identical
+        corpus = RawCorpus.from_lines(generate_corpus(120, seed=seed, n_stems=80))
+        vocab, _ = train_bpe(corpus, 180)
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        cfg = EmbedConfig(dim=7, window=3, negatives=negatives, epochs=2, seed=seed, batch_pairs=300)
+        table = train_embeddings(store, vocab, cfg)
+        target, context = sgns_reference_trainer(store, vocab, cfg)
+        assert np.array_equal(table.target, target)
+        assert np.array_equal(table.context, context)

@@ -3,21 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from sagetok import encoder
+from sagetok import encoder, objective
+from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index, pretokenize
 from sagetok.errors import VocabError
 from sagetok.objective import (
     ablation_loss,
+    ablation_losses,
     attach_nll_cache,
     batched_sentence_nll,
     corpus_nll,
     sentence_nll,
     softplus,
 )
-from sagetok.vocab import MARKER, Vocabulary
+from sagetok.vocab import MARKER, Vocabulary, is_protected
 
 from conftest import random_table, zero_table
 from oracles import nll_oracle, pair_count
+from textgen import generate_corpus
 
 
 class TestSentenceNll:
@@ -191,6 +194,50 @@ class TestAblationLoss:
         corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], [])
         with pytest.raises(VocabError):
             ablation_loss(vocab.id_of["a"], store, index, vocab, table, cv, 2)
+
+
+class TestAblationLosses:
+    @pytest.mark.parametrize("budget", [1, None, 10**9])
+    def test_batches_equal_one_candidate_at_a_time(self, monkeypatch, budget):
+        # batching only regroups sentences, so every score must be exactly
+        # the one-candidate score; budget None keeps the module's own
+        corpus = RawCorpus.from_lines(generate_corpus(150, seed=4, n_stems=90))
+        vocab, _ = train_bpe(corpus, 220)
+        cv = encoder.compile(vocab)
+        index = build_index(corpus, cv)
+        store = index.store(vocab.digest())
+        table = random_table(len(vocab), 6, np.random.default_rng(4))
+        attach_nll_cache(store, table, 3)
+        candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
+        single = [ablation_loss(t, store, index, vocab, table, cv, 3) for t in candidates]
+
+        passes = []
+
+        def counted(sentences, table, window):
+            passes.append(len(sentences))
+            return batched_sentence_nll(sentences, table, window)
+
+        monkeypatch.setattr(objective, "batched_sentence_nll", counted)
+        if budget is not None:
+            monkeypatch.setattr(objective, "_SCORE_BUDGET_TOKENS", budget)
+        batched = ablation_losses(candidates, store, index, vocab, table, cv, 3)
+        assert [r.token_id for r in batched] == candidates
+        for got, want in zip(batched, single):
+            assert got.loss == want.loss
+            assert got.affected_sentences == want.affected_sentences
+        assert sum(passes) == sum(r.affected_sentences for r in single)
+        if budget == 1:
+            assert len(passes) == sum(1 for r in single if r.affected_sentences)
+        elif budget == 10**9:
+            assert len(passes) == 1
+        else:
+            assert 1 < len(passes) < len(candidates)
+
+    def test_protected_candidate_rejected(self):
+        corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], ["ab"])
+        ids = [vocab.id_of["ab"], vocab.id_of["a"]]
+        with pytest.raises(VocabError):
+            ablation_losses(ids, store, index, vocab, table, cv, 2)
 
 
 class TestSoftplus:
