@@ -6,6 +6,11 @@ text, not word types; neighbor sets are symmetric within-sentence
 co-occurrences and UNK emissions never enter them. Any vocabulary can be
 paired with any corpus, so domain-robustness runs are just an argument
 pairing.
+
+``measure`` segments a corpus once (one ``corpus.WordIndex``) and takes
+fertility, efficiency and token statistics from that one segmentation;
+the standalone ``fertility_hist``, ``efficiency``, ``token_stats`` and
+``summary_report`` are the same computations on an index of their own.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bpe import word_type_counts
-from .corpus import RawCorpus
-from .encoder import CompiledVocab, encode_corpus
+from .corpus import RawCorpus, WordIndex, build_index, sorted_unique
+from .encoder import CompiledVocab
 from .vocab import Vocabulary, content_length, is_word_initial
 
 
@@ -83,20 +87,12 @@ def token_length_hist(vocab: Vocabulary) -> Histogram:
 
 def fertility_hist(corpus: RawCorpus, cv: CompiledVocab) -> Histogram:
     """Subwords per word occurrence over the running text."""
-    hist = Histogram()
-    for word, count in word_type_counts(corpus).items():
-        hist.add(len(cv.encode_word(word)[0]), count)
-    return hist
+    return _fertility(build_index(corpus, cv))
 
 
 def efficiency(corpus: RawCorpus, cv: CompiledVocab) -> tuple[int, float]:
     """(total token count, tokens per word) over the encoded corpus."""
-    total_tokens = 0
-    total_words = 0
-    for word, count in word_type_counts(corpus).items():
-        total_tokens += len(cv.encode_word(word)[0]) * count
-        total_words += count
-    return total_tokens, (total_tokens / total_words if total_words else 0.0)
+    return _efficiency(_fertility(build_index(corpus, cv)))
 
 
 def token_stats(corpus: RawCorpus, cv: CompiledVocab, window: int) -> TokenStatsTable:
@@ -106,18 +102,70 @@ def token_stats(corpus: RawCorpus, cv: CompiledVocab, window: int) -> TokenStats
     sentences, in both directions; tokens never emitted are absent from
     the table.
     """
-    store = encode_corpus(corpus, cv)
-    vocab = cv.vocab
-    unk = cv.unk_id
-    lengths = [len(a) for a in store.ids]
-    flat = (
-        np.concatenate(store.ids).astype(np.int64)
-        if store.ids
-        else np.zeros(0, dtype=np.int64)
-    )
+    return _token_stats(build_index(corpus, cv), cv.vocab, window)
+
+
+@dataclass
+class CorpusMeasures:
+    """Every corpus-dependent measurement of one vocabulary."""
+
+    fertility: Histogram
+    stats: TokenStatsTable
+
+    def summary(self, vocab: Vocabulary, meta: dict | None = None) -> dict:
+        """JSON-ready bundle of every per-vocabulary measurement."""
+        lengths = token_length_hist(vocab)
+        fertility = self.fertility
+        total_tokens, per_word = _efficiency(fertility)
+        return {
+            "meta": dict(meta or {}),
+            "conventions": {
+                "token_length": "characters excluding the boundary marker",
+                "fertility": "word occurrences over running text",
+                "neighbors": f"symmetric within-sentence co-occurrence, window {self.stats.window}, UNK excluded",
+            },
+            "token_length": {"mean": lengths.mean(), "histogram": {str(k): v for k, v in sorted(lengths.buckets.items())}},
+            "fertility": {
+                "mean": fertility.mean(),
+                "single_token_fraction": fertility.share([1]),
+                "five_plus_fraction": fertility.share([k for k in fertility.buckets if k >= 5]),
+                "histogram": {str(k): v for k, v in sorted(fertility.buckets.items())},
+            },
+            "token_stats": {
+                "mean_neighbor_frequency_ratio": self.stats.mean_ratio(),
+                "tokens_observed": len(self.stats.rows),
+            },
+            "efficiency": {"total_tokens": total_tokens, "tokens_per_word": per_word},
+        }
+
+
+def measure(corpus: RawCorpus, cv: CompiledVocab, window: int) -> CorpusMeasures:
+    """Segment ``corpus`` once and take every corpus-dependent measurement
+    from that one segmentation."""
+    index = build_index(corpus, cv)
+    return CorpusMeasures(_fertility(index), _token_stats(index, cv.vocab, window))
+
+
+def _fertility(index: WordIndex) -> Histogram:
+    hist = Histogram()
+    for seg, count in zip(index.segs, index.counts.tolist()):
+        hist.add(len(seg), count)
+    return hist
+
+
+def _efficiency(fertility: Histogram) -> tuple[int, float]:
+    total_tokens = fertility.weighted_sum()
+    return total_tokens, (total_tokens / fertility.total if fertility.total else 0.0)
+
+
+def _token_stats(index: WordIndex, vocab: Vocabulary, window: int) -> TokenStatsTable:
+    flat, lengths = index.token_stream()
+    unk = index.unk_id
     sent_of = np.repeat(np.arange(len(lengths)), lengths)
     counts = np.bincount(flat, minlength=unk + 1)
     key_base = np.int64(unk + 1)
+    # distinct (token, neighbor) keys, deduplicated per offset before the
+    # merge so that the merged array stays small
     unique_parts: list[np.ndarray] = []
     for delta in range(1, window + 1):
         if delta >= len(flat):
@@ -129,11 +177,10 @@ def token_stats(corpus: RawCorpus, cv: CompiledVocab, window: int) -> TokenStats
         a, b = a[keep], b[keep]
         if len(a) == 0:
             continue
-        keys = np.concatenate([a * key_base + b, b * key_base + a])
-        unique_parts.append(np.unique(keys))
+        unique_parts.append(sorted_unique(np.concatenate([a * key_base + b, b * key_base + a])))
     neighbor_count = np.zeros(unk + 1, dtype=np.int64)
     if unique_parts:
-        all_keys = np.unique(np.concatenate(unique_parts))
+        all_keys = sorted_unique(np.concatenate(unique_parts))
         neighbor_count = np.bincount(all_keys // key_base, minlength=unk + 1)
     rows: dict[str, TokenStat] = {}
     for t in np.nonzero(counts[: len(vocab)])[0]:
@@ -260,27 +307,4 @@ def summary_report(
     meta: dict | None = None,
 ) -> dict:
     """JSON-ready bundle of every per-vocabulary measurement."""
-    lengths = token_length_hist(vocab)
-    fertility = fertility_hist(corpus, cv)
-    stats = token_stats(corpus, cv, window)
-    total_tokens, per_word = efficiency(corpus, cv)
-    return {
-        "meta": dict(meta or {}),
-        "conventions": {
-            "token_length": "characters excluding the boundary marker",
-            "fertility": "word occurrences over running text",
-            "neighbors": f"symmetric within-sentence co-occurrence, window {window}, UNK excluded",
-        },
-        "token_length": {"mean": lengths.mean(), "histogram": {str(k): v for k, v in sorted(lengths.buckets.items())}},
-        "fertility": {
-            "mean": fertility.mean(),
-            "single_token_fraction": fertility.share([1]),
-            "five_plus_fraction": fertility.share([k for k in fertility.buckets if k >= 5]),
-            "histogram": {str(k): v for k, v in sorted(fertility.buckets.items())},
-        },
-        "token_stats": {
-            "mean_neighbor_frequency_ratio": stats.mean_ratio(),
-            "tokens_observed": len(stats.rows),
-        },
-        "efficiency": {"total_tokens": total_tokens, "tokens_per_word": per_word},
-    }
+    return measure(corpus, cv, window).summary(vocab, meta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, analysis, bpe, encoder, sage, unigram
@@ -39,14 +40,25 @@ def _policy(args) -> NormalizePolicy:
     return NormalizePolicy(lowercase=getattr(args, "lowercase", False))
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write the output ``path`` as a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_train_bpe(args) -> int:
     corpus = load_corpus(args.corpus, _policy(args))
     vocab, merges = bpe.train_bpe(corpus, args.vocab_size)
     digest = _config_digest({"cmd": "train-bpe", "vocab_size": args.vocab_size})
     meta = _meta(corpus.digest(), digest)
-    save_vocab(vocab, args.out, meta)
+    with _writing(args.out):
+        save_vocab(vocab, args.out, meta)
     merge_path = args.merge_log or str(args.out) + ".merges"
-    bpe.save_merges(merges, merge_path, meta)
+    with _writing(merge_path):
+        bpe.save_merges(merges, merge_path, meta)
     print(f"wrote {len(vocab)} tokens to {args.out}, {len(merges)} merges to {merge_path}")
     return 0
 
@@ -70,11 +82,13 @@ def cmd_train_unigram(args) -> int:
         }
     )
     meta = _meta(corpus.digest(), digest)
-    save_vocab(vocab, args.out, meta)
+    with _writing(args.out):
+        save_vocab(vocab, args.out, meta)
     if args.probs_out:
         cv = encoder.compile(vocab)
         store = encoder.encode_corpus(corpus, cv)
-        unigram.save_probs(UnigramModel.fit(store, vocab), args.probs_out, meta)
+        with _writing(args.probs_out):
+            unigram.save_probs(UnigramModel.fit(store, vocab), args.probs_out, meta)
     print(f"wrote {len(vocab)} tokens to {args.out}")
     return 0
 
@@ -185,9 +199,11 @@ def cmd_train_sage(args) -> int:
         progress=progress if not args.quiet else None,
     )
     meta = _meta(corpus.digest(), cfg.digest(), cfg.embed.seed)
-    save_vocab(vocab, args.out, meta)
+    with _writing(args.out):
+        save_vocab(vocab, args.out, meta)
     events_path = args.events_out or str(args.out) + ".events.jsonl"
-    sage.save_events(events, events_path, meta)
+    with _writing(events_path):
+        sage.save_events(events, events_path, meta)
     print(f"wrote {len(vocab)} tokens to {args.out}, event log to {events_path}")
     return 0
 
@@ -204,13 +220,12 @@ def cmd_encode(args) -> int:
         for seg, unks in zip(index.segs, index.unks):
             unk_iter = iter(unks)
             rendered.append(" ".join(next(unk_iter) if i == cv.unk_id else vocab.tokens[i] for i in seg))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for s in range(len(index.offsets) - 1):
-            out.write(" ".join(rendered[w] for w in index.sentence_types(s)) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    lines = (" ".join(rendered[w] for w in index.sentence_types(s)) + "\n" for s in range(len(index.offsets) - 1))
+    if args.out:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -221,18 +236,16 @@ def cmd_analyze(args) -> int:
     digest = _config_digest({"cmd": "analyze", "window": args.window})
     meta = _meta(corpus.digest(), digest)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    analysis.write_histogram_csv(
-        analysis.token_length_hist(vocab), outdir / "token_length.csv", "length", meta
-    )
-    analysis.write_histogram_csv(
-        analysis.fertility_hist(corpus, cv), outdir / "fertility.csv", "subwords_per_word", meta
-    )
-    stats = analysis.token_stats(corpus, cv, args.window)
-    analysis.write_token_stats_csv(stats, outdir / "token_stats.csv", meta)
-    report = analysis.summary_report(vocab, corpus, cv, args.window, meta)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        measures = analysis.measure(corpus, cv, args.window)
+        analysis.write_histogram_csv(
+            analysis.token_length_hist(vocab), outdir / "token_length.csv", "length", meta
+        )
+        analysis.write_histogram_csv(measures.fertility, outdir / "fertility.csv", "subwords_per_word", meta)
+        analysis.write_token_stats_csv(measures.stats, outdir / "token_stats.csv", meta)
+        with open(outdir / "summary.json", "w", encoding="utf-8") as f:
+            json.dump(measures.summary(vocab, meta), f, indent=2, sort_keys=True)
     print(f"wrote analysis reports to {outdir}")
     return 0
 
@@ -244,7 +257,7 @@ def cmd_diff(args) -> int:
     report["meta"] = {"version": __version__, "a": str(args.a), "b": str(args.b)}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     print(text)
     return 0

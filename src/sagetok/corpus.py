@@ -108,6 +108,16 @@ def pretokenize(line: str) -> tuple[str, ...]:
     return tuple(MARKER + w for w in line.split(" "))
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array in ascending order.
+
+    Sorts and masks repeats: ``np.unique`` hashes integer keys in numpy 2.x,
+    which is many times slower on arrays of this kind.
+    """
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+
+
 class SentenceStore:
     """Corpus as token-id sequences under one vocabulary.
 
@@ -172,26 +182,28 @@ class WordIndex:
 
     ``types`` are the distinct pretokenized words, ``counts`` their corpus
     occurrences. Sentence ``s`` is the type-id run
-    ``type_ids[offsets[s]:offsets[s + 1]]`` and ``type_sentences[w]`` lists
-    the sentences holding type ``w``; neither ever changes. Pruning changes
-    ``segs`` (each type's token ids), ``unks`` (its UNK characters) and
-    ``postings`` (token id -> ids of the types whose segmentation holds
-    it; UNK is not indexed). A token's sentences and corpus frequency are
-    derived from these, so there is nothing else to keep in step.
+    ``type_ids[offsets[s]:offsets[s + 1]]``; neither ever changes.
+    Pruning changes ``segs`` (each type's token ids) and ``unks`` (its UNK
+    characters). Two maps serve only pruning and are built together the
+    first time one is read: ``type_sentences[w]`` lists the sentences
+    holding type ``w`` (fixed), and ``postings`` maps a token id to the
+    types whose segmentation holds it (kept in step with ``segs`` once
+    built; UNK is not indexed). A token's sentences and corpus frequency
+    are derived from these, so there is nothing else to keep in step.
     """
 
-    __slots__ = ("types", "counts", "type_ids", "offsets", "type_sentences", "segs", "unks", "postings", "unk_id")
+    __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unks", "unk_id", "_type_sentences", "_postings")
 
-    def __init__(self, types, counts, type_ids, offsets, type_sentences, unk_id: int):
+    def __init__(self, types, counts, type_ids, offsets, unk_id: int):
         self.types: tuple[str, ...] = types
         self.counts: np.ndarray = counts
         self.type_ids: np.ndarray = type_ids
         self.offsets: np.ndarray = offsets
-        self.type_sentences: list[list[int]] = type_sentences
         self.unk_id = unk_id
         self.segs: list[list[int]] = [[] for _ in types]
         self.unks: list[tuple[str, ...]] = [() for _ in types]
-        self.postings: dict[int, set[int]] = {}
+        self._type_sentences: list[list[int]] | None = None
+        self._postings: dict[int, set[int]] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,11 +212,39 @@ class WordIndex:
             and np.array_equal(self.counts, other.counts)
             and np.array_equal(self.type_ids, other.type_ids)
             and np.array_equal(self.offsets, other.offsets)
-            and self.type_sentences == other.type_sentences
             and self.segs == other.segs
             and self.unks == other.unks
+            and self.type_sentences == other.type_sentences
             and self.postings == other.postings
         )
+
+    @property
+    def type_sentences(self) -> list[list[int]]:
+        if self._type_sentences is None:
+            self._build_pruning_maps()
+        return self._type_sentences
+
+    @property
+    def postings(self) -> dict[int, set[int]]:
+        if self._postings is None:
+            self._build_pruning_maps()
+        return self._postings
+
+    def _build_pruning_maps(self) -> None:
+        n = len(self.offsets) - 1
+        width = max(n, 1)
+        sentence_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.offsets))
+        # one key per distinct (type, sentence) pair, ordered by type, then sentence
+        keys = sorted_unique(self.type_ids.astype(np.int64) * width + sentence_of)
+        sentences = (keys % width).tolist()
+        ends = np.cumsum(np.bincount(keys // width, minlength=len(self.types))).tolist()
+        self._type_sentences = [sentences[a:b] for a, b in zip([0] + ends, ends)]
+        postings: dict[int, set[int]] = {}
+        for w, seg in enumerate(self.segs):
+            for t in set(seg):
+                if t != self.unk_id:
+                    postings.setdefault(t, set()).add(w)
+        self._postings = postings
 
     def sentences(self, token_id: int) -> set[int]:
         """Ids of the sentences whose segmentation holds ``token_id``."""
@@ -217,6 +257,19 @@ class WordIndex:
         freq = np.zeros(self.unk_id + 1, dtype=np.int64)
         np.add.at(freq, flat, np.repeat(self.counts, lengths))
         return freq[: self.unk_id]
+
+    def token_stream(self) -> tuple[np.ndarray, np.ndarray]:
+        """(token ids of the whole corpus in running order, token count of
+        each sentence), gathered from the type segmentations."""
+        seg_len = np.fromiter(map(len, self.segs), dtype=np.int64, count=len(self.segs))
+        seg_flat = np.fromiter(chain.from_iterable(self.segs), dtype=np.int64, count=int(seg_len.sum()))
+        seg_start = np.cumsum(seg_len) - seg_len
+        occ_len = seg_len[self.type_ids]
+        occ_end = np.cumsum(occ_len)
+        starts = np.repeat(seg_start[self.type_ids] - (occ_end - occ_len), occ_len)
+        flat = seg_flat[starts + np.arange(len(starts))]
+        ends = np.r_[0, occ_end][self.offsets]
+        return flat, np.diff(ends)
 
     def sentence_types(self, s: int) -> list[int]:
         """Type ids of sentence ``s`` in word order."""
@@ -235,9 +288,9 @@ class WordIndex:
 
     def store(self, vocab_digest: str) -> SentenceStore:
         """Every sentence encoded under the current segmentations."""
-        n = len(self.offsets) - 1
-        ids = [np.asarray(self.sentence(s), dtype=np.int32) for s in range(n)]
-        return SentenceStore(ids, [self.unk_chars(s) for s in range(n)], vocab_digest)
+        flat, lengths = self.token_stream()
+        ids = np.split(flat.astype(np.int32), np.cumsum(lengths)[:-1]) if len(lengths) else []
+        return SentenceStore(ids, [self.unk_chars(s) for s in range(len(lengths))], vocab_digest)
 
     def segment_without(self, token_id: int, cv) -> dict[int, list[int]]:
         """New segmentation, with ``token_id`` banned, of every type holding it.
@@ -261,36 +314,36 @@ class WordIndex:
 
     def _segment(self, w: int, cv) -> None:
         ids, unks = cv.encode_word(self.types[w])
-        old, new = set(self.segs[w]), set(ids)
-        for t in old - new:
-            bucket = self.postings.get(t)
-            if bucket is not None:
-                bucket.discard(w)
-                if not bucket:
-                    del self.postings[t]
-        for t in new - old - {self.unk_id}:
-            self.postings.setdefault(t, set()).add(w)
+        if self._postings is not None:
+            old, new = set(self.segs[w]), set(ids)
+            for t in old - new:
+                bucket = self._postings.get(t)
+                if bucket is not None:
+                    bucket.discard(w)
+                    if not bucket:
+                        del self._postings[t]
+            for t in new - old - {self.unk_id}:
+                self._postings.setdefault(t, set()).add(w)
         self.segs[w] = ids
         self.unks[w] = tuple(unks)
 
 
 def build_index(corpus: RawCorpus, cv) -> WordIndex:
-    """Word-type index of ``corpus`` with every type segmented by ``cv``."""
+    """Word-type index of ``corpus`` with every type segmented by ``cv``.
+
+    The pruning maps (``type_sentences``, ``postings``) are left to be
+    built on first use.
+    """
     lines = [pretokenize(line) for line in corpus.lines]
     words = list(chain.from_iterable(lines))
     type_of = {w: i for i, w in enumerate(dict.fromkeys(words))}
     type_ids = list(map(type_of.__getitem__, words))
     offsets = list(accumulate(map(len, lines), initial=0))
-    type_sentences: list[list[int]] = [[] for _ in type_of]
-    for s in range(len(lines)):
-        for w in set(type_ids[offsets[s] : offsets[s + 1]]):
-            type_sentences[w].append(s)
     index = WordIndex(
         tuple(type_of),
         np.bincount(np.asarray(type_ids, dtype=np.int64), minlength=len(type_of)),
         np.asarray(type_ids, dtype=np.int32),
         np.asarray(offsets, dtype=np.int64),
-        type_sentences,
         cv.unk_id,
     )
     for w in range(len(index.types)):

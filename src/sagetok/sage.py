@@ -263,12 +263,14 @@ def train_sage(
 
     Returns the final vocabulary (initial order preserved) and the event
     log. ``checkpoint_path``/``checkpoint_every`` write resumable
-    snapshots at iteration boundaries; ``resume_path`` continues one.
+    snapshots at iteration boundaries, and one of the final state unless
+    the last iteration has just written it; ``resume_path`` continues one.
     """
     if resume_path is not None:
         state = load_checkpoint(resume_path, corpus, cfg)
     else:
         state = init_state(corpus, cfg)
+    saved_at = None
     while state.alive_size() > cfg.final_size:
         prune_iteration(state, cfg)
         if progress is not None:
@@ -276,7 +278,8 @@ def train_sage(
         if checkpoint_path is not None and checkpoint_every:
             if state.iteration % checkpoint_every == 0:
                 save_checkpoint(state, cfg, corpus, checkpoint_path)
-    if checkpoint_path is not None:
+                saved_at = state.iteration
+    if checkpoint_path is not None and saved_at != state.iteration:
         save_checkpoint(state, cfg, corpus, checkpoint_path)
     return state.alive_vocabulary(), state.events
 
@@ -305,7 +308,7 @@ def load_events(path) -> tuple[list[dict], dict]:
 def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path) -> None:
     """Resumable snapshot at an iteration boundary, written to exactly
     ``path``: into a temporary file beside it, then renamed into place,
-    so a reader never sees a partial file.
+    so a reader never sees a partial file. A failed write is a DataError.
 
     The store is not serialized: re-encoding the corpus under the alive
     vocabulary reproduces it exactly, and per-sentence likelihoods are
@@ -336,6 +339,8 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
         with open(tmp, "wb") as f:
             np.savez_compressed(f, **arrays)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write checkpoint {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -11,6 +11,7 @@ as the SaGe trainer (``corpus.WordIndex``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import encoder
 from .bpe import word_type_counts
-from .corpus import RawCorpus, SentenceStore, build_index
+from .corpus import RawCorpus, SentenceStore, WordIndex, build_index
 from .errors import ConfigError, DataError, VocabError
 from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, is_protected
 
@@ -66,22 +67,23 @@ class UnigramModel:
 
     @classmethod
     def fit(cls, store: SentenceStore, vocab: Vocabulary) -> "UnigramModel":
-        counts = np.zeros(len(vocab), dtype=np.int64)
-        for ids in store.ids:
-            counts += np.bincount(ids, minlength=len(vocab))[: len(vocab)]
+        counts = np.bincount(_all_ids(store), minlength=len(vocab))[: len(vocab)]
         total = counts.sum()
         if total == 0:
             raise DataError("store is empty; cannot fit unigram probabilities")
         return cls(vocab, counts / total)
 
 
+def _all_ids(store: SentenceStore) -> np.ndarray:
+    return np.concatenate(store.ids) if store.ids else np.zeros(0, dtype=np.int64)
+
+
 def corpus_loglik(store: SentenceStore, model: UnigramModel) -> float:
     """Sum of log-probabilities of every token occurrence (<= 0)."""
-    counts = np.zeros(len(model.vocab), dtype=np.int64)
-    for ids in store.ids:
-        if len(ids) and int(ids.max()) >= len(model.vocab):
-            raise VocabError("store contains ids outside the model vocabulary")
-        counts += np.bincount(ids, minlength=len(model.vocab))[: len(model.vocab)]
+    ids = _all_ids(store)
+    if len(ids) and int(ids.max()) >= len(model.vocab):
+        raise VocabError("store contains ids outside the model vocabulary")
+    counts = np.bincount(ids, minlength=len(model.vocab))
     used = counts > 0
     if np.any(used & (model.probs <= 0)):
         bad = int(np.nonzero(used & (model.probs <= 0))[0][0])
@@ -89,18 +91,65 @@ def corpus_loglik(store: SentenceStore, model: UnigramModel) -> float:
     return float(np.sum(counts[used] * np.log(model.probs[used])))
 
 
-def _loglik_from_counts(counts: np.ndarray) -> float:
-    """MLE corpus log-likelihood from integer token counts.
+class _CountLogTerms:
+    """MLE corpus log-likelihood of token counts, ``sum(c·log c) - N·log N``
+    over the used ids, with the ``c·log c`` terms cached once so that a
+    candidate patches only the ids whose counts it changes.
 
-    Equals sum(c * log(c / N)) over the support; written as
-    sum(c * log c) - N * log N so every caller sums in id order.
+    Every sum runs over the compressed array of used ids in id order, as a
+    from-scratch sum would: numpy's pairwise sum groups values by position,
+    so summing only the touched terms, or a zero-padded full-length array,
+    would change the low bits.
     """
-    used = counts > 0
-    total = int(counts.sum())
-    if total == 0:
-        return 0.0
-    c = counts[used].astype(np.float64)
-    return float(np.sum(c * np.log(c)) - total * np.log(total))
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts.tolist()
+        self.total = sum(self.counts)
+        used = np.flatnonzero(counts > 0)
+        self.used_ids = used.tolist()
+        self.slot = {t: i for i, t in enumerate(self.used_ids)}
+        c = counts[used].astype(np.float64)
+        self.terms = c * np.log(c)
+        self._memo: dict[int, float] = {}
+        self.base = self._loglik(self.terms, self.total)
+
+    @staticmethod
+    def _loglik(terms: np.ndarray, total: int) -> float:
+        return float(np.sum(terms) - total * np.log(total)) if total else 0.0
+
+    def _term(self, count: int) -> float:
+        """``c·log c`` of one count, by the same numpy kernel as the cache."""
+        term = self._memo.get(count)
+        if term is None:
+            c = np.array([count], dtype=np.float64)
+            term = self._memo[count] = float((c * np.log(c))[0])
+        return term
+
+    def loglik(self, delta: dict[int, int]) -> float:
+        """The log-likelihood after adding ``delta`` (id -> count change)."""
+        changed = sorted(t for t, d in delta.items() if d)
+        if not changed:
+            return self.base
+        terms = self.terms.copy()
+        total = self.total
+        pieces: list = []  # set when an id leaves or enters the used set
+        start = 0
+        for t in changed:
+            total += delta[t]
+            count = self.counts[t] + delta[t]
+            slot = self.slot.get(t)
+            if slot is None:
+                at = bisect_left(self.used_ids, t)
+                pieces += [terms[start:at], [self._term(count)]]
+                start = at
+            elif count:
+                terms[slot] = self._term(count)
+            else:
+                pieces.append(terms[start:slot])
+                start = slot + 1
+        if pieces:
+            terms = np.concatenate(pieces + [terms[start:]])
+        return self._loglik(terms, total)
 
 
 def train_unigram(
@@ -133,21 +182,7 @@ def train_unigram(
     index = build_index(corpus, cv)
     while len(alive) > target_size:
         batch = min(prune_batch, len(alive) - target_size)
-        counts = index.frequencies()
-        base = _loglik_from_counts(counts)
-        scored: list[tuple[float, int, str, int]] = []
-        for t in sorted(alive):
-            if is_protected(vocab.tokens[t]):
-                continue
-            trial = counts.copy()
-            for w, new_ids in index.segment_without(t, cv).items():
-                weight = index.counts[w]
-                for old_t in index.segs[w]:
-                    trial[old_t] -= weight
-                for new_t in new_ids:
-                    trial[new_t] += weight
-            loss = _loglik_from_counts(trial) - base
-            scored.append((loss, int(counts[t]), vocab.tokens[t], t))
+        scored = score_candidates(index, vocab, alive, cv)
         scored.sort(key=lambda item: item[:3])
         pruned = {item[3] for item in scored[:batch]}
 
@@ -156,6 +191,29 @@ def train_unigram(
         index.resegment(pruned, cv)
 
     return vocab.subset(alive)
+
+
+def score_candidates(index: WordIndex, vocab: Vocabulary, alive: set[int], cv) -> list[tuple[float, int, str, int]]:
+    """``(loss, corpus frequency, token, id)`` of every unprotected alive
+    token, in id order: the log-likelihood change of removing it, with the
+    types that hold it re-segmented and MLE probabilities refit."""
+    counts = index.frequencies()
+    terms = _CountLogTerms(counts)
+    weights = index.counts.tolist()
+    scored: list[tuple[float, int, str, int]] = []
+    for t in sorted(alive):
+        if is_protected(vocab.tokens[t]):
+            continue
+        delta: dict[int, int] = {}
+        for w, new_ids in index.segment_without(t, cv).items():
+            weight = weights[w]
+            for old_t in index.segs[w]:
+                delta[old_t] = delta.get(old_t, 0) - weight
+            for new_t in new_ids:
+                delta[new_t] = delta.get(new_t, 0) + weight
+        loss = terms.loglik(delta) - terms.base
+        scored.append((loss, int(counts[t]), vocab.tokens[t], t))
+    return scored
 
 
 def save_probs(model: UnigramModel, path, meta: dict | None = None) -> None:

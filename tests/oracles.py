@@ -122,6 +122,44 @@ def unigram_loglik_oracle(all_ids, vocab_size):
     return float(np.sum(c * np.log(c)) - total * np.log(total))
 
 
+def unigram_reference_losses(index, vocab, alive, cv):
+    """The unigram trainer's candidate losses by full re-summation.
+
+    For every unprotected alive token, in id order: copy the whole count
+    vector, apply the re-segmentation of the word types holding the
+    token, and re-sum sum(c log c) - N log N over every used id. Returns
+    ``(token id, loss, entered, left)``; ``entered`` says that some id's
+    count rose from zero, ``left`` that some id's count fell to zero.
+    """
+    import numpy as np
+
+    def loglik(counts):
+        used = counts > 0
+        total = int(counts.sum())
+        if total == 0:
+            return 0.0
+        c = counts[used].astype(np.float64)
+        return float(np.sum(c * np.log(c)) - total * np.log(total))
+
+    counts = index.frequencies()
+    base = loglik(counts)
+    out = []
+    for t in sorted(alive):
+        if is_protected(vocab.tokens[t]):
+            continue
+        trial = counts.copy()
+        for w, new_ids in index.segment_without(t, cv).items():
+            weight = index.counts[w]
+            for old_t in index.segs[w]:
+                trial[old_t] -= weight
+            for new_t in new_ids:
+                trial[new_t] += weight
+        entered = bool(np.any((trial > 0) & (counts == 0)))
+        left = bool(np.any((trial == 0) & (counts > 0)))
+        out.append((t, loglik(trial) - base, entered, left))
+    return out
+
+
 def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batch=1):
     """Reference pruning loop: every step, every candidate is scored by a
     full from-scratch retokenization and rescore of the entire corpus.

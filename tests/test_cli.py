@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import sagetok
-from sagetok.cli import main
+from sagetok import analysis, encoder
+from sagetok.cli import _config_digest, _meta, main
+from sagetok.corpus import load_corpus
 from sagetok.vocab import MARKER, load_vocab
 
 from textgen import generate_corpus
@@ -141,6 +143,8 @@ class TestTrainSageCommand:
         assert rc == 0
         direct_tokens = load_vocab(direct)[0].tokens
         assert load_vocab(resumed)[0].tokens == direct_tokens
+        events = [(tmp_path / f"{name}.vocab.events.jsonl").read_bytes() for name in ("direct", "first", "resumed")]
+        assert events[0] == events[1] == events[2]
 
     def test_checkpoint_written_to_exact_path(self, tmp_path, corpus_file):
         direct = tmp_path / "direct.vocab"
@@ -241,6 +245,43 @@ class TestAnalyzeCommand:
         summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
         assert summary["efficiency"]["total_tokens"] > 0
 
+    def test_reports_equal_standalone_functions(self, tmp_path):
+        """analyze segments the corpus once; its four files are byte-equal to
+        files written from the standalone analysis functions."""
+        lines = generate_corpus(80, seed=31, n_stems=60)
+        train, held = tmp_path / "train.txt", tmp_path / "held.txt"
+        train.write_text("\n".join(lines[:60]), encoding="utf-8")
+        # characters the vocabulary has never seen encode to UNK
+        held.write_text("\n".join(l + " q¤z" if i % 4 == 0 else l for i, l in enumerate(lines[40:])), encoding="utf-8")
+        vocab_path = tmp_path / "v.vocab"
+        main(["train-bpe", "--corpus", str(train), "--vocab-size", "90", "--out", str(vocab_path)])
+        outdir = tmp_path / "reports"
+        rc = main(["analyze", "--vocab", str(vocab_path), "--corpus", str(held), "--outdir", str(outdir), "--window", "3"])
+        assert rc == 0
+
+        vocab, _ = load_vocab(vocab_path)
+        corpus = load_corpus(held)
+        cv = encoder.compile(vocab)
+        meta = _meta(corpus.digest(), _config_digest({"cmd": "analyze", "window": 3}))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        analysis.write_histogram_csv(analysis.token_length_hist(vocab), expected / "token_length.csv", "length", meta)
+        analysis.write_histogram_csv(
+            analysis.fertility_hist(corpus, cv), expected / "fertility.csv", "subwords_per_word", meta
+        )
+        stats = analysis.token_stats(corpus, cv, 3)
+        analysis.write_token_stats_csv(stats, expected / "token_stats.csv", meta)
+        summary = analysis.summary_report(vocab, corpus, cv, 3, meta)
+        with open(expected / "summary.json", "w", encoding="utf-8") as f:
+            json.dump(summary, f, indent=2, sort_keys=True)
+        for name in ("token_length.csv", "fertility.csv", "token_stats.csv", "summary.json"):
+            assert (outdir / name).read_bytes() == (expected / name).read_bytes(), name
+
+        total_tokens, per_word = analysis.efficiency(corpus, cv)
+        assert summary["efficiency"] == {"total_tokens": total_tokens, "tokens_per_word": per_word}
+        # UNK emissions count as tokens but never enter the token table
+        assert "¤" not in vocab and stats.total_tokens < total_tokens
+
     def test_cross_domain_pairing(self, tmp_path, corpus_file):
         # vocabulary from one corpus, statistics over another
         other = tmp_path / "other.txt"
@@ -293,6 +334,9 @@ def _write_bad_input(tmp_path, kind):
     elif kind == "checkpoint-npy":
         with open(path, "wb") as f:
             np.save(f, np.arange(3))
+    elif kind.startswith("output-"):
+        # a regular file: no output can be written below it
+        path.write_text("not a directory\n", encoding="utf-8")
     elif kind in ("checkpoint-truncated", "checkpoint-missing-keys"):
         with open(path, "wb") as f:
             np.savez_compressed(f, tokens=np.arange(500), alive=np.arange(500))
@@ -320,6 +364,16 @@ def _write_bad_input(tmp_path, kind):
         ("checkpoint-npy", 3),
         ("checkpoint-truncated", 3),
         ("checkpoint-missing-keys", 3),
+        ("output-encode-out", 3),
+        ("output-train-bpe-out", 3),
+        ("output-train-bpe-merge-log", 3),
+        ("output-train-unigram-out", 3),
+        ("output-train-unigram-probs-out", 3),
+        ("output-analyze-outdir", 3),
+        ("output-train-sage-out", 3),
+        ("output-train-sage-events-out", 3),
+        ("output-train-sage-checkpoint", 3),
+        ("output-diff-out", 3),
     ],
 )
 def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expected):
@@ -332,6 +386,8 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
         argv = ["train-sage", "--corpus", str(corpus_file), "--out", str(out), "--config", str(bad)]
     elif role == "corpus":
         argv = ["train-bpe", "--corpus", str(bad), "--vocab-size", "50", "--out", str(out)]
+    elif role == "output":
+        argv = _unwritable_output_args(kind, tmp_path, corpus_file, str(bad / "x"))
     else:
         argv = _sage_args(corpus_file, out) + ["--resume", str(bad)]
     env = dict(os.environ, PYTHONPATH=str(Path(sagetok.__file__).parents[1]))
@@ -341,3 +397,27 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("config error:", "data error:"))
+    if role == "output":
+        assert str(bad / "x") in proc.stderr
+
+
+def _unwritable_output_args(kind, tmp_path, corpus_file, target):
+    """A command whose output flag named by ``kind`` points at ``target``."""
+    ok = str(tmp_path / "out.vocab")
+    vocab = tmp_path / "chars.vocab"
+    chars = sorted(set(corpus_file.read_text(encoding="utf-8")) - set(" \n"))
+    vocab.write_text("\n".join([MARKER, *chars]) + "\n", encoding="utf-8")
+    unigram = ["train-unigram", "--corpus", str(corpus_file), "--vocab-size", "100000"]
+    return {
+        "output-encode-out": ["encode", "--vocab", str(vocab), "--in", str(corpus_file), "--out", target],
+        "output-train-bpe-out": ["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "50", "--out", target],
+        "output-train-bpe-merge-log": ["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "50",
+                                       "--out", ok, "--merge-log", target],
+        "output-train-unigram-out": unigram + ["--out", target],
+        "output-train-unigram-probs-out": unigram + ["--out", ok, "--probs-out", target],
+        "output-analyze-outdir": ["analyze", "--vocab", str(vocab), "--corpus", str(corpus_file), "--outdir", target],
+        "output-train-sage-out": _sage_args(corpus_file, target),
+        "output-train-sage-events-out": _sage_args(corpus_file, ok) + ["--events-out", target],
+        "output-train-sage-checkpoint": _sage_args(corpus_file, ok) + ["--checkpoint", target, "--checkpoint-every", "2"],
+        "output-diff-out": ["diff", "--a", str(vocab), "--b", str(vocab), "--out", target],
+    }[kind]

@@ -97,6 +97,27 @@ class TestBuildIndex:
         assert index.sentences(1) == set()
         assert index.frequencies().tolist() == [0, 0, 0, 0, 1, 2]
 
+    def test_pruning_maps_built_on_first_use(self):
+        corpus = RawCorpus.from_lines(["ab b", "b"])
+        vocab = Vocabulary([MARKER, "a", "b", MARKER + "a", MARKER + "ab", MARKER + "b"])
+        index = build_index(corpus, encoder.compile(vocab))
+        assert index._type_sentences is None and index._postings is None
+        assert index.sentences(5) == {0, 1}
+        assert index._type_sentences == [[0], [0, 1]]
+        assert index._postings == {4: {0}, 5: {1}}
+
+    def test_equality_compares_pruning_maps(self):
+        corpus = RawCorpus.from_lines(["ab b", "b ab"])
+        vocab = Vocabulary([MARKER, "a", "b", MARKER + "a", MARKER + "ab", MARKER + "b"])
+        cv = encoder.compile(vocab)
+        index, other = build_index(corpus, cv), build_index(corpus, cv)
+        assert index == other
+        other.postings[4].discard(0)
+        assert index != other
+        other = build_index(corpus, cv)
+        other.type_sentences[1].pop()
+        assert index != other
+
     def test_empty_store(self):
         index = build_index(RawCorpus(()), encoder.compile(Vocabulary([MARKER])))
         assert index.postings == {}
@@ -124,6 +145,14 @@ class TestBuildIndex:
             expected = {s for s, ids in enumerate(segmented) if token in ids}
             assert index.sentences(token) == expected
             assert index.frequencies()[token] == sum(ids.count(token) for ids in segmented)
+        # the store gathered from the type segmentations, UNK pieces included
+        pieces = [[p for w in pretokenize(line) for p in naive_encode_word(tokens, w)] for line in corpus.lines]
+        store = index.store("x")
+        assert [a.tolist() for a in store.ids] == [
+            [vocab.unk_id if isinstance(p, tuple) else tokens.index(p) for p in ps] for ps in pieces
+        ]
+        assert store.unk_chars == [tuple(p[1] for p in ps if isinstance(p, tuple)) for ps in pieces]
+        assert any(store.unk_chars)
 
 
 def _setup_encoded(corpus_lines, extra_tokens, seed=0):
@@ -242,8 +271,17 @@ class TestRoundTrip:
 
 def _assert_matches_rebuild(corpus, index, cv, store):
     """The maintained index equals a scratch build under ``cv``, the store
-    equals a fresh encode, and derived frequencies equal a store bincount."""
-    assert index == build_index(corpus, cv)
+    equals a fresh encode, and derived frequencies equal a store bincount.
+
+    The maintained index built its pruning maps on first use and has kept
+    them in step since; the scratch build has not built them yet, and the
+    comparison builds and compares them.
+    """
+    scratch = build_index(corpus, cv)
+    assert index._postings is not None and scratch._postings is None
+    assert index == scratch
+    assert index.postings == scratch.postings
+    assert index.type_sentences == scratch.type_sentences
     fresh = encoder.encode_corpus(corpus, cv)
     assert len(store) == len(fresh)
     assert all(np.array_equal(a, b) for a, b in zip(store.ids, fresh.ids))

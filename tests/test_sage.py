@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sagetok import encoder
+from sagetok import encoder, sage
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig
 from sagetok.errors import ConfigError, DataError, VocabError
@@ -324,6 +324,34 @@ class TestCheckpoint:
         resumed_vocab, resumed_events = train_sage(corpus, cfg, resume_path=path)
         assert resumed_vocab.tokens == direct_vocab.tokens
         assert json.dumps(resumed_events) == json.dumps(direct_events)
+
+    @pytest.mark.parametrize("every, expected", [(4, [4, 8]), (3, [3, 6, 8]), (None, [8])])
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch, every, expected):
+        corpus = _toy_corpus(50, seed=14)
+        cfg = SageConfig(
+            final_size=64, overshoot=1.5, prune_batch=4, recalc_period=2,
+            candidate_pool=20, embed_period=2, window=2, embed=_small_embed(),
+        )
+        saved = []
+        real = sage.save_checkpoint
+
+        def counting(state, *args):
+            saved.append(state.iteration)
+            real(state, *args)
+
+        monkeypatch.setattr(sage, "save_checkpoint", counting)
+        path = tmp_path / "run.ckpt.npz"
+        vocab, events = train_sage(corpus, cfg, checkpoint_path=path, checkpoint_every=every)
+        assert len(events) == 8
+        # the loop's last step wrote the final state already when 8 is a multiple of every
+        assert saved == expected
+        # no iteration runs on a resume from the final state, so it is written once more
+        resumed_vocab, resumed_events = train_sage(
+            corpus, cfg, checkpoint_path=path, checkpoint_every=every, resume_path=path
+        )
+        assert saved == expected + [8]
+        assert resumed_vocab.tokens == vocab.tokens
+        assert json.dumps(resumed_events) == json.dumps(events)
 
     def test_checkpoint_rejects_other_config(self, tmp_path):
         corpus = _toy_corpus(30, seed=15)

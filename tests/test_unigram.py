@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sagetok import encoder
+from sagetok import encoder, unigram
 from sagetok.corpus import RawCorpus, SentenceStore
 from sagetok.errors import ConfigError, VocabError
 from sagetok.unigram import (
@@ -15,7 +15,8 @@ from sagetok.unigram import (
 )
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
-from oracles import unigram_loglik_oracle
+from oracles import unigram_loglik_oracle, unigram_reference_losses
+from textgen import generate_corpus
 
 
 class TestInitSubstringVocab:
@@ -183,6 +184,34 @@ class TestTrainUnigram:
         full = init_substring_vocab(corpus, max_len=4)
         out = train_unigram(corpus, len(full) - 2)
         assert len(out) == len(full) - 2
+
+
+class TestScoreCandidates:
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_losses_equal_full_resum_oracle(self, seed, monkeypatch):
+        """Every candidate's loss from the cached log terms is == to the
+        full re-sum over the first iterations, including candidates whose
+        removal makes an id leave or enter the used set."""
+        corpus = RawCorpus.from_lines(generate_corpus(70, seed=seed, n_stems=60))
+        real = unigram.score_candidates
+        seen = {"iterations": 0, "candidates": 0, "entered": 0, "left": 0}
+
+        def checked(index, vocab, alive, cv):
+            got = real(index, vocab, alive, cv)
+            ref = unigram_reference_losses(index, vocab, alive, cv)
+            assert [(t, loss) for loss, _, _, t in got] == [(t, loss) for t, loss, _, _ in ref]
+            seen["iterations"] += 1
+            seen["candidates"] += len(ref)
+            seen["entered"] += sum(entered for _, _, entered, _ in ref)
+            seen["left"] += sum(left for _, _, _, left in ref)
+            return got
+
+        monkeypatch.setattr(unigram, "score_candidates", checked)
+        full = init_substring_vocab(corpus, max_len=8)
+        batch = len(full) // 5
+        train_unigram(corpus, len(full) - 3 * batch, prune_batch=batch, max_len=8)
+        assert seen["iterations"] == 3
+        assert seen["entered"] > 0 and seen["left"] > 0
 
 
 class TestProbsIO:
