@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import RawCorpus, WordIndex, build_index, sorted_unique
+from .corpus import RawCorpus, WordIndex, build_index, sorted_unique, window_offsets
 from .encoder import CompiledVocab
 from .vocab import Vocabulary, content_length, is_word_initial
 
@@ -167,12 +167,9 @@ def _token_stats(index: WordIndex, vocab: Vocabulary, window: int) -> TokenStats
     # distinct (token, neighbor) keys, deduplicated per offset before the
     # merge so that the merged array stays small
     unique_parts: list[np.ndarray] = []
-    for delta in range(1, window + 1):
-        if delta >= len(flat):
-            break
-        ok = sent_of[:-delta] == sent_of[delta:]
-        a = flat[:-delta][ok]
-        b = flat[delta:][ok]
+    for delta, same in window_offsets(sent_of, window):
+        a = flat[:-delta][same]
+        b = flat[delta:][same]
         keep = (a != unk) & (b != unk)
         a, b = a[keep], b[keep]
         if len(a) == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,6 +48,14 @@ def _writing(path):
         yield
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path) -> None:
+    """Fail before a long run, not after it, when ``path`` cannot be
+    written; creates nothing."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+        raise DataError(f"cannot write {path}: not a file path in a writable directory")
 
 
 def cmd_train_bpe(args) -> int:
@@ -175,6 +184,10 @@ def _sage_config(args) -> sage.SageConfig:
 def cmd_train_sage(args) -> int:
     cfg = _sage_config(args)
     cfg.validate()
+    events_path = args.events_out or str(args.out) + ".events.jsonl"
+    for path in (args.out, events_path, args.checkpoint):
+        if path is not None:
+            _check_writable(path)
     corpus = load_corpus(args.corpus, _policy(args))
 
     def progress(event: dict) -> None:
@@ -201,7 +214,6 @@ def cmd_train_sage(args) -> int:
     meta = _meta(corpus.digest(), cfg.digest(), cfg.embed.seed)
     with _writing(args.out):
         save_vocab(vocab, args.out, meta)
-    events_path = args.events_out or str(args.out) + ".events.jsonl"
     with _writing(events_path):
         sage.save_events(events, events_path, meta)
     print(f"wrote {len(vocab)} tokens to {args.out}, event log to {events_path}")

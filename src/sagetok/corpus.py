@@ -12,8 +12,10 @@ trainer and the unigram trainer all segment through it. Pruning uses two
 steps on it: ``WordIndex.segment_without`` (pure: how the types holding a
 token would segment without it) and ``WordIndex.resegment`` (mutating:
 re-segment them after the token is removed). ``retokenize_sentences``
-applies a removal to the index and to a ``SentenceStore``, re-encoding
-only the sentences that held a removed token.
+applies a removal to the index and rescores, in a per-sentence NLL
+array, only the sentences that held a removed token. A ``SentenceStore``
+is a read-only snapshot of the whole corpus as id arrays, built from the
+index when every sentence is needed at once.
 """
 
 from __future__ import annotations
@@ -118,39 +120,40 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
 
 
-class SentenceStore:
-    """Corpus as token-id sequences under one vocabulary.
+def window_offsets(sent_of: np.ndarray, window: int):
+    """Yield ``(delta, same)`` for each offset ``delta`` in 1..``window``
+    that pairs two positions of one sentence, where ``same[i]`` tells
+    whether positions ``i`` and ``i + delta`` do. ``sent_of`` gives each
+    position's sentence in runs, so the first offset that pairs nothing
+    ends the walk: no sentence is longer than it."""
+    for delta in range(1, window + 1):
+        same = sent_of[:-delta] == sent_of[delta:]
+        if not same.any():
+            return
+        yield delta, same
 
-    Holds, per sentence: the encoded id array, the characters absorbed by
-    UNK tokens (in emission order, for exact round-trips), and optionally
-    a cached per-sentence skipgram NLL. ``vocab_digest`` is the digest of
-    the full vocabulary the ids index into.
+
+class SentenceStore:
+    """Corpus as token-id sequences under one vocabulary: a snapshot.
+
+    Holds, per sentence, the encoded id array and the characters absorbed
+    by UNK tokens (in emission order, for exact round-trips).
+    ``vocab_digest`` is the digest of the full vocabulary the ids index
+    into. Nothing changes a store after it is built.
     """
 
-    __slots__ = ("ids", "unk_chars", "nll", "vocab_digest")
+    __slots__ = ("ids", "unk_chars", "vocab_digest")
 
-    def __init__(
-        self,
-        ids: list[np.ndarray],
-        unk_chars: list[tuple[str, ...]],
-        vocab_digest: str,
-        nll: np.ndarray | None = None,
-    ):
+    def __init__(self, ids: list[np.ndarray], unk_chars: list[tuple[str, ...]], vocab_digest: str):
         self.ids = ids
         self.unk_chars = unk_chars
         self.vocab_digest = vocab_digest
-        self.nll = nll
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def total_tokens(self) -> int:
         return sum(len(a) for a in self.ids)
-
-    def total_nll(self) -> float:
-        if self.nll is None:
-            raise VocabError("sentence store has no likelihood cache")
-        return float(np.sum(self.nll))
 
     def decode_words(self, sentence: int, vocab: Vocabulary) -> tuple[str, ...]:
         """Reconstruct the pretokenized words of one sentence.
@@ -282,15 +285,12 @@ class WordIndex:
             ids.extend(override[w] if override and w in override else self.segs[w])
         return ids
 
-    def unk_chars(self, s: int) -> tuple[str, ...]:
-        """UNK characters of sentence ``s`` in emission order."""
-        return tuple(ch for w in self.sentence_types(s) for ch in self.unks[w])
-
     def store(self, vocab_digest: str) -> SentenceStore:
-        """Every sentence encoded under the current segmentations."""
+        """A snapshot of every sentence encoded under the current segmentations."""
         flat, lengths = self.token_stream()
         ids = np.split(flat.astype(np.int32), np.cumsum(lengths)[:-1]) if len(lengths) else []
-        return SentenceStore(ids, [self.unk_chars(s) for s in range(len(lengths))], vocab_digest)
+        unks = [tuple(ch for w in self.sentence_types(s) for ch in self.unks[w]) for s in range(len(lengths))]
+        return SentenceStore(ids, unks, vocab_digest)
 
     def segment_without(self, token_id: int, cv) -> dict[int, list[int]]:
         """New segmentation, with ``token_id`` banned, of every type holding it.
@@ -352,44 +352,32 @@ def build_index(corpus: RawCorpus, cv) -> WordIndex:
 
 
 def retokenize_sentences(
-    store: SentenceStore,
+    nll: np.ndarray,
     index: WordIndex,
     removed: set[int],
     vocab: Vocabulary,
     cv,
-    table=None,
-    window: int | None = None,
+    table,
+    window: int,
 ) -> float:
-    """Re-segment after removing tokens: update the index, then re-encode
+    """Re-segment after removing tokens: update the index, then rescore
     exactly the sentences that held a removed token.
 
-    ``cv`` must already exclude the removed tokens. Untouched sentences
-    keep their arrays bit-identical. When the store carries a likelihood
-    cache, ``table`` and ``window`` are required and the cache entries of
-    re-encoded sentences are refreshed; the returned delta is the new
-    minus old total NLL over the whole store (zero contribution from
-    untouched sentences).
+    ``cv`` must already exclude the removed tokens. ``nll`` holds one
+    skipgram NLL per sentence under ``table``; the entries of rescored
+    sentences are replaced and every other entry is left bit-identical.
+    Returns the new minus old total NLL.
     """
     for t in removed:
         if is_protected(vocab.tokens[t]):
             raise VocabError(f"cannot remove protected token {vocab.tokens[t]!r}")
-    if store.nll is not None and (table is None or window is None):
-        raise VocabError("store has a likelihood cache: table and window are required")
-
     order = sorted(set().union(*(index.sentences(t) for t in removed)))
     if not order:
         return 0.0
     index.resegment(removed, cv)
-    for s in order:
-        store.ids[s] = np.asarray(index.sentence(s), dtype=np.int32)
-        store.unk_chars[s] = index.unk_chars(s)
-
-    if store.nll is None:
-        return 0.0
     from .objective import batched_sentence_nll
 
-    new_nll = batched_sentence_nll([store.ids[s] for s in order], table, window)
-    old = np.asarray([store.nll[s] for s in order])
-    for pos, s in enumerate(order):
-        store.nll[s] = new_nll[pos]
+    new_nll = batched_sentence_nll([np.asarray(index.sentence(s), dtype=np.int64) for s in order], table, window)
+    old = nll[order]
+    nll[order] = new_nll
     return float(np.sum(new_nll) - np.sum(old))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SentenceStore
+from .corpus import SentenceStore, window_offsets
 from .errors import ConfigError, DataError, VocabError
 from .vocab import Vocabulary
 
@@ -131,10 +131,7 @@ def _pair_arrays(store: SentenceStore, window: int) -> tuple[np.ndarray, np.ndar
     sent_of = np.repeat(np.arange(len(lengths)), lengths)
     t_parts: list[np.ndarray] = []
     c_parts: list[np.ndarray] = []
-    for delta in range(1, window + 1):
-        if delta >= len(flat):
-            break
-        same = sent_of[:-delta] == sent_of[delta:]
+    for delta, same in window_offsets(sent_of, window):
         left = flat[:-delta][same]
         right = flat[delta:][same]
         t_parts.extend((left, right))

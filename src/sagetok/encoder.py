@@ -103,5 +103,5 @@ def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> Compi
 
 
 def encode_corpus(corpus: RawCorpus, cv: CompiledVocab) -> SentenceStore:
-    """Pretokenize and encode every line; likelihood cache left unset."""
+    """Pretokenize and encode every line into a store."""
     return build_index(corpus, cv).store(cv.vocab.digest())

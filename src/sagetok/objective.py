@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SentenceStore, WordIndex
+from .corpus import SentenceStore, WordIndex, window_offsets
 from .errors import VocabError
 from .vocab import Vocabulary, is_protected
 
 # tokens per batched scoring pass: a memory bound (see the module docstring)
 _SCORE_BUDGET_TOKENS = 8192
+# sentences per corpus_nll pass; above it the chunk sums set the total's low bits
+_CHUNK_SENTENCES = 4096
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -74,12 +76,7 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
     sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
     tgt = table.target[flat]
     ctx = table.context[flat]
-    for delta in range(1, window + 1):
-        if delta >= len(flat):
-            break
-        same = sent_of[:-delta] == sent_of[delta:]
-        if not same.any():
-            continue
+    for delta, same in window_offsets(sent_of, window):
         # target at i predicting context at i+delta, and the reverse; dot
         # products on the shifted views, then only in-sentence pairs kept
         fwd = np.einsum("ij,ij->i", tgt[:-delta], ctx[delta:])[same]
@@ -96,36 +93,35 @@ def sentence_nll(ids, table, window: int) -> float:
     return float(batched_sentence_nll([arr], table, window)[0])
 
 
-def corpus_nll(store: SentenceStore, table, window: int, chunk_sentences: int = 4096) -> float:
-    """Sum of per-sentence NLL over the whole store.
+def corpus_nll(store: SentenceStore, table, window: int, nll: np.ndarray) -> float:
+    """Sum of per-sentence NLL over the whole store, each sentence's value
+    written into ``nll``.
 
-    Refreshes the store's likelihood cache as a side product when one is
-    allocated; chunking is by whole sentences so cached values are
-    independent of the chunk size.
+    Chunking is by whole sentences, so the written values do not depend
+    on the chunk size; the total is the sum of the chunk sums.
     """
     if store.vocab_digest and getattr(table, "vocab_digest", "") and store.vocab_digest != table.vocab_digest:
         raise VocabError(
             "store and embedding table were built under different vocabularies"
         )
     total = 0.0
-    for start in range(0, len(store.ids), chunk_sentences):
-        chunk = store.ids[start : start + chunk_sentences]
+    for start in range(0, len(store.ids), _CHUNK_SENTENCES):
+        chunk = store.ids[start : start + _CHUNK_SENTENCES]
         vals = batched_sentence_nll(chunk, table, window)
-        if store.nll is not None:
-            store.nll[start : start + len(chunk)] = vals
+        nll[start : start + len(chunk)] = vals
         total += float(np.sum(vals))
     return total
 
 
-def attach_nll_cache(store: SentenceStore, table, window: int) -> float:
-    """Allocate and fill the store's per-sentence NLL cache; returns the total."""
-    store.nll = np.zeros(len(store.ids), dtype=np.float64)
-    return corpus_nll(store, table, window)
+def attach_nll_cache(store: SentenceStore, table, window: int) -> tuple[np.ndarray, float]:
+    """A new per-sentence NLL array for ``store`` under ``table``, and its total."""
+    nll = np.zeros(len(store.ids), dtype=np.float64)
+    return nll, corpus_nll(store, table, window, nll)
 
 
 def ablation_losses(
     candidates,
-    store: SentenceStore,
+    nll: np.ndarray,
     index: WordIndex,
     vocab: Vocabulary,
     table,
@@ -133,22 +129,20 @@ def ablation_losses(
     window: int,
 ) -> list[AblationLoss]:
     """Score removing each of ``candidates``, in order: re-segment the word
-    types that hold the token (the index and the store are never
-    touched), rebuild the sentences that contain them, and return
-    new-minus-old NLL over those sentences, scored in batches.
+    types that hold the token (the index is never touched), rebuild the
+    sentences that contain them, and return new-minus-old NLL over those
+    sentences, scored in batches.
 
-    Requires a cached per-sentence NLL so the old side is read, not
+    The old side is read from ``nll``, the current per-sentence NLL, not
     recomputed.
     """
-    if store.nll is None:
-        raise VocabError("ablation scoring requires a store with a likelihood cache")
     results: list[AblationLoss] = []
     for pending, batch in _rebuilt_batches(candidates, index, vocab, cv):
         vals = batched_sentence_nll(batch, table, window)
         offset = 0
         for token_id, affected in pending:
             end = offset + len(affected)
-            loss = float(np.sum(vals[offset:end]) - np.sum(store.nll[affected]))
+            loss = float(np.sum(vals[offset:end]) - np.sum(nll[affected]))
             results.append(AblationLoss(token_id, loss, len(affected)))
             offset = end
     return results
@@ -180,7 +174,7 @@ def _rebuilt_batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
 
 def ablation_loss(
     token_id: int,
-    store: SentenceStore,
+    nll: np.ndarray,
     index: WordIndex,
     vocab: Vocabulary,
     table,
@@ -188,4 +182,4 @@ def ablation_loss(
     window: int,
 ) -> AblationLoss:
     """Score removing one token; :func:`ablation_losses` for one candidate."""
-    return ablation_losses([token_id], store, index, vocab, table, cv, window)[0]
+    return ablation_losses([token_id], nll, index, vocab, table, cv, window)[0]

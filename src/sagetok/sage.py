@@ -8,10 +8,13 @@ recalculation happens every ``recalc_period`` iterations (candidates in
 between come from a cached bottom set), and embeddings are retrained
 every ``embed_period`` full-recalculation cycles. Protected tokens are
 never candidates. One word-type index (``corpus.WordIndex``) carries the
-segmentation: a candidate is scored by re-segmenting only the word types
-that hold it, and a prune re-segments those types and re-encodes only
-the sentences holding them. Every pruning decision is appended to a
-replayable event log, and a checkpoint resumes the loop exactly.
+segmentation and one array the NLL of each sentence: a candidate is
+scored by re-segmenting only the word types that hold it, and a prune
+re-segments those types and rescores only the sentences holding them.
+The corpus is encoded as ids (a ``SentenceStore`` snapshot) only to
+train embeddings and refill the array. Every pruning decision is
+appended to a replayable event log, and a checkpoint resumes the loop
+exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import encoder
 from .bpe import train_bpe
-from .corpus import RawCorpus, SentenceStore, WordIndex, build_index, retokenize_sentences
+from .corpus import RawCorpus, WordIndex, build_index, retokenize_sentences
 from .embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from .errors import ConfigError, DataError, VocabError
 # ablation_loss, the one-candidate scorer, stays importable from here for
@@ -111,14 +114,13 @@ class PruneState:
     alive: set[int]
     cv: encoder.CompiledVocab
     index: WordIndex
-    store: SentenceStore
+    nll: np.ndarray
     table: SkipGramTable
     total_nll: float
     iteration: int = 0
     bottom: list[int] = field(default_factory=list)
     losses: dict[int, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
-    loss_evals: list[int] = field(default_factory=list)
     embeddings_fresh: bool = True
 
     def alive_size(self) -> int:
@@ -150,7 +152,7 @@ def _train_base(corpus: RawCorpus, cfg: SageConfig) -> Vocabulary:
 
 
 def init_state(corpus: RawCorpus, cfg: SageConfig) -> PruneState:
-    """Base vocabulary, tokenized store, index, initial embeddings, caches."""
+    """Base vocabulary, index, initial embeddings and per-sentence NLL."""
     cfg.validate()
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
@@ -168,15 +170,15 @@ def _encoded_state(
     corpus: RawCorpus, cfg: SageConfig, vocab: Vocabulary, alive: set[int], table=None
 ) -> PruneState:
     """Loop state at a pruning boundary: the corpus segmented under the
-    ``alive`` tokens and its NLL cache under ``table`` (trained afresh
-    when not given)."""
+    ``alive`` tokens and its per-sentence NLL under ``table`` (trained
+    afresh when not given)."""
     cv = encoder.compile(vocab, alive)
     index = build_index(corpus, cv)
     store = index.store(vocab.digest())
     if table is None:
         table = train_embeddings(store, vocab, cfg.embed)
-    total_nll = attach_nll_cache(store, table, cfg.window)
-    return PruneState(vocab, alive, cv, index, store, table, total_nll)
+    nll, total_nll = attach_nll_cache(store, table, cfg.window)
+    return PruneState(vocab, alive, cv, index, nll, table, total_nll)
 
 
 def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
@@ -188,8 +190,9 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     retrained = False
     if state.iteration % cycle == 0 and not state.embeddings_fresh:
         embed_cfg = dataclasses.replace(cfg.embed, seed=cfg.embed.seed + state.iteration)
-        state.table = train_embeddings(state.store, state.vocab, embed_cfg)
-        state.total_nll = corpus_nll(state.store, state.table, cfg.window)
+        store = state.index.store(state.vocab.digest())
+        state.table = train_embeddings(store, state.vocab, embed_cfg)
+        state.total_nll = corpus_nll(store, state.table, cfg.window, state.nll)
         retrained = True
     state.embeddings_fresh = False
 
@@ -208,10 +211,9 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
         candidates = list(state.bottom)
 
     scored = ablation_losses(
-        candidates, state.store, state.index, state.vocab, state.table, state.cv, cfg.window
+        candidates, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window
     )
     losses = {r.token_id: r.loss for r in scored}
-    state.loss_evals.append(len(candidates))
 
     # prune order: lowest loss, then lowest corpus frequency, then token
     # string; between full recalculations the bottom set is within the pool
@@ -229,7 +231,7 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     state.alive -= pruned
     state.cv = encoder.compile(state.vocab, state.alive)
     state.total_nll += retokenize_sentences(
-        state.store, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
+        state.nll, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
     )
 
     state.events.append(
@@ -310,9 +312,10 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
     ``path``: into a temporary file beside it, then renamed into place,
     so a reader never sees a partial file. A failed write is a DataError.
 
-    The store is not serialized: re-encoding the corpus under the alive
-    vocabulary reproduces it exactly, and per-sentence likelihoods are
-    recomputed from the dumped tables bit-for-bit.
+    Neither the segmentation nor the per-sentence NLL is serialized:
+    resuming re-segments the corpus under the alive vocabulary, which
+    reproduces the index exactly, and recomputes the NLL array from the
+    dumped tables bit-for-bit; ``total_nll`` is restored as saved.
     """
     arrays = dict(
         tokens=np.frombuffer(

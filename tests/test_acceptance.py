@@ -18,7 +18,7 @@ from sagetok import analysis, encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index, normalize_line, pretokenize
 from sagetok.embeddings import EmbedConfig, SkipGramTable
-from sagetok.objective import batched_sentence_nll, corpus_nll, sentence_nll
+from sagetok.objective import attach_nll_cache, batched_sentence_nll, corpus_nll, sentence_nll
 from sagetok.sage import SageConfig, init_state, prune_iteration, train_sage
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
@@ -69,7 +69,8 @@ class TestCriterion1SkipgramOracle:
                 [() for _ in id_lists],
                 "",
             )
-            got = corpus_nll(store, table, window)
+            nll = np.zeros(len(store))
+            got = corpus_nll(store, table, window, nll)
             want = sum(nll_oracle(ids, table.target, table.context, window) for ids in id_lists)
             assert got == pytest.approx(want, abs=1e-9)
         _report("1a", f"({checked} sentence instances + 20 corpus instances vs double-loop oracle, 1e-9)")
@@ -176,7 +177,7 @@ class TestCriterion4IncrementalCaches:
             )
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
             assert build_index(corpus, state.cv) == state.index
-            assert all(np.array_equal(a, b) for a, b in zip(state.store.ids, scratch.ids))
+            assert np.array_equal(state.nll, attach_nll_cache(scratch, state.table, cfg.window)[0])
         assert state.alive_size() == target
         _report("4", f"({base}->{target} run, {iterations} iterations, cache within 1e-6 rel and index exact each iteration)")
 

@@ -84,34 +84,37 @@ class TestTokenStats:
 
     def test_matches_bruteforce_pair_scan(self):
         rng = np.random.default_rng(3)
+        letters = list("abcdefgh")
         lines = [
             " ".join(
-                "".join(rng.choice(list("abc"), size=rng.integers(1, 5)))
+                "".join(rng.choice(letters, size=rng.integers(1, 5)))
                 for _ in range(rng.integers(1, 8))
             )
             for _ in range(40)
         ]
         corpus = RawCorpus.from_lines(lines)
+        # enough tokens that the neighbor sets are not yet full at any
+        # offset the windows below reach, so a missed offset shows
         vocab, cv = _compiled(
-            [MARKER, "a", "b", "c", MARKER + "a", MARKER + "b", "ab", "bc"]
+            [MARKER, *letters, *(MARKER + c for c in letters), "ab", "bc", "cd", "de", "ef", "fg", "gh"]
         )
-        window = 3
-        stats = token_stats(corpus, cv, window)
         store = encoder.encode_corpus(corpus, cv)
-        freq = {}
-        neighbors = {}
-        for ids in store.ids:
-            ids = [int(t) for t in ids]
-            for i, t in enumerate(ids):
-                freq[t] = freq.get(t, 0) + 1
-                lo, hi = max(0, i - window), min(len(ids), i + window + 1)
-                for j in range(lo, hi):
-                    if j != i:
-                        neighbors.setdefault(t, set()).add(ids[j])
-        for t, count in freq.items():
-            token = vocab.tokens[t]
-            assert stats.rows[token].frequency == count
-            assert stats.rows[token].distinct_neighbors == len(neighbors.get(t, ()))
+        for window in (1, 3, 5):
+            stats = token_stats(corpus, cv, window)
+            freq = {}
+            neighbors = {}
+            for ids in store.ids:
+                ids = [int(t) for t in ids]
+                for i, t in enumerate(ids):
+                    freq[t] = freq.get(t, 0) + 1
+                    lo, hi = max(0, i - window), min(len(ids), i + window + 1)
+                    for j in range(lo, hi):
+                        if j != i:
+                            neighbors.setdefault(t, set()).add(ids[j])
+            for t, count in freq.items():
+                token = vocab.tokens[t]
+                assert stats.rows[token].frequency == count
+                assert stats.rows[token].distinct_neighbors == len(neighbors.get(t, ()))
 
     def test_unk_excluded_from_neighbor_sets(self):
         corpus = RawCorpus.from_lines(["a¤b"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sagetok
-from sagetok import analysis, encoder
+from sagetok import analysis, encoder, sage
 from sagetok.cli import _config_digest, _meta, main
 from sagetok.corpus import load_corpus
 from sagetok.vocab import MARKER, load_vocab
@@ -188,6 +188,24 @@ class TestTrainSageCommand:
         rc = main(_sage_args(corpus_file, out, **{"candidate-pool": 2}))
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["out", "events-out", "checkpoint"])
+    @pytest.mark.parametrize("where", ["below-missing-dir", "directory"])
+    def test_unwritable_output_fails_before_training(self, tmp_path, corpus_file, capsys, monkeypatch, flag, where):
+        def not_called(*args, **kwargs):
+            raise AssertionError("training started before the output paths were checked")
+
+        monkeypatch.setattr(sage, "train_sage", not_called)
+        (tmp_path / "adir").mkdir()
+        bad = tmp_path / "missing" / "x" if where == "below-missing-dir" else tmp_path / "adir"
+        before = sorted(tmp_path.rglob("*"))
+        if flag == "out":
+            argv = _sage_args(corpus_file, bad)
+        else:
+            argv = _sage_args(corpus_file, tmp_path / "ok.vocab") + [f"--{flag}", str(bad)]
+        assert main(argv) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_progress_events_on_stderr(self, tmp_path, corpus_file, capsys):
         out = tmp_path / "p.vocab"

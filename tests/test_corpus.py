@@ -162,38 +162,42 @@ def _setup_encoded(corpus_lines, extra_tokens, seed=0):
     vocab = Vocabulary(tokens)
     cv = encoder.compile(vocab)
     index = build_index(corpus, cv)
-    store = index.store(vocab.digest())
     rng = np.random.default_rng(seed)
     table = random_table(len(vocab), 6, rng)
-    attach_nll_cache(store, table, 2)
-    return corpus, vocab, cv, store, index, table
+    nll, _ = attach_nll_cache(index.store(vocab.digest()), table, 2)
+    return corpus, vocab, cv, nll, index, table
+
+
+def _sentences(index):
+    return [index.sentence(s) for s in range(len(index.offsets) - 1)]
 
 
 class TestRetokenize:
     def test_removed_token_absent_everywhere(self):
-        corpus, vocab, cv, store, index, table = _setup_encoded(
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
             ["abc abc", "cab cab"], [MARKER + "abc", MARKER + "cab", "zzz"]
         )
         unused = vocab.id_of["zzz"]
-        before = [a.copy() for a in store.ids]
+        before, nll_before = _sentences(index), nll.copy()
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {unused})
-        delta = retokenize_sentences(store, index, {unused}, vocab, cv2, table, 2)
+        delta = retokenize_sentences(nll, index, {unused}, vocab, cv2, table, 2)
         assert delta == 0.0
-        assert all(np.array_equal(a, b) for a, b in zip(before, store.ids))
+        assert _sentences(index) == before
+        assert nll.tobytes() == nll_before.tobytes()
 
     def test_word_initial_removal_forces_longer_segmentation(self):
         # removing a word-initial token re-segments that word only
         lines = ["include the directive", "include it"]
         extras = [MARKER + "includ", MARKER + "inc", "de", "e", MARKER + "the",
                   MARKER + "directive", MARKER + "it"]
-        corpus, vocab, cv, store, index, table = _setup_encoded(lines, extras)
+        corpus, vocab, cv, nll, index, table = _setup_encoded(lines, extras)
         includ = vocab.id_of[MARKER + "includ"]
-        tokens_of = lambda s: [vocab.tokens[t] for t in store.ids[s]]
+        tokens_of = lambda s: [vocab.tokens[t] for t in index.sentence(s)]
         assert tokens_of(0)[:2] == [MARKER + "includ", "e"]
         tail_before = tokens_of(0)[2:]
         alive = set(range(len(vocab))) - {includ}
         cv2 = encoder.compile(vocab, alive)
-        retokenize_sentences(store, index, {includ}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {includ}, vocab, cv2, table, 2)
         assert tokens_of(0)[:4] == [MARKER + "inc", "l", "u", "de"]
         assert tokens_of(0)[4:] == tail_before
 
@@ -207,47 +211,52 @@ class TestRetokenize:
             for _ in range(30)
         ]
         extras = [MARKER + "ab", "ab", "cd", MARKER + "abc", "bcd", "abc"]
-        corpus, vocab, cv, store, index, table = _setup_encoded(lines, extras)
+        corpus, vocab, cv, nll, index, table = _setup_encoded(lines, extras)
         target = vocab.id_of["ab"]
         alive = set(range(len(vocab))) - {target}
         cv2 = encoder.compile(vocab, alive)
-        retokenize_sentences(store, index, {target}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {target}, vocab, cv2, table, 2)
         scratch = encoder.encode_corpus(corpus, cv2)
-        assert all(np.array_equal(a, b) for a, b in zip(store.ids, scratch.ids))
+        assert _sentences(index) == [a.tolist() for a in scratch.ids]
         assert build_index(corpus, cv2) == index
+        # rescored entries equal a fresh fill over the re-encoded corpus
+        assert np.array_equal(nll, attach_nll_cache(scratch, table, 2)[0])
 
     def test_locality_untouched_sentences_bit_identical(self):
-        corpus, vocab, cv, store, index, table = _setup_encoded(
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
             ["abc abc", "bbb bbb"], [MARKER + "abc", "bb"]
         )
         abc = vocab.id_of[MARKER + "abc"]
-        untouched = store.ids[1]
+        before, nll_before = _sentences(index), nll.copy()
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        retokenize_sentences(store, index, {abc}, vocab, cv2, table, 2)
-        assert store.ids[1] is untouched
+        retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        assert index.sentence(0) != before[0]
+        assert index.sentence(1) == before[1]
+        assert nll[1:].tobytes() == nll_before[1:].tobytes()
 
     def test_protected_token_removal_rejected(self):
-        corpus, vocab, cv, store, index, table = _setup_encoded(["ab ab"], ["ab"])
+        corpus, vocab, cv, nll, index, table = _setup_encoded(["ab ab"], ["ab"])
         single = vocab.id_of["a"]
         with pytest.raises(VocabError):
-            retokenize_sentences(store, index, {single}, vocab, cv, table, 2)
+            retokenize_sentences(nll, index, {single}, vocab, cv, table, 2)
 
     def test_delta_tracks_total(self):
-        corpus, vocab, cv, store, index, table = _setup_encoded(
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
             ["abc abc abc", "abc cab"], [MARKER + "abc", "bc"]
         )
-        total_before = store.total_nll()
+        total_before = nll.sum()
         abc = vocab.id_of[MARKER + "abc"]
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        delta = retokenize_sentences(store, index, {abc}, vocab, cv2, table, 2)
-        assert store.total_nll() == pytest.approx(total_before + delta, rel=1e-12)
+        delta = retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        assert nll.sum() == pytest.approx(total_before + delta, rel=1e-12)
 
 
 class TestRoundTrip:
     def test_decode_reproduces_pretokenized_words(self):
-        corpus, vocab, cv, store, index, table = _setup_encoded(
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
             ["the cat", "a hat"], [MARKER + "the", "at"]
         )
+        store = index.store(vocab.digest())
         for s in range(len(store)):
             assert store.decode_words(s, vocab) == pretokenize(corpus.lines[s])
             assert store.decode_line(s, vocab) == corpus.lines[s]
@@ -269,9 +278,10 @@ class TestRoundTrip:
             assert got == naive_encode_word(vocab.tokens, word)
 
 
-def _assert_matches_rebuild(corpus, index, cv, store):
-    """The maintained index equals a scratch build under ``cv``, the store
-    equals a fresh encode, and derived frequencies equal a store bincount.
+def _assert_matches_rebuild(corpus, index, cv):
+    """The maintained index equals a scratch build under ``cv``, its store
+    snapshot equals a fresh encode, and derived frequencies equal a store
+    bincount.
 
     The maintained index built its pruning maps on first use and has kept
     them in step since; the scratch build has not built them yet, and the
@@ -282,6 +292,7 @@ def _assert_matches_rebuild(corpus, index, cv, store):
     assert index == scratch
     assert index.postings == scratch.postings
     assert index.type_sentences == scratch.type_sentences
+    store = index.store(cv.vocab.digest())
     fresh = encoder.encode_corpus(corpus, cv)
     assert len(store) == len(fresh)
     assert all(np.array_equal(a, b) for a, b in zip(store.ids, fresh.ids))
@@ -303,7 +314,7 @@ def test_index_matches_rebuild_after_every_step(trainer, monkeypatch):
         steps = 0
         while state.alive_size() > cfg.final_size:
             prune_iteration(state, cfg)
-            _assert_matches_rebuild(corpus, state.index, state.cv, state.store)
+            _assert_matches_rebuild(corpus, state.index, state.cv)
             steps += 1
     else:
         resegment = WordIndex.resegment
@@ -312,7 +323,7 @@ def test_index_matches_rebuild_after_every_step(trainer, monkeypatch):
         def checked(index, removed, cv):
             nonlocal steps
             resegment(index, removed, cv)
-            _assert_matches_rebuild(corpus, index, cv, index.store(cv.vocab.digest()))
+            _assert_matches_rebuild(corpus, index, cv)
             steps += 1
 
         monkeypatch.setattr(WordIndex, "resegment", checked)

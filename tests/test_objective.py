@@ -62,35 +62,37 @@ class TestCorpusNll:
         ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
         return SentenceStore(ids, [() for _ in ids], "")
 
+    def _total(self, id_lists, table, window):
+        return corpus_nll(self._store(id_lists), table, window, np.zeros(len(id_lists)))
+
     def test_empty_store(self):
-        assert corpus_nll(self._store([]), zero_table(3, 2), 2) == 0.0
+        assert self._total([], zero_table(3, 2), 2) == 0.0
 
     def test_additivity_of_duplicates(self):
         rng = np.random.default_rng(2)
         table = random_table(8, 4, rng)
         sentence = rng.integers(0, 8, size=5).tolist()
-        one = corpus_nll(self._store([sentence]), table, 2)
-        two = corpus_nll(self._store([sentence, sentence]), table, 2)
+        one = self._total([sentence], table, 2)
+        two = self._total([sentence, sentence], table, 2)
         assert two == 2 * one
 
     def test_matches_per_sentence_oracle_sum(self):
         rng = np.random.default_rng(3)
         table = random_table(12, 4, rng)
         id_lists = [rng.integers(0, 12, size=rng.integers(1, 9)).tolist() for _ in range(100)]
-        got = corpus_nll(self._store(id_lists), table, 3)
+        got = self._total(id_lists, table, 3)
         want = sum(nll_oracle(ids, table.target, table.context, 3) for ids in id_lists)
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_chunking_does_not_change_cache_values(self):
+    def test_chunking_does_not_change_cache_values(self, monkeypatch):
         rng = np.random.default_rng(4)
         table = random_table(9, 4, rng)
         id_lists = [rng.integers(0, 9, size=rng.integers(1, 7)).tolist() for _ in range(50)]
-        store_a = self._store(id_lists)
-        store_b = self._store(id_lists)
-        attach_nll_cache(store_a, table, 2)
-        store_b.nll = np.zeros(len(store_b.ids))
-        corpus_nll(store_b, table, 2, chunk_sentences=3)
-        assert np.array_equal(store_a.nll, store_b.nll)
+        whole, whole_total = attach_nll_cache(self._store(id_lists), table, 2)
+        monkeypatch.setattr(objective, "_CHUNK_SENTENCES", 3)
+        chunked, chunked_total = attach_nll_cache(self._store(id_lists), table, 2)
+        assert np.array_equal(whole, chunked)
+        assert chunked_total == pytest.approx(whole_total, rel=1e-12)
 
     def test_digest_mismatch_rejected(self):
         store = self._store([[0, 1]])
@@ -98,16 +100,16 @@ class TestCorpusNll:
         table = zero_table(3, 2)
         table.vocab_digest = "bbbb"
         with pytest.raises(VocabError):
-            corpus_nll(store, table, 2)
+            corpus_nll(store, table, 2, np.zeros(1))
 
     def test_cache_entries_equal_single_sentence_evaluation(self):
         rng = np.random.default_rng(9)
         table = random_table(10, 4, rng)
         id_lists = [rng.integers(0, 10, size=rng.integers(1, 8)).tolist() for _ in range(30)]
-        store = self._store(id_lists)
-        attach_nll_cache(store, table, 2)
+        nll, total = attach_nll_cache(self._store(id_lists), table, 2)
+        assert total == pytest.approx(float(np.sum(nll)), rel=1e-12)
         for s, ids in enumerate(id_lists):
-            assert store.nll[s] == pytest.approx(sentence_nll(np.asarray(ids), table, 2), abs=1e-12)
+            assert nll[s] == pytest.approx(sentence_nll(np.asarray(ids), table, 2), abs=1e-12)
 
 
 def _ablation_setup(lines, extras, seed=0, window=2, dim=5):
@@ -116,17 +118,16 @@ def _ablation_setup(lines, extras, seed=0, window=2, dim=5):
     vocab = Vocabulary(chars + [t for t in extras if t not in chars])
     cv = encoder.compile(vocab)
     index = build_index(corpus, cv)
-    store = index.store(vocab.digest())
     rng = np.random.default_rng(seed)
     table = random_table(len(vocab), dim, rng)
-    attach_nll_cache(store, table, window)
-    return corpus, vocab, cv, store, index, table
+    nll, _ = attach_nll_cache(index.store(vocab.digest()), table, window)
+    return corpus, vocab, cv, nll, index, table
 
 
 class TestAblationLoss:
     def test_empty_postings(self):
-        corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], ["zz"])
-        result = ablation_loss(vocab.id_of["zz"], store, index, vocab, table, cv, 2)
+        corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["zz"])
+        result = ablation_loss(vocab.id_of["zz"], nll, index, vocab, table, cv, 2)
         assert result.loss == 0.0
         assert result.affected_sentences == 0
 
@@ -134,26 +135,28 @@ class TestAblationLoss:
         lines = ["include the directive here", "an include there", "no overlap line"]
         extras = [MARKER + "includ", MARKER + "inc", "de", MARKER + "the",
                   MARKER + "directive", MARKER + "here", MARKER + "an", MARKER + "there"]
-        corpus, vocab, cv, store, index, table = _ablation_setup(lines, extras)
+        corpus, vocab, cv, nll, index, table = _ablation_setup(lines, extras)
         target = vocab.id_of[MARKER + "includ"]
-        got = ablation_loss(target, store, index, vocab, table, cv, 2)
+        old = encoder.encode_corpus(corpus, cv)
+        got = ablation_loss(target, nll, index, vocab, table, cv, 2)
         # oracle: re-encode the whole corpus from scratch and rescore everything
         alive = set(range(len(vocab))) - {target}
         cv2 = encoder.compile(vocab, alive)
         scratch = encoder.encode_corpus(corpus, cv2)
         new_total = float(np.sum(batched_sentence_nll(scratch.ids, table, 2)))
-        old_total = float(np.sum(batched_sentence_nll(store.ids, table, 2)))
+        old_total = float(np.sum(batched_sentence_nll(old.ids, table, 2)))
         assert got.loss == pytest.approx(new_total - old_total, abs=1e-10)
         assert got.affected_sentences == 2
 
     def test_zero_embeddings_reduce_to_pair_counting(self):
         lines = ["abc abc abc", "abc x"]
         extras = [MARKER + "abc", "bc"]
-        corpus, vocab, cv, store, index, table = _ablation_setup(lines, extras)
+        corpus, vocab, cv, nll, index, table = _ablation_setup(lines, extras)
         ztable = zero_table(len(vocab), 4)
-        attach_nll_cache(store, ztable, 2)
+        store = index.store(vocab.digest())
+        znll, _ = attach_nll_cache(store, ztable, 2)
         target = vocab.id_of[MARKER + "abc"]
-        got = ablation_loss(target, store, index, vocab, ztable, cv, 2)
+        got = ablation_loss(target, znll, index, vocab, ztable, cv, 2)
         alive = set(range(len(vocab))) - {target}
         scratch = encoder.encode_corpus(corpus, encoder.compile(vocab, alive))
         diff = sum(pair_count(list(ids), 2) for ids in scratch.ids) - sum(
@@ -162,14 +165,12 @@ class TestAblationLoss:
         assert got.loss == pytest.approx(math.log(2) * diff, rel=1e-12)
 
     def test_purity_store_untouched(self):
-        corpus, vocab, cv, store, index, table = _ablation_setup(
+        corpus, vocab, cv, nll, index, table = _ablation_setup(
             ["abab abab", "ba ab"], ["ab", "ba", MARKER + "ab"]
         )
-        ids_before = [a.copy() for a in store.ids]
-        nll_before = store.nll.copy()
-        ablation_loss(vocab.id_of["ab"], store, index, vocab, table, cv, 2)
-        assert all(np.array_equal(a, b) for a, b in zip(ids_before, store.ids))
-        assert np.array_equal(nll_before, store.nll)
+        nll_before = nll.copy()
+        ablation_loss(vocab.id_of["ab"], nll, index, vocab, table, cv, 2)
+        assert np.array_equal(nll_before, nll)
         assert index == build_index(corpus, cv)
 
     def test_stored_segmentations_give_identical_loss(self):
@@ -178,7 +179,7 @@ class TestAblationLoss:
         # while re-segmenting every word of the affected sentences agrees
         lines = ["abc abc ab", "ab abc", "cc ab cc"]
         extras = ["ab", "abc", MARKER + "ab", MARKER + "abc", "cc"]
-        corpus, vocab, cv, store, index, table = _ablation_setup(lines, extras)
+        corpus, vocab, cv, nll, index, table = _ablation_setup(lines, extras)
         for token in ["ab", "abc", MARKER + "abc"]:
             t = vocab.id_of[token]
             affected = sorted(index.sentences(t))
@@ -187,13 +188,13 @@ class TestAblationLoss:
                 np.asarray([i for w in pretokenize(corpus.lines[s]) for i in cv.encode_word(w, banned)[0]])
                 for s in affected
             ]
-            want = float(np.sum(batched_sentence_nll(rescored, table, 2)) - np.sum(store.nll[affected]))
-            assert ablation_loss(t, store, index, vocab, table, cv, 2).loss == want
+            want = float(np.sum(batched_sentence_nll(rescored, table, 2)) - np.sum(nll[affected]))
+            assert ablation_loss(t, nll, index, vocab, table, cv, 2).loss == want
 
     def test_protected_token_rejected(self):
-        corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], [])
+        corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], [])
         with pytest.raises(VocabError):
-            ablation_loss(vocab.id_of["a"], store, index, vocab, table, cv, 2)
+            ablation_loss(vocab.id_of["a"], nll, index, vocab, table, cv, 2)
 
 
 class TestAblationLosses:
@@ -205,11 +206,10 @@ class TestAblationLosses:
         vocab, _ = train_bpe(corpus, 220)
         cv = encoder.compile(vocab)
         index = build_index(corpus, cv)
-        store = index.store(vocab.digest())
         table = random_table(len(vocab), 6, np.random.default_rng(4))
-        attach_nll_cache(store, table, 3)
+        nll, _ = attach_nll_cache(index.store(vocab.digest()), table, 3)
         candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-        single = [ablation_loss(t, store, index, vocab, table, cv, 3) for t in candidates]
+        single = [ablation_loss(t, nll, index, vocab, table, cv, 3) for t in candidates]
 
         passes = []
 
@@ -220,7 +220,7 @@ class TestAblationLosses:
         monkeypatch.setattr(objective, "batched_sentence_nll", counted)
         if budget is not None:
             monkeypatch.setattr(objective, "_SCORE_BUDGET_TOKENS", budget)
-        batched = ablation_losses(candidates, store, index, vocab, table, cv, 3)
+        batched = ablation_losses(candidates, nll, index, vocab, table, cv, 3)
         assert [r.token_id for r in batched] == candidates
         for got, want in zip(batched, single):
             assert got.loss == want.loss
@@ -234,10 +234,10 @@ class TestAblationLosses:
             assert 1 < len(passes) < len(candidates)
 
     def test_protected_candidate_rejected(self):
-        corpus, vocab, cv, store, index, table = _ablation_setup(["ab ab"], ["ab"])
+        corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["ab"])
         ids = [vocab.id_of["ab"], vocab.id_of["a"]]
         with pytest.raises(VocabError):
-            ablation_losses(ids, store, index, vocab, table, cv, 2)
+            ablation_losses(ids, nll, index, vocab, table, cv, 2)
 
 
 class TestSoftplus:

@@ -7,7 +7,7 @@ from sagetok import encoder, sage
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig
 from sagetok.errors import ConfigError, DataError, VocabError
-from sagetok.objective import batched_sentence_nll
+from sagetok.objective import attach_nll_cache, batched_sentence_nll
 from sagetok.sage import (
     SageConfig,
     init_state,
@@ -68,16 +68,17 @@ class TestInitState:
         state = init_state(corpus, cfg)
         assert state.iteration == 0
         assert state.alive == set(range(len(state.vocab)))
-        # store round-trips every sentence
-        for s in range(len(state.store)):
-            assert state.store.decode_line(s, state.vocab) == corpus.lines[s]
+        # a store snapshot of the index round-trips every sentence
+        store = state.index.store(state.vocab.digest())
+        for s in range(len(store)):
+            assert store.decode_line(s, state.vocab) == corpus.lines[s]
         # index equals a fresh build
         assert build_index(corpus, state.cv) == state.index
-        # cached likelihoods sum to the maintained total
-        assert state.total_nll == pytest.approx(state.store.total_nll(), rel=1e-12)
+        # per-sentence likelihoods sum to the maintained total
+        assert state.total_nll == pytest.approx(float(np.sum(state.nll)), rel=1e-12)
         # frequencies match a scratch count
         counts = np.zeros(len(state.vocab), dtype=np.int64)
-        for ids in state.store.ids:
+        for ids in store.ids:
             counts += np.bincount(ids, minlength=len(state.vocab))[: len(state.vocab)]
         assert np.array_equal(counts, state.index.frequencies())
 
@@ -197,10 +198,8 @@ class TestPruneIteration:
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
             # maintained index against a fresh build
             assert build_index(corpus, state.cv) == state.index
-            # maintained store against a fresh encode
-            assert all(
-                np.array_equal(a, b) for a, b in zip(state.store.ids, scratch.ids)
-            )
+            # maintained per-sentence NLL against a fresh fill, bit-for-bit
+            assert np.array_equal(state.nll, attach_nll_cache(scratch, state.table, cfg.window)[0])
 
     def test_pruning_below_target_rejected(self):
         corpus = _toy_corpus(30, seed=8)
