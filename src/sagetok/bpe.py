@@ -5,6 +5,16 @@ merges the most frequent adjacent symbol pair; exact count ties go to
 the lexicographically smaller (left, right) string pair. Pairs occurring
 fewer than twice are never merged, so training can stop short of the
 requested size on tiny corpora (reported as a warning).
+
+Words are lists of int symbol ids. A symbol string is interned once, so
+it has one id whichever merge made it, and the id order is the
+vocabulary order. A merge rewrites only the words that hold its pair and
+updates only the pairs next to each merge site, as in Sennrich et al.'s
+reference BPE (arXiv 1508.07909); the changes of all words are summed
+and applied to the pair counts once per merge. The heap is lazy: an
+entry whose count is out of date is re-pushed with the current count
+when it is popped, so the pop order, and with it the tie rule, is that
+of a full recount.
 """
 
 from __future__ import annotations
@@ -39,29 +49,6 @@ def word_type_counts(corpus: RawCorpus) -> Counter:
     return counts
 
 
-def _pair_counter(symbols: list[str], weight: int) -> Counter:
-    c: Counter = Counter()
-    for pair in zip(symbols, symbols[1:]):
-        c[pair] += weight
-    return c
-
-
-def _replace_pair(symbols: list[str], left: str, right: str) -> list[str]:
-    """Left-to-right non-overlapping replacement of (left, right) by their concatenation."""
-    out: list[str] = []
-    i = 0
-    n = len(symbols)
-    merged = left + right
-    while i < n:
-        if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
 def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[MergeRecord]]:
     """Grow a vocabulary from the corpus alphabet up to ``target_size``.
 
@@ -72,82 +59,104 @@ def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[Mer
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
     wcounts = word_type_counts(corpus)
-    words: list[list[str]] = []
-    weights: list[int] = []
-    for word, count in sorted(wcounts.items()):
-        words.append(list(word))
-        weights.append(count)
-
-    alphabet = sorted({ch for w in words for ch in w})
+    alphabet = sorted({ch for word in wcounts for ch in word})
     if target_size < len(alphabet):
         raise ConfigError(
             f"target size {target_size} is below the alphabet size {len(alphabet)}"
         )
+    # id -> symbol string; alphabet first, then merge results in creation order
     tokens: list[str] = list(alphabet)
-    provenance: list[str] = [PROV_ALPHABET] * len(alphabet)
-    known = set(tokens)
+    ids: dict[str, int] = {s: i for i, s in enumerate(tokens)}
+    words: list[list[int]] = []
+    weights: list[int] = []
+    for word, count in sorted(wcounts.items()):
+        words.append([ids[ch] for ch in word])
+        weights.append(count)
 
     pair_counts: Counter = Counter()
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    # pair -> ids of the words that hold it; may keep words that lost it
+    pair_words: dict[tuple[int, int], set[int]] = {}
     for wi, symbols in enumerate(words):
-        for pair, c in _pair_counter(symbols, weights[wi]).items():
-            pair_counts[pair] += c
+        weight = weights[wi]
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += weight
             pair_words.setdefault(pair, set()).add(wi)
 
-    heap = [(-c, l, r) for (l, r), c in pair_counts.items() if c >= MIN_MERGE_COUNT]
+    heap = [
+        (-c, tokens[a], tokens[b], a, b)
+        for (a, b), c in pair_counts.items()
+        if c >= MIN_MERGE_COUNT
+    ]
     heapq.heapify(heap)
     merges: list[MergeRecord] = []
 
     while len(tokens) < target_size:
         best = None
         while heap:
-            negc, left, right = heapq.heappop(heap)
-            current = pair_counts.get((left, right), 0)
+            negc, left, right, a, b = heapq.heappop(heap)
+            current = pair_counts.get((a, b), 0)
             if -negc != current:
                 if current >= MIN_MERGE_COUNT:
-                    heapq.heappush(heap, (-current, left, right))
+                    heapq.heappush(heap, (-current, left, right, a, b))
                 continue
-            best = (left, right, current)
+            best = (left, right, a, b, current)
             break
         if best is None:
             log.warning(
                 "merge pool exhausted at %d tokens (requested %d)", len(tokens), target_size
             )
             break
-        left, right, count = best
+        left, right, a, b, count = best
         result = left + right
         merges.append(MergeRecord(left, right, result, count))
-        if result not in known:
+        m = ids.get(result)
+        if m is None:
+            m = ids[result] = len(tokens)
             tokens.append(result)
-            provenance.append(PROV_MERGED)
-            known.add(result)
 
-        for wi in sorted(pair_words.get((left, right), ())):
-            symbols = words[wi]
-            before = _pair_counter(symbols, weights[wi])
-            new_symbols = _replace_pair(symbols, left, right)
-            if new_symbols == symbols:
-                continue
-            after = _pair_counter(new_symbols, weights[wi])
-            words[wi] = new_symbols
-            for pair in before.keys() | after.keys():
-                diff = after.get(pair, 0) - before.get(pair, 0)
-                if diff == 0:
-                    continue
-                updated = pair_counts[pair] + diff
-                if updated <= 0:
-                    pair_counts.pop(pair, None)
+        delta: Counter = Counter()
+        for wi in pair_words.pop((a, b)):
+            old = words[wi]
+            n = len(old)
+            new: list[int] = []
+            sites: list[int] = []
+            new_sites: list[int] = []
+            i = 0
+            while i < n:
+                if old[i] == a and i + 1 < n and old[i + 1] == b:
+                    sites.append(i)
+                    new_sites.append(len(new))
+                    new.append(m)
+                    i += 2
                 else:
-                    pair_counts[pair] = updated
-                    if diff > 0 and updated >= MIN_MERGE_COUNT:
-                        heapq.heappush(heap, (-updated, pair[0], pair[1]))
-                if pair in after:
-                    pair_words.setdefault(pair, set()).add(wi)
-                elif pair in pair_words:
-                    pair_words[pair].discard(wi)
-        pair_counts.pop((left, right), None)
-        pair_words.pop((left, right), None)
+                    new.append(old[i])
+                    i += 1
+            if not sites:
+                continue
+            words[wi] = new
+            weight = weights[wi]
+            for k in {k for i in sites for k in (i - 1, i, i + 1) if 0 <= k < n - 1}:
+                delta[old[k], old[k + 1]] -= weight
+            last = len(new) - 1
+            for k in {k for j in new_sites for k in (j - 1, j) if 0 <= k < last}:
+                pair = (new[k], new[k + 1])
+                delta[pair] += weight
+                pair_words.setdefault(pair, set()).add(wi)
 
+        for pair, d in delta.items():
+            if d == 0:
+                continue
+            updated = pair_counts[pair] + d
+            if updated > 0:
+                pair_counts[pair] = updated
+                if d > 0 and updated >= MIN_MERGE_COUNT:
+                    heapq.heappush(heap, (-updated, tokens[pair[0]], tokens[pair[1]], *pair))
+            else:
+                del pair_counts[pair]
+                pair_words.pop(pair, None)
+
+    n_alpha = len(alphabet)
+    provenance = [PROV_ALPHABET] * n_alpha + [PROV_MERGED] * (len(tokens) - n_alpha)
     return Vocabulary(tokens, provenance), merges
 
 
@@ -157,15 +166,3 @@ def save_merges(merges: list[MergeRecord], path, meta: dict | None = None) -> No
     lines.extend(f"{m.left}\t{m.right}\t{m.count}" for m in merges)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def load_merges(path) -> list[MergeRecord]:
-    merges = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#sagetok "):
-                continue
-            left, right, count = line.split("\t")
-            merges.append(MergeRecord(left, right, left + right, int(count)))
-    return merges

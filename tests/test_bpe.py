@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from sagetok.bpe import MergeRecord, load_merges, save_merges, train_bpe
+from sagetok.bpe import MergeRecord, save_merges, train_bpe
 from sagetok.corpus import RawCorpus
 from sagetok.errors import ConfigError
 from sagetok.vocab import MARKER, PROV_ALPHABET, PROV_MERGED
@@ -152,10 +152,41 @@ class TestProperties:
             assert [(m.left, m.right, m.count) for m in merges] == oracle_merges
             assert list(vocab.tokens) == oracle_tokens
 
+    def test_matches_bruteforce_oracle_on_repetitive_words(self):
+        # a two-letter alphabet, longer words and runs of one letter put
+        # merge sites next to each other and make them overlap (as in aaaa)
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            words = [
+                "".join(rng.choice(["a", "b"], size=rng.integers(1, 14)))
+                for _ in range(int(rng.integers(3, 25)))
+            ]
+            words += ["a" * int(rng.integers(2, 12)) for _ in range(int(rng.integers(1, 5)))]
+            order = rng.permutation(len(words))
+            corpus = RawCorpus.from_lines([" ".join(words[i] for i in order)])
+            target = 3 + int(rng.integers(1, 30))
+            oracle_tokens, oracle_merges = bpe_merge_oracle(corpus.lines, target)
+            vocab, merges = train_bpe(corpus, target)
+            assert [(m.left, m.right, m.count) for m in merges] == oracle_merges, trial
+            assert list(vocab.tokens) == oracle_tokens, trial
+
+    def test_matches_bruteforce_oracle_on_textgen(self):
+        corpus = RawCorpus.from_lines(generate_corpus(150, seed=11, n_stems=300))
+        oracle_tokens, oracle_merges = bpe_merge_oracle(corpus.lines, 400)
+        vocab, merges = train_bpe(corpus, 400)
+        assert [(m.left, m.right, m.count) for m in merges] == oracle_merges
+        assert list(vocab.tokens) == oracle_tokens
+
 
 class TestMergeLogIO:
     def test_roundtrip(self, tmp_path):
         merges = [MergeRecord("a", "b", "ab", 5), MergeRecord(MARKER, "a", MARKER + "a", 3)]
         path = tmp_path / "m.tsv"
         save_merges(merges, path, {"version": "0.1.0"})
-        assert load_merges(path) == merges
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "#sagetok version=0.1.0"
+        parsed = []
+        for line in lines[1:]:
+            left, right, count = line.split("\t")
+            parsed.append(MergeRecord(left, right, left + right, int(count)))
+        assert parsed == merges

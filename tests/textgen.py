@@ -63,6 +63,12 @@ def _make_stems(rng, count):
     return [stems[i] for i in order]
 
 
+def _cdf(p):
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class _Vocab:
     def __init__(self, rng, n_stems, n_topics, zipf_alpha):
         n_topics = max(1, min(n_topics, n_stems // 4))
@@ -70,13 +76,16 @@ class _Vocab:
         self.stems = _make_stems(rng, n_stems)
         ranks = np.arange(1, n_stems + 1, dtype=np.float64)
         p = 1.0 / ranks**zipf_alpha
-        self.global_p = p / p.sum()
+        global_p = p / p.sum()
         # round-robin assignment keeps every topic a mix of frequent and rare
         self.topics = [list(range(t, n_stems, n_topics)) for t in range(n_topics)]
-        self.topic_p = []
+        # draw_stem inverts these CDFs exactly as Generator.choice(..., p=...)
+        # does, so the draws are the same without rebuilding a CDF per draw
+        self.global_cdf = _cdf(global_p)
+        self.topic_cdf = []
         for members in self.topics:
-            w = self.global_p[members]
-            self.topic_p.append(w / w.sum())
+            w = global_p[members]
+            self.topic_cdf.append(_cdf(w / w.sum()))
         # fixed collocation partner for a third of the stems
         self.partner = {}
         shuffled = rng.permutation(n_stems)
@@ -88,8 +97,8 @@ class _Vocab:
     def draw_stem(self, rng, topic):
         if rng.random() < 0.8:
             members = self.topics[topic]
-            return int(members[rng.choice(len(members), p=self.topic_p[topic])])
-        return int(rng.choice(len(self.stems), p=self.global_p))
+            return int(members[self.topic_cdf[topic].searchsorted(rng.random(), side="right")])
+        return int(self.global_cdf.searchsorted(rng.random(), side="right"))
 
 
 def _noun(vocab, rng, idx):
