@@ -19,17 +19,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from common import ROOT, alternate, export, header, run_child, same_digest
 
 # (name, lines, seed, n_stems, target vocabulary size); the first is the
 # `baselines` benchmark workload's train-bpe corpus at seed 7
@@ -83,24 +80,8 @@ def _child(src: str, corpus: str, target: int) -> dict:
     }
 
 
-def _measure(src: Path, corpus: Path, target: int) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), str(corpus), str(target)],
-        check=True, stdout=subprocess.PIPE, text=True,
-    ).stdout
-    return json.loads(out)
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
-    ).stdout.strip()
-
-
 def _summary(runs: list[dict]) -> dict:
-    digests = {r["digest"] for r in runs}
-    if len(digests) != 1:
-        raise SystemExit(f"bench: runs of one side disagree on the output: {sorted(digests)}")
+    digest = same_digest(runs)
     seconds = [r["seconds"] for r in runs]
     return {
         "seconds_median": statistics.median(seconds),
@@ -109,7 +90,7 @@ def _summary(runs: list[dict]) -> dict:
         "merges_per_s_median": statistics.median(r["merges_per_s"] for r in runs),
         "heap_pops": runs[0]["heap_pops"],
         "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs),
-        "digest": runs[0]["digest"],
+        "digest": digest,
     }
 
 
@@ -127,39 +108,20 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "tests"))
-    import numpy
     from textgen import generate_corpus
 
-    record = {
-        "benchmark": "sagetok.bpe.train_bpe",
-        "base": {"rev": args.base, "sha": _git("rev-parse", args.base)},
-        "change": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain", "--", "src"))},
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-        "repeats": args.repeats,
-        "cases": [],
-    }
+    record = header("sagetok.bpe.train_bpe", args.base, args.repeats)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        base = tmp / "base"
-        base.mkdir()
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        sides = {"base": base / "src", "change": ROOT / "src"}
+        sides = {"base": export(args.base, tmp / "base"), "change": ROOT / "src"}
         for name, lines, seed, n_stems, target in CASES:
             if name not in args.cases:
                 continue
             corpus = tmp / f"{name}.txt"
             corpus.write_text("\n".join(generate_corpus(lines, seed=seed, n_stems=n_stems)) + "\n",
                               encoding="utf-8")
-            runs: dict[str, list[dict]] = {"base": [], "change": []}
-            for r in range(args.repeats):
-                order = ("base", "change") if r % 2 == 0 else ("change", "base")
-                for side in order:
-                    runs[side].append(_measure(sides[side], corpus, target))
+            runs = alternate(args.repeats,
+                             lambda side: run_child(__file__, str(sides[side]), str(corpus), str(target)))
             case = {"name": name, "lines": lines, "seed": seed, "n_stems": n_stems, "target": target}
             case.update({side: _summary(runs[side]) for side in ("base", "change")})
             case["identical_output"] = case["base"]["digest"] == case["change"]["digest"]

@@ -1,0 +1,72 @@
+"""What the ``bench/`` scripts share: exporting the base revision, running
+one measurement in a fresh process, alternating the two sides, and the
+record's header."""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Extract ``rev`` with ``git archive`` into ``dest``; returns its ``src``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest / "src"
+
+
+def header(benchmark: str, base: str, repeats: int) -> dict:
+    import numpy
+
+    return {
+        "benchmark": benchmark,
+        "base": {"rev": base, "sha": git("rev-parse", base)},
+        "change": {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "src"))},
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "repeats": repeats,
+        "cases": [],
+    }
+
+
+def run_child(script: str, *args: str) -> dict:
+    """Run ``script --child args...`` in a fresh interpreter; its stdout is
+    one JSON object."""
+    out = subprocess.run(
+        [sys.executable, script, "--child", *args], check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def alternate(repeats: int, measure) -> dict[str, list[dict]]:
+    """``measure(side)`` ``repeats`` times per side, the first side
+    switching every round."""
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for r in range(repeats):
+        for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
+            runs[side].append(measure(side))
+    return runs
+
+
+def same_digest(runs: list[dict]) -> str:
+    """The digest every run of one side agrees on."""
+    digests = {r["digest"] for r in runs}
+    if len(digests) != 1:
+        raise SystemExit(f"bench: runs of one side disagree on the output: {sorted(digests)}")
+    return runs[0]["digest"]

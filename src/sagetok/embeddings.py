@@ -5,15 +5,29 @@ corpus order grouped by window offset, negatives come from one seeded
 stream, and updates are applied in mini-batches with a fixed reduction
 order. Randomness is keyed to token *strings*, not ids (row
 initialization and the noise distribution use a canonical string order),
-so relabeling ids and permuting rows commute with training. Row sums
-use one weighted ``np.bincount`` per column, which adds in batch order at
-double precision like ``np.unique`` + ``np.add.at`` (the test oracle) but
-without the sort, so the tables stay bit-identical to that plain form.
+so relabeling ids and permuting rows commute with training.
+
+The tables stay bit-identical to the plain form in the test oracle
+(materialised pair arrays, ``searchsorted`` noise draws, and
+``np.unique`` + ``np.add.at`` row sums over concatenated gradients):
+
+* Pairs are streamed one window offset at a time and cut into batches at
+  the same global positions.
+* Row sums compact the touched ids once, then run one weighted
+  ``np.bincount`` per gradient column. Each row still adds its products
+  in batch order from 0.0 at double precision. The context side writes
+  each column's products into one reused vector instead of building the
+  ``(b * (1 + k), dim)`` gradient matrix.
+* Negative draws look their id up in a table of M = 2^ceil(log2(4V))
+  equal buckets of [0, 1). A bucket that holds no cdf value yields one
+  id for every draw in it; draws in the other buckets use
+  ``searchsorted``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,21 +104,41 @@ def init_tables(vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
     return SkipGramTable(target, context, cfg.dim, cfg.window, vocab.digest())
 
 
-def _apply_clipped(matrix: np.ndarray, ids: np.ndarray, grads: np.ndarray, clip: float) -> None:
+def _apply_clipped(
+    matrix: np.ndarray, ids: np.ndarray, columns: Iterable[np.ndarray], clip: float
+) -> None:
     """Sum per-row gradients for the batch, clip each row's total update
-    norm, and apply.
+    norm, and apply. ``columns`` yields the gradient one column at a time,
+    each a weight vector aligned with ``ids``.
 
     Sequential reference updates are self-limiting; summed stale-row
     updates are not, so rows hit many times in one batch need the cap.
     """
-    rows = matrix.shape[0]
-    touched = np.flatnonzero(np.bincount(ids, minlength=rows))
-    buf = np.empty((len(touched), grads.shape[1]))
-    for j in range(grads.shape[1]):
-        buf[:, j] = np.bincount(ids, weights=grads[:, j], minlength=rows)[touched]
+    hit = np.bincount(ids, minlength=matrix.shape[0]) > 0
+    touched = np.flatnonzero(hit)
+    rids = (np.cumsum(hit) - 1)[ids]
+    buf_t = np.empty((matrix.shape[1], len(touched)))
+    for j, weights in enumerate(columns):
+        buf_t[j] = np.bincount(rids, weights=weights, minlength=len(touched))
+    buf = np.ascontiguousarray(buf_t.T)
     norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
     np.clip(norms / clip, 1.0, None, out=norms)
     matrix[touched] += buf / norms[:, None]
+
+
+def _context_columns(
+    t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, buf: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield the context-side gradient of a batch column by column, each
+    written into ``buf``: ``g_pos * t`` for the positive pairs, then
+    ``g_neg * t`` for each pair's negatives, in batch order."""
+    b = len(g_pos)
+    col = buf[: b if g_neg is None else b * (1 + g_neg.shape[1])]
+    for t_col in np.ascontiguousarray(t_rows.T):
+        np.multiply(g_pos, t_col, out=col[:b])
+        if g_neg is not None:
+            np.multiply(g_neg, t_col[:, None], out=col[b:].reshape(g_neg.shape))
+        yield col
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -116,29 +150,50 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_arrays(store: SentenceStore, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, contexts) id arrays for every in-window ordered pair.
+def _pair_count(store: SentenceStore, window: int) -> int:
+    """Number of in-window ordered pairs over the store."""
+    lengths = np.array([len(a) for a in store.ids])
+    return 2 * sum(int(np.maximum(lengths - d, 0).sum()) for d in range(1, window + 1))
 
-    Grouped by offset, forward then backward pairs; order depends only
-    on token positions, never on id numbering.
+
+def _pair_batches(
+    store: SentenceStore, window: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(targets, contexts)`` id batches of ``size`` pairs (the last
+    may be shorter) over every in-window ordered pair of the store.
+
+    Pairs come grouped by offset, forward then backward pairs, one offset
+    at a time, so no more than one offset's pairs are held at once; a
+    batch may span two offsets. The order depends only on token
+    positions, never on id numbering.
     """
-    lengths = [len(a) for a in store.ids]
-    flat = (
-        np.concatenate(store.ids).astype(np.int64)
-        if store.ids
-        else np.zeros(0, dtype=np.int64)
-    )
-    sent_of = np.repeat(np.arange(len(lengths)), lengths)
-    t_parts: list[np.ndarray] = []
-    c_parts: list[np.ndarray] = []
+    flat = np.concatenate(store.ids).astype(np.int64)
+    sent_of = np.repeat(np.arange(len(store.ids)), [len(a) for a in store.ids])
+    held_t: list[np.ndarray] = []
+    held_c: list[np.ndarray] = []
+    held = 0
     for delta, same in window_offsets(sent_of, window):
         left = flat[:-delta][same]
         right = flat[delta:][same]
-        t_parts.extend((left, right))
-        c_parts.extend((right, left))
-    if not t_parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(t_parts), np.concatenate(c_parts)
+        for t, c in ((left, right), (right, left)):
+            n = len(t)
+            start = 0
+            if held:
+                start = min(size - held, n)
+                held_t.append(t[:start])
+                held_c.append(c[:start])
+                held += start
+                if held < size:
+                    continue
+                yield np.concatenate(held_t), np.concatenate(held_c)
+                held_t, held_c, held = [], [], 0
+            stop = start + (n - start) // size * size
+            for i in range(start, stop, size):
+                yield t[i : i + size], c[i : i + size]
+            if stop < n:
+                held_t, held_c, held = [t[stop:]], [c[stop:]], n - stop
+    if held:
+        yield np.concatenate(held_t), np.concatenate(held_c)
 
 
 def _noise_cdf(store: SentenceStore, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +206,36 @@ def _noise_cdf(store: SentenceStore, vocab: Vocabulary) -> tuple[np.ndarray, np.
     if total <= 0:
         raise DataError("cannot build a noise distribution over an empty store")
     return np.cumsum(weights / total), canon.astype(np.int64)
+
+
+class _NoiseSampler:
+    """Inverse-CDF draws ``canon[min(searchsorted(cdf, u), V - 1)]``,
+    resolved by table where that is exact.
+
+    ``[0, 1)`` is cut into M buckets, M = 2^ceil(log2(4V)). A power of two
+    keeps ``u * M`` and every edge ``k / M`` exact, so ``floor(u * M)`` is
+    the bucket that holds ``u``. A bucket whose lowest and highest values
+    search to the same index takes that index for every draw in it; the
+    draws in the other buckets, which hold a cdf value, fall back to
+    ``searchsorted``.
+    """
+
+    def __init__(self, cdf: np.ndarray, canon: np.ndarray):
+        self.cdf = cdf
+        self.canon = canon
+        self.buckets = 1 << (4 * len(canon) - 1).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        lo = np.searchsorted(cdf, edges[:-1])
+        hi = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0))
+        # the drawn id per bucket, or -1 where the bucket needs a search
+        self.table = np.where(lo == hi, canon[np.minimum(lo, len(canon) - 1)], -1)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        ids = self.table[(u * self.buckets).astype(np.intp)]
+        miss = ids < 0
+        found = np.searchsorted(self.cdf, u[miss])
+        ids[miss] = self.canon[np.minimum(found, len(self.canon) - 1)]
+        return ids
 
 
 def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
@@ -168,28 +253,25 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     table = init_tables(vocab, cfg)
     if cfg.epochs == 0:
         return table
-    targets, contexts = _pair_arrays(store, cfg.window)
-    n_pairs = len(targets)
+    n_pairs = _pair_count(store, cfg.window)
     if n_pairs == 0:
         return table
-    cdf, canon = _noise_cdf(store, vocab)
+    sample = _NoiseSampler(*_noise_cdf(store, vocab))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     total_updates = n_pairs * cfg.epochs
     tgt, ctx = table.target, table.context
     k = cfg.negatives
-    # context-side gradients of a batch: b positive rows, then b*k negative
-    ctx_grads_buf = np.empty((cfg.batch_pairs * (1 + k), cfg.dim))
+    # one column of a batch's context-side gradients: b positive pairs,
+    # then b*k negatives
+    col_buf = np.empty(cfg.batch_pairs * (1 + k))
     done = 0
     for _epoch in range(cfg.epochs):
-        for start in range(0, n_pairs, cfg.batch_pairs):
-            t_ids = targets[start : start + cfg.batch_pairs]
-            c_ids = contexts[start : start + cfg.batch_pairs]
+        for t_ids, c_ids in _pair_batches(store, cfg.window, cfg.batch_pairs):
             b = len(t_ids)
             lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (
                 (done + np.arange(b)) / max(total_updates - 1, 1)
             )
             done += b
-            ctx_grads = ctx_grads_buf[: b * (1 + k)]
 
             t_rows = tgt[t_ids]
             c_rows = ctx[c_ids]
@@ -197,20 +279,16 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
             g_pos = (1.0 - _sigmoid(dots)) * lr
             grad_t = g_pos[:, None] * c_rows
             ctx_ids = c_ids
-            np.multiply(g_pos[:, None], t_rows, out=ctx_grads[:b])
+            g_neg = None
             if k > 0:
-                u = rng.random((b, k))
-                n_ids = canon[np.minimum(np.searchsorted(cdf, u), len(canon) - 1)]
+                n_ids = sample(rng.random((b, k)))
                 n_rows = ctx[n_ids]
                 neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows, n_rows), -_MAX_EXP, _MAX_EXP)
                 g_neg = -_sigmoid(neg_dots) * lr[:, None]
                 grad_t += np.einsum("ik,ikj->ij", g_neg, n_rows)
                 ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
-                np.multiply(
-                    g_neg[:, :, None], t_rows[:, None, :], out=ctx_grads[b:].reshape(b, k, cfg.dim)
-                )
-            _apply_clipped(tgt, t_ids, grad_t, cfg.clip_row)
-            _apply_clipped(ctx, ctx_ids, ctx_grads, cfg.clip_row)
+            _apply_clipped(tgt, t_ids, np.ascontiguousarray(grad_t.T), cfg.clip_row)
+            _apply_clipped(ctx, ctx_ids, _context_columns(t_rows, g_pos, g_neg, col_buf), cfg.clip_row)
     if not (np.isfinite(tgt).all() and np.isfinite(ctx).all()):
         raise VocabError("embedding training diverged to non-finite values")
     return table

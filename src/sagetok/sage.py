@@ -144,11 +144,25 @@ def _train_base(corpus: RawCorpus, cfg: SageConfig) -> Vocabulary:
         )
     else:
         vocab, _ = load_vocab(cfg.initial_vocab_path)
+        _check_encodable(corpus, vocab)
     if len(vocab) < cfg.final_size:
         raise DataError(
             f"base vocabulary has {len(vocab)} tokens, below the target {cfg.final_size}"
         )
     return vocab
+
+
+def _check_encodable(corpus: RawCorpus, vocab: Vocabulary) -> None:
+    """Raise DataError naming the corpus characters that the protected
+    tokens of ``vocab`` cannot encode. Pruning never removes those tokens,
+    so a corpus they encode without UNK stays encodable at every step."""
+    protected = [i for i, t in enumerate(vocab.tokens) if is_protected(t)]
+    index = build_index(corpus, encoder.compile(vocab, protected))
+    missing = sorted({ch for chars in index.unks for ch in chars})
+    if missing:
+        raise DataError(
+            "initial vocabulary lacks corpus characters: " + " ".join(map(repr, missing))
+        )
 
 
 def init_state(corpus: RawCorpus, cfg: SageConfig) -> PruneState:

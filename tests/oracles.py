@@ -208,6 +208,25 @@ def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batc
     return pruned_sequence
 
 
+def sgns_pairs(store, window):
+    """Every in-window ordered (target, context) pair of the store as two
+    materialised id arrays: grouped by offset 1..window, forward pairs
+    then backward pairs within each offset, in corpus order."""
+    import numpy as np
+
+    flat = np.concatenate(store.ids).astype(np.int64)
+    sent_of = np.repeat(np.arange(len(store.ids)), [len(a) for a in store.ids])
+    t_parts, c_parts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for delta in range(1, window + 1):
+        if delta >= len(flat):
+            break
+        same = sent_of[:-delta] == sent_of[delta:]
+        left, right = flat[:-delta][same], flat[delta:][same]
+        t_parts.extend((left, right))
+        c_parts.extend((right, left))
+    return np.concatenate(t_parts), np.concatenate(c_parts)
+
+
 def sgns_reference_trainer(store, vocab, cfg):
     """SGNS training with the plain scatter: per-sentence noise counts,
     concatenated context gradients, and ``np.unique`` + ``np.add.at``
@@ -240,17 +259,7 @@ def sgns_reference_trainer(store, vocab, cfg):
 
     table = init_tables(vocab, cfg)
     tgt, ctx = table.target, table.context
-    flat = np.concatenate(store.ids).astype(np.int64)
-    sent_of = np.repeat(np.arange(len(store.ids)), [len(a) for a in store.ids])
-    t_parts, c_parts = [], []
-    for delta in range(1, cfg.window + 1):
-        if delta >= len(flat):
-            break
-        same = sent_of[:-delta] == sent_of[delta:]
-        left, right = flat[:-delta][same], flat[delta:][same]
-        t_parts.extend((left, right))
-        c_parts.extend((right, left))
-    targets, contexts = np.concatenate(t_parts), np.concatenate(c_parts)
+    targets, contexts = sgns_pairs(store, cfg.window)
 
     counts = np.zeros(len(vocab), dtype=np.float64)
     for ids in store.ids:

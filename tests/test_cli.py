@@ -341,6 +341,8 @@ def _write_bad_input(tmp_path, kind):
         path.write_text(json.dumps({"vocab_size": "abc"}), encoding="utf-8")
     elif kind == "config-lr-string":
         path.write_text(json.dumps({"lr": "x"}), encoding="utf-8")
+    elif kind == "initvocab-missing-chars":
+        path.write_text("a\nb\nc\nd\nab\nabc\n", encoding="utf-8")
     elif kind == "corpus-invalid-utf8":
         path.write_bytes(b"fine line\n\xff broken\n")
     elif kind == "corpus-empty":
@@ -375,6 +377,7 @@ def _write_bad_input(tmp_path, kind):
         ("config-invalid-utf8", 2),
         ("config-vocab-size-string", 2),
         ("config-lr-string", 2),
+        ("initvocab-missing-chars", 3),
         ("corpus-invalid-utf8", 3),
         ("corpus-empty", 3),
         ("checkpoint-missing", 3),
@@ -406,6 +409,12 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
         argv = ["train-bpe", "--corpus", str(bad), "--vocab-size", "50", "--out", str(out)]
     elif role == "output":
         argv = _unwritable_output_args(kind, tmp_path, corpus_file, str(bad / "x"))
+    elif role == "initvocab":
+        # the vocabulary has no marker and no x, y or z
+        corpus = tmp_path / "uncovered.txt"
+        corpus.write_text("abc abd\nxyz abc\n", encoding="utf-8")
+        argv = ["train-sage", "--corpus", str(corpus), "--initial-vocab", str(bad),
+                "--vocab-size", "5", "--out", str(out)]
     else:
         argv = _sage_args(corpus_file, out) + ["--resume", str(bad)]
     env = dict(os.environ, PYTHONPATH=str(Path(sagetok.__file__).parents[1]))
@@ -417,6 +426,8 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
     assert proc.stderr.startswith(("config error:", "data error:"))
     if role == "output":
         assert str(bad / "x") in proc.stderr
+    if role == "initvocab":
+        assert all(repr(ch) in proc.stderr for ch in (MARKER, "x", "y", "z"))
 
 
 def _unwritable_output_args(kind, tmp_path, corpus_file, target):

@@ -4,11 +4,18 @@ import pytest
 from sagetok import encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
-from sagetok.embeddings import EmbedConfig, init_tables, train_embeddings
+from sagetok.embeddings import (
+    EmbedConfig,
+    _NoiseSampler,
+    _pair_batches,
+    _pair_count,
+    init_tables,
+    train_embeddings,
+)
 from sagetok.errors import ConfigError, DataError
 from sagetok.vocab import MARKER, Vocabulary
 
-from oracles import sgns_reference_trainer
+from oracles import sgns_pairs, sgns_reference_trainer
 from textgen import generate_corpus
 
 
@@ -135,3 +142,100 @@ class TestTrainEmbeddings:
         target, context = sgns_reference_trainer(store, vocab, cfg)
         assert np.array_equal(table.target, target)
         assert np.array_equal(table.context, context)
+
+    def test_matches_reference_scatter_bit_for_bit_at_workload_shape(self):
+        # the benchmark's second train-sage corpus and base size, under the
+        # default dim, negatives and batch; the last batch is a short one
+        corpus = RawCorpus.from_lines(generate_corpus(250, seed=1, n_stems=1500))
+        vocab, _ = train_bpe(corpus, 750)
+        assert len(vocab) >= 700
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        cfg = EmbedConfig(dim=50, window=2, negatives=15, epochs=1, seed=5, batch_pairs=1024)
+        assert _pair_count(store, cfg.window) % cfg.batch_pairs != 0
+        table = train_embeddings(store, vocab, cfg)
+        target, context = sgns_reference_trainer(store, vocab, cfg)
+        assert np.array_equal(table.target, target)
+        assert np.array_equal(table.context, context)
+
+
+class TestPairBatches:
+    @pytest.mark.parametrize("size", [1, 7, 300, 1024, 100_000])
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_streamed_batches_are_slices_of_materialised_pairs(self, window, size):
+        corpus = RawCorpus.from_lines(generate_corpus(60, seed=window, n_stems=80))
+        vocab, _ = train_bpe(corpus, 150)
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        targets, contexts = sgns_pairs(store, window)
+        assert _pair_count(store, window) == len(targets)
+        batches = list(_pair_batches(store, window, size))
+        assert len(batches) == -(-len(targets) // size)
+        for i, (t_ids, c_ids) in enumerate(batches):
+            assert np.array_equal(t_ids, targets[i * size : (i + 1) * size])
+            assert np.array_equal(c_ids, contexts[i * size : (i + 1) * size])
+
+    def test_sentences_shorter_than_the_window(self):
+        vocab, store = _encode(["ab", "a", "abba ab"], ["a", "b", MARKER])
+        targets, contexts = sgns_pairs(store, 5)
+        batches = list(_pair_batches(store, 5, 4))
+        assert np.array_equal(np.concatenate([t for t, _ in batches]), targets)
+        assert np.array_equal(np.concatenate([c for _, c in batches]), contexts)
+        assert _pair_count(store, 5) == len(targets)
+
+
+def _sampler_reference(cdf, canon, u):
+    return canon[np.minimum(np.searchsorted(cdf, u), len(canon) - 1)]
+
+
+def _adversarial_draws(cdf, grids):
+    """Every bucket edge k/M of each grid, each cdf value, their float
+    neighbours on both sides, 0.0 and the largest double below 1."""
+    points = [cdf] + [np.arange(m + 1) / m for m in grids]
+    points = np.concatenate(points)
+    u = np.concatenate(
+        [points, np.nextafter(points, 0.0), np.nextafter(points, 2.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestNoiseSampler:
+    def _check(self, cdf, seed=0):
+        v = len(cdf)
+        canon = np.random.default_rng(seed).permutation(v).astype(np.int64)
+        sample = _NoiseSampler(cdf, canon)
+        # the sampler's own grid, the 4V grid, and a neighbouring power of two
+        grids = (sample.buckets, 4 * v, 2 * sample.buckets)
+        u = _adversarial_draws(cdf, grids)
+        assert np.array_equal(sample(u), _sampler_reference(cdf, canon, u))
+        draws = np.random.default_rng(seed).random((64, 15))
+        assert np.array_equal(sample(draws), _sampler_reference(cdf, canon, draws))
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 250, 750, 1250])
+    def test_matches_searchsorted_on_zipf_noise_with_zero_weights(self, v):
+        rng = np.random.default_rng(v)
+        weights = (1.0 / np.arange(1, v + 1)) ** 0.75
+        if v > 2:
+            # tokens that never occur: first, last, and a scattered few
+            weights[[0, v - 1, *rng.choice(v, v // 10)]] = 0.0
+        weights = rng.permutation(weights) if v > 3 else weights
+        if weights.sum() == 0:
+            weights[v // 2] = 1.0
+        self._check(np.cumsum(weights / weights.sum()), seed=v)
+
+    @pytest.mark.parametrize("v", [750, 1250])
+    def test_matches_searchsorted_with_cdf_on_bucket_edges(self, v):
+        # every cdf value sits on, or one ulp beside, an edge k/M of the
+        # 4V grid or of the power-of-two grid, where a rounded bucket
+        # index or edge would pick the neighbouring token
+        rng = np.random.default_rng(v)
+        grid_edges = [np.arange(1, m) / m for m in (4 * v, 1 << (4 * v - 1).bit_length())]
+        edges = np.concatenate(grid_edges)
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        cdf = np.sort(rng.choice(near, v - 1, replace=False))
+        self._check(np.append(cdf, np.nextafter(1.0, 0.0)), seed=v)
+
+    def test_most_draws_resolve_from_the_table(self):
+        weights = (1.0 / np.arange(1, 751)) ** 0.75
+        cdf = np.cumsum(weights / weights.sum())
+        sample = _NoiseSampler(cdf, np.arange(750, dtype=np.int64))
+        assert sample.buckets == 4096
+        assert np.mean(sample.table >= 0) > 0.75

@@ -33,11 +33,17 @@ _AUXILIARIES = ["is", "was", "are", "were", "has", "had"]
 _CONNECTIVES = ["and", "but", "or", "that", "which", "also", "not", "as"]
 
 
+def _pick(rng, seq):
+    # draws the same index as rng.choice(seq) and leaves the stream in the
+    # same state, without turning the list into an array on every call
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _make_syllables(rng, count):
     seen = []
     got = set()
     while len(seen) < count:
-        s = rng.choice(_ONSETS) + rng.choice(_NUCLEI) + rng.choice(_CODAS)
+        s = _pick(rng, _ONSETS) + _pick(rng, _NUCLEI) + _pick(rng, _CODAS)
         if 2 <= len(s) <= 5 and s not in got:
             got.add(s)
             seen.append(s)
@@ -52,7 +58,7 @@ def _make_stems(rng, count):
     seen = set()
     while len(stems) < count:
         n = 2 if rng.random() < 0.7 else (1 if rng.random() < 0.4 else 3)
-        stem = "".join(rng.choice(syllables) for _ in range(n))
+        stem = "".join(_pick(rng, syllables) for _ in range(n))
         if 3 <= len(stem) <= 14 and stem not in seen:
             seen.add(stem)
             stems.append(stem)
