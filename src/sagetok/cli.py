@@ -242,6 +242,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.window < 1:
+        raise ConfigError("window must be >= 1")
     vocab, _ = load_vocab(args.vocab)
     corpus = load_corpus(args.corpus, _policy(args))
     cv = encoder.compile(vocab)

@@ -289,7 +289,12 @@ class WordIndex:
         """A snapshot of every sentence encoded under the current segmentations."""
         flat, lengths = self.token_stream()
         ids = np.split(flat.astype(np.int32), np.cumsum(lengths)[:-1]) if len(lengths) else []
-        unks = [tuple(ch for w in self.sentence_types(s) for ch in self.unks[w]) for s in range(len(lengths))]
+        unks: list[tuple[str, ...]] = [()] * len(lengths)
+        # walk only the sentences holding a word type that absorbed characters
+        has_unk = np.fromiter(map(bool, self.unks), dtype=bool, count=len(self.unks))
+        positions = np.flatnonzero(has_unk[self.type_ids])
+        for s in sorted_unique(np.searchsorted(self.offsets, positions, side="right") - 1).tolist():
+            unks[s] = tuple(ch for w in self.sentence_types(s) for ch in self.unks[w])
         return SentenceStore(ids, unks, vocab_digest)
 
     def segment_without(self, token_id: int, cv) -> dict[int, list[int]]:

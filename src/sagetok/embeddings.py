@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +69,20 @@ class EmbedConfig:
 
 @dataclass
 class SkipGramTable:
-    """Target and context embedding matrices, one row per vocabulary id."""
+    """Target and context embedding matrices, one row per vocabulary id.
+
+    A table is not modified after :func:`train_embeddings` returns it:
+    ``pair_nll`` holds skipgram NLL terms computed from its rows and would
+    go stale. A new set of rows is a new table.
+    """
 
     target: np.ndarray
     context: np.ndarray
     dim: int
     window: int
     vocab_digest: str = ""
+    # flat V x V pair-term array, filled on demand by the objective module
+    pair_nll: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def rows(self) -> int:
         return self.target.shape[0]

@@ -11,10 +11,16 @@ frozen embedding tables.
 :func:`ablation_losses` scores the re-segmented sentences of consecutive
 candidates in one pass of up to ``_SCORE_BUDGET_TOKENS`` tokens, paying
 numpy's per-call cost once per batch. Per-sentence values do not depend
-on the grouping, so the budget never moves a score; it bounds memory. A
-pass gathers 2 x 8,192 x dim doubles, the size of the context-gradient
-buffer alone of one default embedding-training batch (1,024 pairs x 16
-rows), so scoring stays below training's transient whatever the dim.
+on the grouping, so the budget never moves a score; it bounds the size
+of one pass's index arrays.
+
+Under a fixed table every pair term depends only on the unordered id
+pair, so each is computed once and kept in the table's ``pair_nll``: one
+flat V x V double array, indexed ``min(a, b) * V + max(a, b)`` and
+filled as pairs are first seen. It is allocated zeroed, so only pages
+that get written take memory, and only its upper triangle is written:
+about 4 * V * (V + 1) bytes at most, 2.3 MB at V = 750 and 100 MB at
+V = 5,000.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SentenceStore, WordIndex, window_offsets
+from .corpus import SentenceStore, WordIndex, sorted_unique, window_offsets
 from .errors import VocabError
 from .vocab import Vocabulary, is_protected
 
-# tokens per batched scoring pass: a memory bound (see the module docstring)
+# tokens per batched scoring pass (see the module docstring)
 _SCORE_BUDGET_TOKENS = 8192
 # sentences per corpus_nll pass; above it the chunk sums set the total's low bits
 _CHUNK_SENTENCES = 4096
@@ -60,7 +66,9 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
 
     Pairs never cross sentence boundaries. Per-sentence sums are
     accumulated offset by offset in a fixed order, so results do not
-    depend on how sentences are grouped into batches.
+    depend on how sentences are grouped into batches. Each in-sentence
+    pair's term is read from the table's pair array (see
+    :func:`_pair_terms`).
     """
     if not sentences:
         return np.zeros(0, dtype=np.float64)
@@ -70,27 +78,54 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
     acc = np.zeros(len(sentences), dtype=np.longdouble)
     flat = np.concatenate(sentences) if len(sentences) > 1 else np.asarray(sentences[0])
     flat = flat.astype(np.int64, copy=False)
-    _check_ids(flat, table.target.shape[0])
+    rows = table.target.shape[0]
+    _check_ids(flat, rows)
     if len(flat) == 0:
         return acc.astype(np.float64)
     sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
-    tgt = table.target[flat]
-    ctx = table.context[flat]
+    owners: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     for delta, same in window_offsets(sent_of, window):
-        # target at i predicting context at i+delta, and the reverse; dot
-        # products on the shifted views, then only in-sentence pairs kept
-        fwd = np.einsum("ij,ij->i", tgt[:-delta], ctx[delta:])[same]
-        bwd = np.einsum("ij,ij->i", tgt[delta:], ctx[:-delta])[same]
-        vals = softplus(-fwd) + softplus(-bwd)
-        # widening first is exact and lets add.at take its same-dtype path
-        np.add.at(acc, sent_of[:-delta][same], vals.astype(np.longdouble))
+        # the pair of positions i and i + delta, keyed by its unordered ids
+        left, right = flat[:-delta][same], flat[delta:][same]
+        owners.append(sent_of[:-delta][same])
+        keys.append(np.minimum(left, right) * rows + np.maximum(left, right))
+    if keys:
+        terms = _pair_terms(table, np.concatenate(keys))
+        # add.at adds in index order, so one call over the offsets in turn
+        # adds as one call per offset would; widening first is exact and
+        # lets add.at take its same-dtype path
+        np.add.at(acc, np.concatenate(owners), terms.astype(np.longdouble))
     return acc.astype(np.float64)
 
 
-def sentence_nll(ids, table, window: int) -> float:
-    """NLL of one sentence; zero when it has fewer than two tokens."""
-    arr = np.asarray(ids, dtype=np.int64)
-    return float(batched_sentence_nll([arr], table, window)[0])
+def _pair_terms(table, keys: np.ndarray) -> np.ndarray:
+    """The term ``softplus(-t_a.c_b) + softplus(-t_b.c_a)`` of each key
+    ``a * V + b`` (``a <= b``), read from ``table.pair_nll`` after
+    computing the entries not there yet.
+
+    An entry of 0.0 means "not computed": a term that really is 0.0 is
+    recomputed to the same bits. numpy's row dot products and
+    ``softplus`` give a row or element the same bits whatever batch it is
+    computed in, and the two halves of a term commute, so a term read
+    here equals the one the pair's own gathered rows would give
+    (``tests/test_objective.py::TestPairTermArray`` holds the scorer to
+    that oracle).
+    """
+    rows = table.target.shape[0]
+    if table.pair_nll is None:
+        table.pair_nll = np.zeros(rows * rows, dtype=np.float64)
+    cache = table.pair_nll
+    vals = cache[keys]
+    missing = keys[vals == 0.0]
+    if len(missing):
+        missing = sorted_unique(missing)
+        a, b = np.divmod(missing, rows)
+        fwd = np.einsum("ij,ij->i", table.target[a], table.context[b])
+        bwd = np.einsum("ij,ij->i", table.target[b], table.context[a])
+        cache[missing] = softplus(-fwd) + softplus(-bwd)
+        vals = cache[keys]
+    return vals
 
 
 def corpus_nll(store: SentenceStore, table, window: int, nll: np.ndarray) -> float:

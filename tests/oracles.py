@@ -97,6 +97,39 @@ def nll_oracle(ids, target, context, window):
     return total
 
 
+def gathered_sentence_nll(sentences, table, window):
+    """Per-sentence NLL that recomputes every pair term from gathered rows.
+
+    The batched scorer's arithmetic without its pair-term array: gather
+    each position's target and context rows, take the dot products of
+    the positions ``delta`` apart for ``delta`` = 1..window, and add each
+    in-sentence pair's two ``softplus`` terms to its sentence, offset by
+    offset, into an extended-precision accumulator. The scorer must equal
+    it bit for bit.
+    """
+    import numpy as np
+
+    def softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    acc = np.zeros(len(sentences), dtype=np.longdouble)
+    if not sentences:
+        return acc.astype(np.float64)
+    flat = np.concatenate(sentences).astype(np.int64)
+    sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    tgt = table.target[flat]
+    ctx = table.context[flat]
+    for delta in range(1, window + 1):
+        same = sent_of[:-delta] == sent_of[delta:]
+        if not same.any():
+            break
+        fwd = np.einsum("ij,ij->i", tgt[:-delta], ctx[delta:])[same]
+        bwd = np.einsum("ij,ij->i", tgt[delta:], ctx[:-delta])[same]
+        vals = softplus(-fwd) + softplus(-bwd)
+        np.add.at(acc, sent_of[:-delta][same], vals.astype(np.longdouble))
+    return acc.astype(np.float64)
+
+
 def pair_count(ids, window):
     """Ordered in-window pair count of one sentence."""
     n = len(ids)

@@ -300,6 +300,18 @@ class TestAnalyzeCommand:
         # UNK emissions count as tokens but never enter the token table
         assert "¤" not in vocab and stats.total_tokens < total_tokens
 
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_window_below_one_exits_2_before_outdir(self, tmp_path, corpus_file, capsys, window):
+        vocab_path = tmp_path / "v.vocab"
+        main(["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "70", "--out", str(vocab_path)])
+        capsys.readouterr()
+        outdir = tmp_path / "reports"
+        rc = main(["analyze", "--vocab", str(vocab_path), "--corpus", str(corpus_file),
+                   "--outdir", str(outdir), "--window", window])
+        assert rc == 2
+        assert "window must be >= 1" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_cross_domain_pairing(self, tmp_path, corpus_file):
         # vocabulary from one corpus, statistics over another
         other = tmp_path / "other.txt"

@@ -154,6 +154,23 @@ class TestBuildIndex:
         assert store.unk_chars == [tuple(p[1] for p in ps if isinstance(p, tuple)) for ps in pieces]
         assert any(store.unk_chars)
 
+    @pytest.mark.parametrize("unk_share", [0, 4])
+    def test_store_unk_chars_equal_full_sentence_walk(self, unk_share):
+        # the store walks only sentences holding a type with UNK characters;
+        # every sentence's entry equals the walk over all of them
+        lines = generate_corpus(120, seed=13, n_stems=80)
+        chars = sorted({ch for line in lines for ch in MARKER + line.replace(" ", "")})
+        if unk_share:
+            lines = [l + " q¤z" if i % unk_share == 0 else l for i, l in enumerate(lines)]
+        corpus = RawCorpus.from_lines(lines)
+        index = build_index(corpus, encoder.compile(Vocabulary(chars)))
+        walked = [
+            tuple(ch for w in index.sentence_types(s) for ch in index.unks[w])
+            for s in range(len(corpus))
+        ]
+        assert index.store("x").unk_chars == walked
+        assert any(walked) == bool(unk_share)
+
 
 def _setup_encoded(corpus_lines, extra_tokens, seed=0):
     corpus = RawCorpus.from_lines(corpus_lines)

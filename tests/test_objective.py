@@ -13,45 +13,49 @@ from sagetok.objective import (
     attach_nll_cache,
     batched_sentence_nll,
     corpus_nll,
-    sentence_nll,
     softplus,
 )
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
 from conftest import random_table, zero_table
-from oracles import nll_oracle, pair_count
+from oracles import gathered_sentence_nll, nll_oracle, pair_count
 from textgen import generate_corpus
+
+
+def one_sentence_nll(ids, table, window):
+    """NLL of one sentence scored as a batch of one."""
+    return float(batched_sentence_nll([np.asarray(ids, dtype=np.int64)], table, window)[0])
 
 
 class TestSentenceNll:
     def test_single_token_no_pairs(self):
         table = zero_table(4, 3)
-        assert sentence_nll(np.array([2]), table, 5) == 0.0
+        assert one_sentence_nll(np.array([2]), table, 5) == 0.0
 
     def test_zero_embeddings_forced_value(self):
         table = zero_table(4, 3)
-        val = sentence_nll(np.array([0, 1, 2]), table, 1)
+        val = one_sentence_nll(np.array([0, 1, 2]), table, 1)
         assert val == 4 * math.log(2)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
         table = random_table(10, 5, rng)
         ids = rng.integers(0, 10, size=6)
-        got = sentence_nll(ids, table, 2)
+        got = one_sentence_nll(ids, table, 2)
         want = nll_oracle(list(ids), table.target, table.context, 2)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_id_out_of_bounds(self):
         table = zero_table(3, 2)
         with pytest.raises(VocabError):
-            sentence_nll(np.array([0, 5]), table, 1)
+            one_sentence_nll(np.array([0, 5]), table, 1)
 
     def test_window_truncated_at_ends(self):
         rng = np.random.default_rng(1)
         table = random_table(6, 4, rng)
         ids = rng.integers(0, 6, size=4)
-        wide = sentence_nll(ids, table, 50)
-        full = sentence_nll(ids, table, 3)
+        wide = one_sentence_nll(ids, table, 50)
+        full = one_sentence_nll(ids, table, 3)
         assert wide == pytest.approx(full, abs=1e-12)
 
 
@@ -109,7 +113,7 @@ class TestCorpusNll:
         nll, total = attach_nll_cache(self._store(id_lists), table, 2)
         assert total == pytest.approx(float(np.sum(nll)), rel=1e-12)
         for s, ids in enumerate(id_lists):
-            assert nll[s] == pytest.approx(sentence_nll(np.asarray(ids), table, 2), abs=1e-12)
+            assert nll[s] == pytest.approx(one_sentence_nll(np.asarray(ids), table, 2), abs=1e-12)
 
 
 def _ablation_setup(lines, extras, seed=0, window=2, dim=5):
@@ -238,6 +242,83 @@ class TestAblationLosses:
         ids = [vocab.id_of["ab"], vocab.id_of["a"]]
         with pytest.raises(VocabError):
             ablation_losses(ids, nll, index, vocab, table, cv, 2)
+
+
+def _zipf_sentences(rng, rows, tokens):
+    """Sentences of 1 to 30 ids, Zipf-distributed so that pairs repeat,
+    holding at least ``tokens`` ids in all."""
+    sentences, total = [], 0
+    while total < tokens:
+        ids = (rng.zipf(1.3, size=int(rng.integers(1, 31))) - 1) % rows
+        sentences.append(ids.astype(np.int32))
+        total += len(ids)
+    return sentences
+
+
+class TestPairTermArray:
+    """The scorer reads each pair's term from the table's pair array; every
+    result must equal the gather-and-recompute oracle bit for bit."""
+
+    def test_workload_shaped_batch(self):
+        rng = np.random.default_rng(21)
+        table = random_table(750, 50, rng, scale=0.3)
+        batches = [_zipf_sentences(rng, 750, 8192) for _ in range(3)]
+        for batch in batches + batches:
+            assert np.array_equal(batched_sentence_nll(batch, table, 5), gathered_sentence_nll(batch, table, 5))
+        assert np.count_nonzero(table.pair_nll) > 1000
+
+    def test_both_orders_self_pairs_and_last_id(self):
+        rng = np.random.default_rng(22)
+        rows = 12
+        table = random_table(rows, 7, rng)
+        a, b, last = 3, 8, rows - 1
+        sentences = [np.array(s) for s in (
+            [a, a], [a, b], [b, a], [last, a], [a, last], [last, last], [b, last, a, a, last, b],
+        )]
+        for window in (1, 3):
+            one_by_one = [one_sentence_nll(s, table, window) for s in sentences]
+            together = batched_sentence_nll(sentences, table, window)
+            assert np.array_equal(together, gathered_sentence_nll(sentences, table, window))
+            assert together.tolist() == one_by_one
+            assert together[1] == together[2] and together[3] == together[4]
+
+    def test_terms_that_underflow_to_zero(self):
+        # dot products above ~745 make both softplus terms exactly 0.0; such
+        # an entry reads as "not computed" and is recomputed to the same bits
+        rng = np.random.default_rng(23)
+        table = random_table(20, 4, rng)
+        table.target[:5] = 30.0
+        table.context[:5] = 30.0
+        sentences = [rng.integers(0, 20, size=9) for _ in range(40)] + [np.array([0, 1, 2, 3, 4])]
+        for _ in range(2):
+            got = batched_sentence_nll(sentences, table, 3)
+            assert np.array_equal(got, gathered_sentence_nll(sentences, table, 3))
+        assert got[-1] == 0.0
+        assert table.pair_nll[0 * 20 + 1] == 0.0
+
+    def test_tables_of_equal_shape_scored_alternately(self):
+        rng = np.random.default_rng(24)
+        first, second = random_table(40, 6, rng), random_table(40, 6, rng)
+        batch = _zipf_sentences(rng, 40, 500)
+        for table in (first, second, first, second):
+            assert np.array_equal(batched_sentence_nll(batch, table, 4), gathered_sentence_nll(batch, table, 4))
+        assert not np.array_equal(batched_sentence_nll(batch, first, 4), batched_sentence_nll(batch, second, 4))
+
+    def test_table_restored_from_checkpoint(self, tmp_path):
+        from sagetok.embeddings import EmbedConfig
+        from sagetok.sage import SageConfig, init_state, load_checkpoint, prune_iteration, save_checkpoint
+
+        corpus = RawCorpus.from_lines(generate_corpus(60, seed=25, n_stems=60))
+        cfg = SageConfig(final_size=60, overshoot=1.4, prune_batch=4, recalc_period=2, candidate_pool=16,
+                         window=3, embed=EmbedConfig(dim=6, window=3, negatives=3, epochs=1, seed=5))
+        state = prune_iteration(init_state(corpus, cfg), cfg)
+        path = tmp_path / "run.ckpt.npz"
+        save_checkpoint(state, cfg, corpus, path)
+        resumed = load_checkpoint(path, corpus, cfg)
+        assert resumed.table.pair_nll is not state.table.pair_nll
+        store = resumed.index.store(resumed.vocab.digest())
+        assert np.array_equal(resumed.nll, gathered_sentence_nll(store.ids, resumed.table, cfg.window))
+        assert np.array_equal(resumed.nll, state.nll)
 
 
 class TestSoftplus:
