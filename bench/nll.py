@@ -10,8 +10,10 @@ Each case's inputs are built once by this checkout and saved: seeded
 embedding table, so both sides score the same ids under the same rows.
 Each measurement runs in a fresh process: it loads the inputs, times the
 calls with ``time.perf_counter`` and reads its peak RSS from
-``resource.getrusage``. The two sides alternate, and the record keeps
-every run, the median seconds, the peak RSS and a digest of the NLL (and
+``resource.getrusage``, then repeats the calls untimed on a fresh table
+under ``tracemalloc`` for the scoring's own peak allocation (the process
+peak is mostly the inputs). The two sides alternate, and the record keeps
+every run, the median seconds, both peaks and a digest of the NLL (and
 loss) arrays of each side.
 
 The cases:
@@ -28,6 +30,13 @@ The cases:
   then a repeat such as a resume or a later full pass makes. The table
   is seeded normal rows (scale 0.1), not trained: scoring reads the rows
   and does the same work whatever their values.
+* ``attach-v20k``: the same at 100k lines with BPE to V=20,000, the
+  initial vocabulary of the README's ``train-sage --vocab-size 16000``.
+
+Attach cases also record ``pair_terms``, the pair terms one pass adds,
+and ``distinct_pairs``, the unordered id pairs among them: a first pass
+computes only the distinct ones, so ``1 - distinct_pairs / pair_terms``
+is the share of terms it reads back rather than computes.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from common import ROOT, alternate, export, header, run_child, same_digest
@@ -52,6 +62,7 @@ CASES = (
     ("sage-ablation", 250, 7001, 1500, 1.3, 750, {"dim": 50, "window": 2, "negatives": 15, "epochs": 1, "seed": 1}),
     ("attach-20k", 20_000, 7001, 12500, 1.15, 2500, None),
     ("attach-100k", 100_000, 7001, 62500, 1.15, 5000, None),
+    ("attach-v20k", 100_000, 7001, 62500, 1.15, 20000, None),
 )
 
 
@@ -71,33 +82,50 @@ def _child(src: str, kind: str, inputs: str) -> dict:
 
     with np.load(inputs) as data:
         vocab = Vocabulary([str(t) for t in data["tokens"]])
-        table = SkipGramTable(data["target"], data["context"], data["target"].shape[1], WINDOW, vocab.digest())
+        rows = data["target"], data["context"]
         if kind == "ablation":
             lines = [str(line) for line in data["lines"]]
         else:
             ids = np.split(data["ids"], np.cumsum(data["lengths"])[:-1])
+
+    def table():
+        return SkipGramTable(*rows, rows[0].shape[1], WINDOW, vocab.digest())
+
     if kind == "ablation":
         cv = encoder.compile(vocab)
         index = build_index(RawCorpus.from_lines(lines), cv)
-        nll, _ = attach_nll_cache(index.store(vocab.digest()), table, WINDOW)
+        store = index.store(vocab.digest())
         candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-        t0 = time.perf_counter()
-        losses = ablation_losses(candidates, nll, index, vocab, table, cv, WINDOW)
-        seconds = {"seconds": time.perf_counter() - t0}
-        digest = _digest(nll, np.array([r.loss for r in losses]))
+
+        def score(table) -> tuple[dict, str]:
+            nll, _ = attach_nll_cache(store, table, WINDOW)
+            t0 = time.perf_counter()
+            losses = ablation_losses(candidates, nll, index, vocab, table, cv, WINDOW)
+            seconds = {"seconds": time.perf_counter() - t0}
+            return seconds, _digest(nll, np.array([r.loss for r in losses]))
     else:
         store = SentenceStore(ids, [() for _ in ids], vocab.digest())
-        t0 = time.perf_counter()
-        first, first_total = attach_nll_cache(store, table, WINDOW)
-        t1 = time.perf_counter()
-        again, again_total = attach_nll_cache(store, table, WINDOW)
-        t2 = time.perf_counter()
-        if not np.array_equal(first, again) or first_total != again_total:
-            raise SystemExit("bench: a repeated attach_nll_cache gave other values")
-        seconds = {"seconds": t1 - t0, "repeat_seconds": t2 - t1}
-        digest = _digest(first, np.array([first_total]))
+
+        def score(table) -> tuple[dict, str]:
+            t0 = time.perf_counter()
+            first, first_total = attach_nll_cache(store, table, WINDOW)
+            t1 = time.perf_counter()
+            again, again_total = attach_nll_cache(store, table, WINDOW)
+            t2 = time.perf_counter()
+            if not np.array_equal(first, again) or first_total != again_total:
+                raise SystemExit("bench: a repeated attach_nll_cache gave other values")
+            return {"seconds": t1 - t0, "repeat_seconds": t2 - t1}, _digest(first, np.array([first_total]))
+
+    seconds, digest = score(table())
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {**seconds, "peak_rss_mb": peak_kb / 1024, "digest": digest}
+    # the process peak is mostly the inputs; the scoring's own peak comes
+    # from a second, untimed run on a fresh table under tracemalloc, which
+    # sees numpy's array allocations
+    tracemalloc.start()
+    score(table())
+    scoring_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {**seconds, "peak_rss_mb": peak_kb / 1024, "scoring_peak_mb": scoring_peak / 2**20, "digest": digest}
 
 
 def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int, sgns) -> dict:
@@ -125,8 +153,26 @@ def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float,
         arrays.update(target=rng.normal(0.0, 0.1, (len(vocab), 50)), context=rng.normal(0.0, 0.1, (len(vocab), 50)),
                       ids=np.concatenate(store.ids), lengths=lengths)
     np.savez(path, **arrays)
-    return {"vocab": len(vocab), "sentences": len(lengths), "tokens": int(lengths.sum()),
-            "pairs": 2 * sum(int((lengths - d).clip(0).sum()) for d in range(1, WINDOW + 1))}
+    shape = {"vocab": len(vocab), "sentences": len(lengths), "tokens": int(lengths.sum()),
+             "pairs": 2 * sum(int((lengths - d).clip(0).sum()) for d in range(1, WINDOW + 1))}
+    if sgns is None:
+        shape.update(pair_terms=shape["pairs"] // 2, distinct_pairs=_distinct_pairs(store.ids, len(vocab)))
+    return shape
+
+
+def _distinct_pairs(sentences, rows: int) -> int:
+    """Distinct unordered id pairs within ``WINDOW`` positions of each other
+    in one sentence."""
+    import numpy as np
+
+    ids = np.concatenate(sentences).astype(np.int64)
+    sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    seen = np.zeros(0, dtype=np.int64)
+    for delta in range(1, WINDOW + 1):
+        same = sent_of[:-delta] == sent_of[delta:]
+        left, right = ids[:-delta][same], ids[delta:][same]
+        seen = np.union1d(seen, np.minimum(left, right) * rows + np.maximum(left, right))
+    return len(seen)
 
 
 def _summary(runs: list[dict]) -> dict:
@@ -137,7 +183,8 @@ def _summary(runs: list[dict]) -> dict:
             values = [r[key] for r in runs]
             out[f"{key}_median"] = statistics.median(values)
             out[key] = values
-    return {**out, "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs), "digest": digest}
+    return {**out, "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs),
+            "scoring_peak_mb_max": max(r["scoring_peak_mb"] for r in runs), "digest": digest}
 
 
 def main(argv: list[str]) -> int:
@@ -176,6 +223,8 @@ def main(argv: list[str]) -> int:
             print(f"{name}: {case['base']['seconds_median']:.3f} s -> "
                   f"{case['change']['seconds_median']:.3f} s, peak RSS "
                   f"{case['base']['peak_rss_mb_max']:.0f} -> {case['change']['peak_rss_mb_max']:.0f} MB, "
+                  f"scoring peak {case['base']['scoring_peak_mb_max']:.0f} -> "
+                  f"{case['change']['scoring_peak_mb_max']:.0f} MB, "
                   f"identical={case['identical_output']}", file=sys.stderr)
             record["cases"].append(case)
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

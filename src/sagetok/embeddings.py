@@ -72,8 +72,8 @@ class SkipGramTable:
     """Target and context embedding matrices, one row per vocabulary id.
 
     A table is not modified after :func:`train_embeddings` returns it:
-    ``pair_nll`` holds skipgram NLL terms computed from its rows and would
-    go stale. A new set of rows is a new table.
+    ``pair_terms`` holds skipgram NLL terms computed from its rows and
+    would go stale. A new set of rows is a new table.
     """
 
     target: np.ndarray
@@ -81,8 +81,8 @@ class SkipGramTable:
     dim: int
     window: int
     vocab_digest: str = ""
-    # flat V x V pair-term array, filled on demand by the objective module
-    pair_nll: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    # objective.PairTerms, filled on demand by the objective module
+    pair_terms: object = field(default=None, init=False, compare=False, repr=False)
 
     def rows(self) -> int:
         return self.target.shape[0]

@@ -15,12 +15,14 @@ on the grouping, so the budget never moves a score; it bounds the size
 of one pass's index arrays.
 
 Under a fixed table every pair term depends only on the unordered id
-pair, so each is computed once and kept in the table's ``pair_nll``: one
-flat V x V double array, indexed ``min(a, b) * V + max(a, b)`` and
-filled as pairs are first seen. It is allocated zeroed, so only pages
-that get written take memory, and only its upper triangle is written:
-about 4 * V * (V + 1) bytes at most, 2.3 MB at V = 750 and 100 MB at
-V = 5,000.
+pair, so each is computed once and kept in the table's ``pair_terms``, a
+:class:`PairTerms` hash keyed by ``min(a, b) * V + max(a, b)``. Its size
+follows the distinct pairs scored, not V: two 8-byte arrays at most half
+full, and more than a quarter full once they have grown, so 32 to 64
+bytes per distinct pair, and half as much again while they double.
+Measured by ``bench/nll.py`` at V = 20,000 (100k textgen lines, 1.7
+million distinct pairs), two passes over the corpus peak at 137 MB of
+numpy allocations, against 56 MB when every term was recomputed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from .vocab import Vocabulary, is_protected
 _SCORE_BUDGET_TOKENS = 8192
 # sentences per corpus_nll pass; above it the chunk sums set the total's low bits
 _CHUNK_SENTENCES = 4096
+# new pair terms computed per block, so that each block's four gathered
+# row blocks stay in cache: at V = 20,000 and dim 50, 1.2 million new pairs
+# took 0.75 s in one block and 0.28 s in blocks of 4,096 (2-core Xeon);
+# a row's dot product has the same bits in any block
+_TERM_BLOCK = 4096
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -67,7 +74,7 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
     Pairs never cross sentence boundaries. Per-sentence sums are
     accumulated offset by offset in a fixed order, so results do not
     depend on how sentences are grouped into batches. Each in-sentence
-    pair's term is read from the table's pair array (see
+    pair's term is read from the table's pair-term store (see
     :func:`_pair_terms`).
     """
     if not sentences:
@@ -101,31 +108,104 @@ def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.
 
 def _pair_terms(table, keys: np.ndarray) -> np.ndarray:
     """The term ``softplus(-t_a.c_b) + softplus(-t_b.c_a)`` of each key
-    ``a * V + b`` (``a <= b``), read from ``table.pair_nll`` after
-    computing the entries not there yet.
+    ``a * V + b`` (``a <= b``), read from ``table.pair_terms`` after
+    computing and storing the keys not there yet.
 
-    An entry of 0.0 means "not computed": a term that really is 0.0 is
-    recomputed to the same bits. numpy's row dot products and
-    ``softplus`` give a row or element the same bits whatever batch it is
-    computed in, and the two halves of a term commute, so a term read
-    here equals the one the pair's own gathered rows would give
-    (``tests/test_objective.py::TestPairTermArray`` holds the scorer to
-    that oracle).
+    numpy's row dot products and ``softplus`` give a row or element the
+    same bits whatever batch it is computed in, and the two halves of a
+    term commute, so a term read here equals the one the pair's own
+    gathered rows would give (``tests/test_objective.py::TestPairTerms``
+    holds the scorer to that oracle).
     """
-    rows = table.target.shape[0]
-    if table.pair_nll is None:
-        table.pair_nll = np.zeros(rows * rows, dtype=np.float64)
-    cache = table.pair_nll
-    vals = cache[keys]
-    missing = keys[vals == 0.0]
-    if len(missing):
-        missing = sorted_unique(missing)
-        a, b = np.divmod(missing, rows)
-        fwd = np.einsum("ij,ij->i", table.target[a], table.context[b])
-        bwd = np.einsum("ij,ij->i", table.target[b], table.context[a])
-        cache[missing] = softplus(-fwd) + softplus(-bwd)
-        vals = cache[keys]
+    if table.pair_terms is None:
+        table.pair_terms = PairTerms()
+    store = table.pair_terms
+    slot, absent = store.find(keys)
+    vals = store.terms[slot]
+    if len(absent):
+        missing = keys[absent]
+        new = sorted_unique(missing)
+        terms = np.empty(len(new), dtype=np.float64)
+        for start in range(0, len(new), _TERM_BLOCK):
+            a, b = np.divmod(new[start : start + _TERM_BLOCK], table.target.shape[0])
+            fwd = np.einsum("ij,ij->i", table.target[a], table.context[b])
+            bwd = np.einsum("ij,ij->i", table.target[b], table.context[a])
+            terms[start : start + _TERM_BLOCK] = softplus(-fwd) + softplus(-bwd)
+        store.add(new, terms)
+        slot, _ = store.find(missing)
+        vals[absent] = store.terms[slot]
     return vals
+
+
+# 2**64 / golden ratio: multiplicative (Fibonacci) hashing of pair keys
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+class PairTerms:
+    """Pair keys and their NLL terms in an open-addressing hash: one
+    array of keys (-1 marks a free slot) and one of terms, a power of two
+    long and kept at most half full, with linear probing from each key's
+    Fibonacci-hashed home slot. Lookups and inserts are vectorized: one
+    numpy pass per probe step, over the keys still probing.
+    """
+
+    def __init__(self) -> None:
+        self.bits = 12
+        self.keys = np.full(1 << self.bits, -1, dtype=np.int64)
+        self.terms = np.zeros(1 << self.bits, dtype=np.float64)
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        # uint64 products wrap; the top ``bits`` bits pick the slot
+        home = keys.astype(np.uint64)
+        home *= _GOLDEN
+        home >>= np.uint64(64 - self.bits)
+        return home.view(np.int64)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's slot, and the positions of the keys not stored (whose
+        slot is a free one)."""
+        mask = len(self.keys) - 1
+        slot = self._home(keys)
+        todo = np.flatnonzero(self.keys[slot] != keys)
+        absent = [todo[:0]]
+        while len(todo):
+            free = self.keys[slot[todo]] == -1
+            absent.append(todo[free])
+            todo = todo[~free]
+            slot[todo] = (slot[todo] + 1) & mask
+            todo = todo[self.keys[slot[todo]] != keys[todo]]
+        return slot, np.concatenate(absent)
+
+    def add(self, keys: np.ndarray, terms: np.ndarray) -> None:
+        """Store ``terms`` under ``keys``: distinct keys, none stored yet."""
+        self.count += len(keys)
+        if 2 * self.count > len(self.keys):
+            live = self.keys != -1
+            old_keys, old_terms = self.keys[live], self.terms[live]
+            while 2 * self.count > 1 << self.bits:
+                self.bits += 1
+            self.keys = np.full(1 << self.bits, -1, dtype=np.int64)
+            self.terms = np.zeros(1 << self.bits, dtype=np.float64)
+            self._place(old_keys, old_terms)
+        self._place(keys, terms)
+
+    def _place(self, keys: np.ndarray, terms: np.ndarray) -> None:
+        mask = len(self.keys) - 1
+        slot = self._home(keys)
+        todo = np.arange(len(keys))
+        while len(todo):
+            at = slot[todo]
+            free = self.keys[at] == -1
+            # keys sharing a free slot all write it; one of them lands
+            self.keys[at[free]] = keys[todo[free]]
+            placed = self.keys[at] == keys[todo]
+            self.terms[at[placed]] = terms[todo[placed]]
+            todo = todo[~placed]
+            slot[todo] = (slot[todo] + 1) & mask
 
 
 def corpus_nll(store: SentenceStore, table, window: int, nll: np.ndarray) -> float:

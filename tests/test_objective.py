@@ -255,9 +255,9 @@ def _zipf_sentences(rng, rows, tokens):
     return sentences
 
 
-class TestPairTermArray:
-    """The scorer reads each pair's term from the table's pair array; every
-    result must equal the gather-and-recompute oracle bit for bit."""
+class TestPairTerms:
+    """The scorer reads each pair's term from the table's pair-term store;
+    every result must equal the gather-and-recompute oracle bit for bit."""
 
     def test_workload_shaped_batch(self):
         rng = np.random.default_rng(21)
@@ -265,7 +265,7 @@ class TestPairTermArray:
         batches = [_zipf_sentences(rng, 750, 8192) for _ in range(3)]
         for batch in batches + batches:
             assert np.array_equal(batched_sentence_nll(batch, table, 5), gathered_sentence_nll(batch, table, 5))
-        assert np.count_nonzero(table.pair_nll) > 1000
+        assert len(table.pair_terms) > 1000
 
     def test_both_orders_self_pairs_and_last_id(self):
         rng = np.random.default_rng(22)
@@ -283,8 +283,8 @@ class TestPairTermArray:
             assert together[1] == together[2] and together[3] == together[4]
 
     def test_terms_that_underflow_to_zero(self):
-        # dot products above ~745 make both softplus terms exactly 0.0; such
-        # an entry reads as "not computed" and is recomputed to the same bits
+        # dot products above ~745 make both softplus terms exactly 0.0, and
+        # a stored 0.0 must read back as the term
         rng = np.random.default_rng(23)
         table = random_table(20, 4, rng)
         table.target[:5] = 30.0
@@ -294,7 +294,8 @@ class TestPairTermArray:
             got = batched_sentence_nll(sentences, table, 3)
             assert np.array_equal(got, gathered_sentence_nll(sentences, table, 3))
         assert got[-1] == 0.0
-        assert table.pair_nll[0 * 20 + 1] == 0.0
+        slot, absent = table.pair_terms.find(np.array([0 * 20 + 1]))
+        assert len(absent) == 0 and table.pair_terms.terms[slot[0]] == 0.0
 
     def test_tables_of_equal_shape_scored_alternately(self):
         rng = np.random.default_rng(24)
@@ -315,10 +316,66 @@ class TestPairTermArray:
         path = tmp_path / "run.ckpt.npz"
         save_checkpoint(state, cfg, corpus, path)
         resumed = load_checkpoint(path, corpus, cfg)
-        assert resumed.table.pair_nll is not state.table.pair_nll
+        assert resumed.table.pair_terms is not state.table.pair_terms
         store = resumed.index.store(resumed.vocab.digest())
         assert np.array_equal(resumed.nll, gathered_sentence_nll(store.ids, resumed.table, cfg.window))
         assert np.array_equal(resumed.nll, state.nll)
+
+
+    def test_large_vocabulary_scores_without_v_squared_memory(self):
+        # V = 40,000: a dense V x V store would be 12.8 GB; the store must
+        # grow with the distinct pairs scored instead
+        import tracemalloc
+
+        rng = np.random.default_rng(26)
+        rows = 40_000
+        table = random_table(rows, 4, rng)
+        batch = [rng.integers(0, rows, size=int(rng.integers(2, 40))) for _ in range(300)]
+        batch.append(np.array([rows - 1, 0, rows - 1, rows - 2]))
+        tracemalloc.start()
+        try:
+            got = batched_sentence_nll(batch, table, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.array_equal(got, gathered_sentence_nll(batch, table, 5))
+
+
+class TestPairTermStore:
+    def test_growth_keeps_every_key(self):
+        from sagetok.objective import PairTerms
+
+        rng = np.random.default_rng(27)
+        store = PairTerms()
+        keys = rng.permutation(10**7)[:50_000].astype(np.int64)
+        terms = rng.random(len(keys))
+        for part in np.array_split(np.arange(len(keys)), 7):
+            store.add(keys[part], terms[part])
+            seen = keys[: part[-1] + 1]
+            slot, absent = store.find(seen)
+            assert len(absent) == 0
+            assert np.array_equal(store.terms[slot], terms[: part[-1] + 1])
+            assert 2 * len(store) <= len(store.keys)
+        slot, absent = store.find(np.array([-5 + 10**7, keys[0], 10**7 + 3]))
+        assert absent.tolist() == [0, 2]
+        assert store.terms[slot[1]] == terms[0]
+
+    def test_keys_sharing_a_home_slot_in_one_batch(self):
+        # many new keys race for one free slot; each must land on its own
+        from sagetok.objective import PairTerms
+
+        store = PairTerms()
+        pool = np.arange(200_000, dtype=np.int64)
+        homes = store._home(pool)
+        keys = pool[homes == homes[0]][:40]
+        assert len(keys) == 40
+        terms = np.arange(len(keys), dtype=np.float64) + 0.5
+        store.add(keys, terms)
+        slot, absent = store.find(keys[::-1])
+        assert len(absent) == 0
+        assert np.array_equal(store.terms[slot], terms[::-1])
+        assert len(set(slot.tolist())) == len(keys)
 
 
 class TestSoftplus:
