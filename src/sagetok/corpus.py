@@ -11,10 +11,15 @@ type's segmentation under a compiled vocabulary. The encoder, the SaGe
 trainer and the unigram trainer all segment through it. Pruning uses two
 steps on it: ``WordIndex.segment_without`` (pure: how the types holding a
 token would segment without it) and ``WordIndex.resegment`` (mutating:
-re-segment them after the token is removed). ``retokenize_sentences``
-applies a removal to the index and rescores, in a per-sentence NLL
-array, only the sentences that held a removed token. A ``SentenceStore``
-is a read-only snapshot of the whole corpus as id arrays, built from the
+re-segment them after the token is removed). ``WordIndex.gather`` turns
+any run of sentences into one flat id array and per-sentence lengths in
+a few numpy passes, optionally with per-sentence segmentation overrides
+(the candidates of ablation scoring). ``retokenize_sentences`` applies a
+removal to the index and rescores, in a per-sentence NLL array, only the
+sentences that held a removed token; it reports every token found in
+those sentences, before or after, so callers can tell which cached
+ablation losses the removal may have changed. A ``SentenceStore`` is a
+read-only snapshot of the whole corpus as id arrays, built from the
 index when every sentence is needed at once.
 """
 
@@ -137,7 +142,8 @@ class SentenceStore:
     """Corpus as token-id sequences under one vocabulary: a snapshot.
 
     Holds, per sentence, the encoded id array and the characters absorbed
-    by UNK tokens (in emission order, for exact round-trips).
+    by UNK tokens (in emission order, so that a sentence can be decoded
+    back exactly; ``tests/oracles.py`` holds the decoder).
     ``vocab_digest`` is the digest of the full vocabulary the ids index
     into. Nothing changes a store after it is built.
     """
@@ -155,30 +161,6 @@ class SentenceStore:
     def total_tokens(self) -> int:
         return sum(len(a) for a in self.ids)
 
-    def decode_words(self, sentence: int, vocab: Vocabulary) -> tuple[str, ...]:
-        """Reconstruct the pretokenized words of one sentence.
-
-        A new word starts at every marker-initial token. UNK ids are
-        replaced by their recorded source characters.
-        """
-        unk_iter = iter(self.unk_chars[sentence])
-        words: list[str] = []
-        for token_id in self.ids[sentence]:
-            if token_id == vocab.unk_id:
-                piece = next(unk_iter)
-            else:
-                piece = vocab.tokens[token_id]
-            if piece.startswith(MARKER) and token_id != vocab.unk_id:
-                words.append(piece)
-            elif words:
-                words[-1] += piece
-            else:
-                words.append(piece)
-        return tuple(words)
-
-    def decode_line(self, sentence: int, vocab: Vocabulary) -> str:
-        return " ".join(w[1:] if w.startswith(MARKER) else w for w in self.decode_words(sentence, vocab))
-
 
 class WordIndex:
     """A corpus as word types, each segmented under one compiled vocabulary.
@@ -193,9 +175,13 @@ class WordIndex:
     types whose segmentation holds it (kept in step with ``segs`` once
     built; UNK is not indexed). A token's sentences and corpus frequency
     are derived from these, so there is nothing else to keep in step.
+    ``gather`` reads the segmentations in flat form (every type's ids in
+    one array, with each type's start and length), built on first use
+    after a segmentation changes.
     """
 
-    __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unks", "unk_id", "_type_sentences", "_postings")
+    __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unks", "unk_id",
+                 "_type_sentences", "_postings", "_flat")
 
     def __init__(self, types, counts, type_ids, offsets, unk_id: int):
         self.types: tuple[str, ...] = types
@@ -207,6 +193,7 @@ class WordIndex:
         self.unks: list[tuple[str, ...]] = [() for _ in types]
         self._type_sentences: list[list[int]] | None = None
         self._postings: dict[int, set[int]] | None = None
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -253,37 +240,83 @@ class WordIndex:
         """Ids of the sentences whose segmentation holds ``token_id``."""
         return set().union(*(self.type_sentences[w] for w in self.postings.get(token_id, ())))
 
+    def _flat_segs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(every type's token ids in type order, each type's start in it,
+        each type's length)."""
+        if self._flat is None:
+            seg_len = np.fromiter(map(len, self.segs), dtype=np.int64, count=len(self.segs))
+            seg_flat = np.fromiter(chain.from_iterable(self.segs), dtype=np.int64, count=int(seg_len.sum()))
+            self._flat = seg_flat, np.cumsum(seg_len) - seg_len, seg_len
+        return self._flat
+
     def frequencies(self) -> np.ndarray:
         """Corpus occurrence count of every vocabulary id (UNK excluded)."""
-        lengths = [len(seg) for seg in self.segs]
-        flat = np.fromiter(chain.from_iterable(self.segs), dtype=np.int64, count=sum(lengths))
+        seg_flat, _, seg_len = self._flat_segs()
         freq = np.zeros(self.unk_id + 1, dtype=np.int64)
-        np.add.at(freq, flat, np.repeat(self.counts, lengths))
+        np.add.at(freq, seg_flat, np.repeat(self.counts, seg_len))
         return freq[: self.unk_id]
+
+    def sentence_lengths(self) -> np.ndarray:
+        """Token count of every sentence under the current segmentations."""
+        _, _, seg_len = self._flat_segs()
+        return np.diff(np.r_[0, np.cumsum(seg_len[self.type_ids])][self.offsets])
 
     def token_stream(self) -> tuple[np.ndarray, np.ndarray]:
         """(token ids of the whole corpus in running order, token count of
         each sentence), gathered from the type segmentations."""
-        seg_len = np.fromiter(map(len, self.segs), dtype=np.int64, count=len(self.segs))
-        seg_flat = np.fromiter(chain.from_iterable(self.segs), dtype=np.int64, count=int(seg_len.sum()))
-        seg_start = np.cumsum(seg_len) - seg_len
-        occ_len = seg_len[self.type_ids]
-        occ_end = np.cumsum(occ_len)
-        starts = np.repeat(seg_start[self.type_ids] - (occ_end - occ_len), occ_len)
-        flat = seg_flat[starts + np.arange(len(starts))]
-        ends = np.r_[0, occ_end][self.offsets]
-        return flat, np.diff(ends)
+        return self.gather(np.arange(len(self.offsets) - 1))
+
+    def gather(self, sentences, overrides=(), override_of=None) -> tuple[np.ndarray, np.ndarray]:
+        """(token ids of ``sentences`` one after another as one int64 array,
+        token count of each of them).
+
+        ``overrides`` is a sequence of segmentation overrides, each mapping
+        type ids to token ids, and ``override_of[i]`` is the position in it
+        of the override that applies to the ``i``-th sentence (-1: none).
+        Override rows are appended to the flat segmentations and found by
+        ``searchsorted`` on the key ``override * types + type``.
+        """
+        seg_flat, seg_start, seg_len = self._flat_segs()
+        sentences = np.asarray(sentences, dtype=np.int64)
+        first = self.offsets[sentences]
+        n_words = self.offsets[sentences + 1] - first
+        word_end = np.cumsum(n_words)
+        n = int(word_end[-1]) if len(word_end) else 0
+        at = np.repeat(first - (word_end - n_words), n_words)
+        at += np.arange(n)
+        types = self.type_ids[at]
+        del at
+        start, length = seg_start[types], seg_len[types]
+        source = seg_flat
+        rows = [(k * len(self.types) + w, ids) for k, override in enumerate(overrides) for w, ids in override.items()]
+        if rows:
+            row_len = np.fromiter((len(ids) for _, ids in rows), dtype=np.int64, count=len(rows))
+            row_start = len(seg_flat) + np.cumsum(row_len) - row_len
+            keys = np.fromiter((key for key, _ in rows), dtype=np.int64, count=len(rows))
+            order = np.argsort(keys)
+            keys, row_start, row_len = keys[order], row_start[order], row_len[order]
+            owner = np.repeat(np.asarray(override_of, dtype=np.int64), n_words)
+            occ = np.where(owner < 0, -1, owner * len(self.types) + types)
+            at = np.minimum(np.searchsorted(keys, occ), len(keys) - 1)
+            hit = keys[at] == occ
+            start[hit] = row_start[at[hit]]
+            length[hit] = row_len[at[hit]]
+            source = np.concatenate([seg_flat, np.fromiter(
+                chain.from_iterable(ids for _, ids in rows), dtype=np.int64, count=int(row_len.sum()))])
+        del types
+        # the index of each output token in ``source``, built in place
+        tok_end = np.cumsum(length)
+        m = int(tok_end[-1]) if len(tok_end) else 0
+        start -= tok_end
+        start += length
+        at = np.repeat(start, length)
+        del start
+        at += np.arange(m)
+        return source[at], np.diff(np.r_[0, tok_end][np.r_[0, word_end]])
 
     def sentence_types(self, s: int) -> list[int]:
         """Type ids of sentence ``s`` in word order."""
         return self.type_ids[self.offsets[s] : self.offsets[s + 1]].tolist()
-
-    def sentence(self, s: int, override: dict[int, list[int]] | None = None) -> list[int]:
-        """Token ids of sentence ``s``; ``override`` replaces some types' segmentations."""
-        ids: list[int] = []
-        for w in self.sentence_types(s):
-            ids.extend(override[w] if override and w in override else self.segs[w])
-        return ids
 
     def store(self, vocab_digest: str) -> SentenceStore:
         """A snapshot of every sentence encoded under the current segmentations."""
@@ -306,16 +339,19 @@ class WordIndex:
         banned = frozenset((token_id,))
         return {w: cv.encode_word(self.types[w], banned)[0] for w in self.postings.get(token_id, ())}
 
-    def resegment(self, removed, cv) -> None:
-        """Re-segment under ``cv`` every type holding a removed token.
+    def resegment(self, removed, cv) -> dict[int, list[int]]:
+        """Re-segment under ``cv`` every type holding a removed token, and
+        return those types' old segmentations.
 
         ``cv`` must already exclude the removed tokens.
         """
         changed: set[int] = set()
         for t in removed:
             changed |= self.postings.pop(t, set())
-        for w in sorted(changed):
+        old = {w: self.segs[w] for w in sorted(changed)}
+        for w in old:
             self._segment(w, cv)
+        return old
 
     def _segment(self, w: int, cv) -> None:
         ids, unks = cv.encode_word(self.types[w])
@@ -331,6 +367,7 @@ class WordIndex:
                 self._postings.setdefault(t, set()).add(w)
         self.segs[w] = ids
         self.unks[w] = tuple(unks)
+        self._flat = None
 
 
 def build_index(corpus: RawCorpus, cv) -> WordIndex:
@@ -364,25 +401,30 @@ def retokenize_sentences(
     cv,
     table,
     window: int,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Re-segment after removing tokens: update the index, then rescore
     exactly the sentences that held a removed token.
 
     ``cv`` must already exclude the removed tokens. ``nll`` holds one
     skipgram NLL per sentence under ``table``; the entries of rescored
     sentences are replaced and every other entry is left bit-identical.
-    Returns the new minus old total NLL.
+    Returns the new minus old total NLL, and the sorted ids of every token
+    found in a rescored sentence before or after its re-segmentation.
     """
     for t in removed:
         if is_protected(vocab.tokens[t]):
             raise VocabError(f"cannot remove protected token {vocab.tokens[t]!r}")
     order = sorted(set().union(*(index.sentences(t) for t in removed)))
     if not order:
-        return 0.0
-    index.resegment(removed, cv)
+        return 0.0, np.zeros(0, dtype=np.int64)
+    old_segs = index.resegment(removed, cv)
     from .objective import batched_sentence_nll
 
-    new_nll = batched_sentence_nll([np.asarray(index.sentence(s), dtype=np.int64) for s in order], table, window)
+    flat, lengths = index.gather(order)
+    new_nll = batched_sentence_nll(flat, lengths, table, window)
     old = nll[order]
     nll[order] = new_nll
-    return float(np.sum(new_nll) - np.sum(old))
+    # only the re-segmented types changed, so their old ids are all the
+    # rescored sentences held before and do not hold now
+    gone = np.fromiter(chain.from_iterable(old_segs.values()), dtype=np.int64)
+    return float(np.sum(new_nll) - np.sum(old)), sorted_unique(np.concatenate([flat, gone]))

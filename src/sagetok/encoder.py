@@ -27,8 +27,9 @@ class _TrieNode:
 class CompiledVocab:
     """Prefix trie over the active tokens of a vocabulary.
 
-    Immutable once built; share freely across threads. ``token_ids`` keep
-    the ids of the underlying vocabulary, so a trie compiled over a
+    Only :meth:`remove` changes it, in place, for the pruning loop; a trie
+    shared with other readers must not be pruned under them. ``token_ids``
+    keep the ids of the underlying vocabulary, so a trie compiled over a
     pruned subset still emits stable ids.
     """
 
@@ -55,6 +56,26 @@ class CompiledVocab:
                 best_id = node.token_id
                 best_len = i - start + 1
         return best_id, best_len
+
+    def remove(self, token_ids: Iterable[int]) -> None:
+        """Deactivate ``token_ids`` in place, leaving the trie that
+        :func:`compile` would build without them: nodes that no longer
+        lead to an active token are dropped."""
+        for token_id in token_ids:
+            token = self.vocab.tokens[token_id]
+            path = [self.root]
+            for ch in token:
+                node = path[-1].children.get(ch)
+                if node is None:
+                    break
+                path.append(node)
+            if len(path) <= len(token) or path[-1].token_id != token_id:
+                raise VocabError(f"token {token!r} is not active")
+            path[-1].token_id = None
+            for depth in range(len(token), 0, -1):
+                if path[depth].token_id is not None or path[depth].children:
+                    break
+                del path[depth - 1].children[token[depth - 1]]
 
     def encode_word(self, word: str, banned: frozenset[int] = frozenset()):
         """Segment one marker-prefixed word into token ids.

@@ -10,9 +10,19 @@ frozen embedding tables.
 
 :func:`ablation_losses` scores the re-segmented sentences of consecutive
 candidates in one pass of up to ``_SCORE_BUDGET_TOKENS`` tokens, paying
-numpy's per-call cost once per batch. Per-sentence values do not depend
-on the grouping, so the budget never moves a score; it bounds the size
-of one pass's index arrays.
+numpy's per-call cost once per batch. A batch's sentences are built in
+one ``WordIndex.gather``, each candidate's re-segmented types passed as
+an override of the sentences holding them. Per-sentence values do not
+depend on the grouping, so the budget never moves a score; it bounds the
+size of one pass's index arrays.
+
+A candidate's loss is a function of the table, the sentences holding it,
+their segmentations and NLL entries, and how the types holding it
+segment with it banned. Each result therefore also reports the tokens
+that banned segmentation uses: a removal that touches none of the
+candidate's sentences and prunes none of those tokens leaves the loss
+bit-identical, which is what lets ``sage`` reuse it (see the ``sage``
+module docstring).
 
 Under a fixed table every pair term depends only on the unordered id
 pair, so each is computed once and kept in the table's ``pair_terms``, a
@@ -28,6 +38,7 @@ numpy allocations, against 56 MB when every term was recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,11 +65,15 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AblationLoss:
-    """Change in total NLL caused by removing one token and re-encoding."""
+    """Change in total NLL caused by removing one token and re-encoding.
+
+    ``uses`` holds the token ids of the re-segmented (banned) word types.
+    """
 
     token_id: int
     loss: float
     affected_sentences: int
+    uses: frozenset[int] = frozenset()
 
 
 def _check_ids(ids: np.ndarray, rows: int) -> None:
@@ -68,28 +83,36 @@ def _check_ids(ids: np.ndarray, rows: int) -> None:
         )
 
 
-def batched_sentence_nll(sentences: list[np.ndarray], table, window: int) -> np.ndarray:
+def flatten(sentences) -> tuple[np.ndarray, np.ndarray]:
+    """(the ids of ``sentences`` one after another as one int64 array, the
+    length of each): the form :func:`batched_sentence_nll` takes."""
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = np.concatenate(sentences) if len(sentences) else np.zeros(0, dtype=np.int64)
+    return flat.astype(np.int64, copy=False), lengths
+
+
+def batched_sentence_nll(ids: np.ndarray, lengths: np.ndarray, table, window: int) -> np.ndarray:
     """Per-sentence NLL for a batch, sharing one vectorized pass.
 
-    Pairs never cross sentence boundaries. Per-sentence sums are
-    accumulated offset by offset in a fixed order, so results do not
-    depend on how sentences are grouped into batches. Each in-sentence
-    pair's term is read from the table's pair-term store (see
-    :func:`_pair_terms`).
+    The batch is flat: sentence ``i`` is the next ``lengths[i]`` entries
+    of ``ids`` (see :func:`flatten`). Pairs never cross sentence
+    boundaries. Per-sentence sums are accumulated offset by offset in a
+    fixed order, so results do not depend on how sentences are grouped
+    into batches. Each in-sentence pair's term is read from the table's
+    pair-term store (see :func:`_pair_terms`).
     """
-    if not sentences:
+    if not len(lengths):
         return np.zeros(0, dtype=np.float64)
     # per-sentence accumulation in extended precision, rounded once at
     # the end; keeps sums independent of addition order at double
     # precision (the zero-table combinatorial identity holds exactly)
-    acc = np.zeros(len(sentences), dtype=np.longdouble)
-    flat = np.concatenate(sentences) if len(sentences) > 1 else np.asarray(sentences[0])
-    flat = flat.astype(np.int64, copy=False)
+    acc = np.zeros(len(lengths), dtype=np.longdouble)
+    flat = np.asarray(ids).astype(np.int64, copy=False)
     rows = table.target.shape[0]
     _check_ids(flat, rows)
     if len(flat) == 0:
         return acc.astype(np.float64)
-    sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    sent_of = np.repeat(np.arange(len(lengths)), lengths)
     owners: list[np.ndarray] = []
     keys: list[np.ndarray] = []
     for delta, same in window_offsets(sent_of, window):
@@ -222,7 +245,7 @@ def corpus_nll(store: SentenceStore, table, window: int, nll: np.ndarray) -> flo
     total = 0.0
     for start in range(0, len(store.ids), _CHUNK_SENTENCES):
         chunk = store.ids[start : start + _CHUNK_SENTENCES]
-        vals = batched_sentence_nll(chunk, table, window)
+        vals = batched_sentence_nll(*flatten(chunk), table, window)
         nll[start : start + len(chunk)] = vals
         total += float(np.sum(vals))
     return total
@@ -252,39 +275,46 @@ def ablation_losses(
     recomputed.
     """
     results: list[AblationLoss] = []
-    for pending, batch in _rebuilt_batches(candidates, index, vocab, cv):
-        vals = batched_sentence_nll(batch, table, window)
+    for pending in _batches(candidates, index, vocab, cv):
+        sentences = [affected for _, affected, _ in pending]
+        flat, lengths = index.gather(
+            np.concatenate(sentences),
+            [changed for _, _, changed in pending],
+            np.repeat(np.arange(len(pending)), [len(a) for a in sentences]),
+        )
+        vals = batched_sentence_nll(flat, lengths, table, window)
         offset = 0
-        for token_id, affected in pending:
+        for token_id, affected, changed in pending:
             end = offset + len(affected)
             loss = float(np.sum(vals[offset:end]) - np.sum(nll[affected]))
-            results.append(AblationLoss(token_id, loss, len(affected)))
+            uses = frozenset(chain.from_iterable(changed.values()))
+            results.append(AblationLoss(token_id, loss, len(affected), uses))
             offset = end
     return results
 
 
-def _rebuilt_batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
-    """Yield ``(candidates with their sorted affected sentences, the
-    sentences rebuilt without each candidate)``, closing a batch once it
-    holds ``_SCORE_BUDGET_TOKENS`` tokens."""
-    pending: list[tuple[int, list[int]]] = []
-    batch: list[np.ndarray] = []
+def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
+    """Yield lists of ``(candidate, its sorted affected sentences, its
+    re-segmented types)``, closing a list once the sentences rebuilt
+    without each candidate hold ``_SCORE_BUDGET_TOKENS`` tokens."""
+    lengths = index.sentence_lengths()
+    pending: list[tuple[int, np.ndarray, dict[int, list[int]]]] = []
     tokens = 0
     for token_id in candidates:
         token = vocab.tokens[token_id]
         if is_protected(token):
             raise VocabError(f"token {token!r} is protected and cannot be ablated")
-        affected = sorted(index.sentences(token_id))
+        affected = np.array(sorted(index.sentences(token_id)), dtype=np.int64)
         changed = index.segment_without(token_id, cv)
-        for s in affected:
-            batch.append(np.asarray(index.sentence(s, changed), dtype=np.int64))
-            tokens += len(batch[-1])
-        pending.append((token_id, affected))
+        # every occurrence of a re-segmented type lies in the affected sentences
+        tokens += int(lengths[affected].sum()) + sum(
+            int(index.counts[w]) * (len(ids) - len(index.segs[w])) for w, ids in changed.items())
+        pending.append((token_id, affected, changed))
         if tokens >= _SCORE_BUDGET_TOKENS:
-            yield pending, batch
-            pending, batch, tokens = [], [], 0
+            yield pending
+            pending, tokens = [], 0
     if pending:
-        yield pending, batch
+        yield pending
 
 
 def ablation_loss(

@@ -15,6 +15,18 @@ The corpus is encoded as ids (a ``SentenceStore`` snapshot) only to
 train embeddings and refill the array. Every pruning decision is
 appended to a replayable event log, and a checkpoint resumes the loop
 exactly.
+
+Ablation losses are reused, bit for bit, while nothing they depend on
+has changed. ``PruneState.scored`` keeps, for each candidate scored under
+the current table, its loss and the tokens its banned segmentation used.
+A candidate is scored again only when it has no entry. After a prune,
+the entries of every token found in a rescored sentence (before or after
+re-segmentation), of every candidate whose banned segmentation used a
+pruned token, and of the pruned tokens are dropped; a retrain drops them
+all. Any other candidate's sentences, their NLL entries and its banned
+segmentation are unchanged (greedy matching never picks a token it did
+not pick before when others are removed), so its loss is too. The entries
+are not checkpointed: a resumed run scores afresh and gets the same bits.
 """
 
 from __future__ import annotations
@@ -122,6 +134,9 @@ class PruneState:
     losses: dict[int, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     embeddings_fresh: bool = True
+    # candidate -> (loss under the current table, tokens its banned
+    # segmentation used); see the module docstring for when entries go
+    scored: dict[int, tuple[float, frozenset[int]]] = field(default_factory=dict)
 
     def alive_size(self) -> int:
         return len(self.alive)
@@ -207,6 +222,7 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
         store = state.index.store(state.vocab.digest())
         state.table = train_embeddings(store, state.vocab, embed_cfg)
         state.total_nll = corpus_nll(store, state.table, cfg.window, state.nll)
+        state.scored.clear()
         retrained = True
     state.embeddings_fresh = False
 
@@ -224,10 +240,10 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     else:
         candidates = list(state.bottom)
 
-    scored = ablation_losses(
-        candidates, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window
-    )
-    losses = {r.token_id: r.loss for r in scored}
+    todo = [t for t in candidates if t not in state.scored]
+    for r in ablation_losses(todo, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window):
+        state.scored[r.token_id] = (r.loss, r.uses)
+    losses = {t: state.scored[t][0] for t in candidates}
 
     # prune order: lowest loss, then lowest corpus frequency, then token
     # string; between full recalculations the bottom set is within the pool
@@ -243,10 +259,15 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     event_losses = {t: state.losses.pop(t) for t in pruned_list}
 
     state.alive -= pruned
-    state.cv = encoder.compile(state.vocab, state.alive)
-    state.total_nll += retokenize_sentences(
+    state.cv.remove(pruned)
+    delta, touched = retokenize_sentences(
         state.nll, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
     )
+    state.total_nll += delta
+    stale = pruned.union(touched.tolist())
+    state.scored = {
+        t: entry for t, entry in state.scored.items() if t not in stale and entry[1].isdisjoint(pruned)
+    }
 
     state.events.append(
         {
@@ -326,10 +347,13 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
     ``path``: into a temporary file beside it, then renamed into place,
     so a reader never sees a partial file. A failed write is a DataError.
 
-    Neither the segmentation nor the per-sentence NLL is serialized:
-    resuming re-segments the corpus under the alive vocabulary, which
-    reproduces the index exactly, and recomputes the NLL array from the
-    dumped tables bit-for-bit; ``total_nll`` is restored as saved.
+    Neither the segmentation, the per-sentence NLL nor the reusable
+    ablation losses are serialized: resuming re-segments the corpus under
+    the alive vocabulary, which reproduces the index exactly, recomputes
+    the NLL array from the dumped tables bit-for-bit and scores candidates
+    afresh; ``total_nll`` is restored as saved. The archive is stored
+    uncompressed (float64 tables shrink little under zlib, and compressing
+    cost more than writing); :func:`load_checkpoint` reads either form.
     """
     arrays = dict(
         tokens=np.frombuffer(
@@ -354,7 +378,7 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            np.savez(f, **arrays)
         os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write checkpoint {path}: {exc}") from exc

@@ -82,6 +82,42 @@ def bpe_merge_oracle(corpus_lines, target_size, min_count=2):
     return tokens, merges
 
 
+def sentence(index, s, override=None):
+    """Token ids of sentence ``s`` of a ``WordIndex``, one word at a time;
+    ``override`` maps some type ids to the segmentation used instead."""
+    ids = []
+    for w in index.sentence_types(s):
+        ids.extend(override[w] if override and w in override else index.segs[w])
+    return ids
+
+
+def decode_words(store, s, vocab):
+    """The pretokenized words of sentence ``s`` of a ``SentenceStore``.
+
+    A new word starts at every marker-initial token. UNK ids are
+    replaced by the source characters the store recorded for them.
+    """
+    unk_iter = iter(store.unk_chars[s])
+    words = []
+    for token_id in store.ids[s]:
+        if token_id == vocab.unk_id:
+            piece = next(unk_iter)
+        else:
+            piece = vocab.tokens[token_id]
+        if piece.startswith(MARKER) and token_id != vocab.unk_id:
+            words.append(piece)
+        elif words:
+            words[-1] += piece
+        else:
+            words.append(piece)
+    return tuple(words)
+
+
+def decode_line(store, s, vocab):
+    """Sentence ``s`` of a store decoded back to its normalized line."""
+    return " ".join(w[1:] if w.startswith(MARKER) else w for w in decode_words(store, s, vocab))
+
+
 def nll_oracle(ids, target, context, window):
     """Double loop over ordered in-window pairs, plain math."""
     total = 0.0
@@ -202,7 +238,7 @@ def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batc
     import numpy as np
 
     from sagetok import encoder
-    from sagetok.objective import batched_sentence_nll
+    from sagetok.objective import batched_sentence_nll, flatten
 
     alive = set(range(len(vocab)))
     pruned_sequence = []
@@ -213,7 +249,7 @@ def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batc
         return store
 
     def full_nll(store):
-        vals = batched_sentence_nll(store.ids, table, window)
+        vals = batched_sentence_nll(*flatten(store.ids), table, window)
         return float(np.sum(vals))
 
     def frequencies(store):

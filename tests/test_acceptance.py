@@ -18,7 +18,7 @@ from sagetok import analysis, encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index, normalize_line, pretokenize
 from sagetok.embeddings import EmbedConfig, SkipGramTable
-from sagetok.objective import attach_nll_cache, batched_sentence_nll, corpus_nll
+from sagetok.objective import attach_nll_cache, batched_sentence_nll, corpus_nll, flatten
 from sagetok.sage import SageConfig, init_state, prune_iteration, train_sage
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
@@ -45,7 +45,7 @@ class TestCriterion1SkipgramOracle:
                 rng.normal(0, 0.8, (rows, dim)), rng.normal(0, 0.8, (rows, dim)), dim, window
             )
             ids = rng.integers(0, rows, size=int(rng.integers(1, 12)))
-            got = float(batched_sentence_nll([ids], table, window)[0])
+            got = float(batched_sentence_nll(*flatten([ids]), table, window)[0])
             want = nll_oracle(list(ids), table.target, table.context, window)
             assert got == pytest.approx(want, abs=1e-9)
             checked += 1
@@ -83,7 +83,7 @@ class TestCriterion1SkipgramOracle:
             window = int(rng.integers(1, 4))
             table = zero_table(rows, dim)
             ids = rng.integers(0, rows, size=int(rng.integers(1, 9)))
-            got = float(batched_sentence_nll([ids], table, window)[0])
+            got = float(batched_sentence_nll(*flatten([ids]), table, window)[0])
             count = pair_count(list(ids), window)
             assert got == count * ln2
         _report("1b", "(zero-embedding NLL equals ln2 x pair count exactly, 300 instances)")
@@ -173,7 +173,7 @@ class TestCriterion4IncrementalCaches:
             iterations += 1
             scratch = encoder.encode_corpus(corpus, state.cv)
             scratch_total = float(
-                np.sum(batched_sentence_nll(scratch.ids, state.table, cfg.window))
+                np.sum(batched_sentence_nll(*flatten(scratch.ids), state.table, cfg.window))
             )
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
             assert build_index(corpus, state.cv) == state.index

@@ -20,7 +20,7 @@ from sagetok.unigram import init_substring_vocab, train_unigram
 from sagetok.vocab import MARKER, Vocabulary
 
 from conftest import random_table
-from oracles import naive_encode_word
+from oracles import decode_line, decode_words, naive_encode_word, sentence
 from textgen import generate_corpus
 
 
@@ -186,7 +186,57 @@ def _setup_encoded(corpus_lines, extra_tokens, seed=0):
 
 
 def _sentences(index):
-    return [index.sentence(s) for s in range(len(index.offsets) - 1)]
+    return [sentence(index, s) for s in range(len(index.offsets) - 1)]
+
+
+class TestGather:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_sentence_oracle(self, seed):
+        # random sentences (repeats, any order) under random overrides, with
+        # word types that absorb a character no active token covers
+        from itertools import chain
+
+        from sagetok.bpe import train_bpe
+
+        rng = np.random.default_rng(seed)
+        lines = generate_corpus(80, seed=40 + seed, n_stems=60)
+        lines = [l + " q¤z" if i % 5 == 0 else l for i, l in enumerate(lines)]
+        corpus = RawCorpus.from_lines(lines)
+        vocab, _ = train_bpe(corpus, 150)
+        alive = [t for t in range(len(vocab)) if "¤" not in vocab.tokens[t]]
+        index = build_index(corpus, encoder.compile(vocab, alive))
+        assert any(index.unks)
+        sentences = rng.integers(0, len(corpus), size=70)
+        overrides = []
+        for _ in range(6):
+            held = index.sentence_types(int(rng.choice(sentences)))
+            types = rng.choice(held, size=min(len(held), 3), replace=False).tolist()
+            types.append(int(rng.integers(len(index.types))))
+            overrides.append({int(w): rng.integers(0, vocab.unk_id + 1, size=int(rng.integers(1, 6))).tolist()
+                              for w in types})
+        override_of = rng.integers(-1, len(overrides), size=len(sentences))
+        want = [sentence(index, int(s), overrides[o] if o >= 0 else None) for s, o in zip(sentences, override_of)]
+        flat, lengths = index.gather(sentences, overrides, override_of)
+        assert flat.dtype == np.int64 and lengths.dtype == np.int64
+        assert lengths.tolist() == [len(ids) for ids in want]
+        assert flat.tolist() == list(chain.from_iterable(want))
+        assert any(o >= 0 and flat_ids != sentence(index, int(s)) for s, o, flat_ids in zip(sentences, override_of, want))
+        flat, lengths = index.gather(sentences)
+        assert flat.tolist() == [t for s in sentences for t in sentence(index, int(s))]
+        flat, lengths = index.gather([])
+        assert len(flat) == 0 and len(lengths) == 0
+
+    def test_follows_resegmentation(self):
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
+            ["abc abc", "bbb abc"], [MARKER + "abc", "bb"]
+        )
+        assert index.gather([1, 0])[0].tolist() == sentence(index, 1) + sentence(index, 0)
+        abc = vocab.id_of[MARKER + "abc"]
+        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
+        retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        assert abc not in index.gather([0, 1])[0]
+        assert index.gather([1, 0])[0].tolist() == sentence(index, 1) + sentence(index, 0)
+        assert index.sentence_lengths().tolist() == [len(sentence(index, 0)), len(sentence(index, 1))]
 
 
 class TestRetokenize:
@@ -197,8 +247,8 @@ class TestRetokenize:
         unused = vocab.id_of["zzz"]
         before, nll_before = _sentences(index), nll.copy()
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {unused})
-        delta = retokenize_sentences(nll, index, {unused}, vocab, cv2, table, 2)
-        assert delta == 0.0
+        delta, touched = retokenize_sentences(nll, index, {unused}, vocab, cv2, table, 2)
+        assert delta == 0.0 and len(touched) == 0
         assert _sentences(index) == before
         assert nll.tobytes() == nll_before.tobytes()
 
@@ -209,7 +259,7 @@ class TestRetokenize:
                   MARKER + "directive", MARKER + "it"]
         corpus, vocab, cv, nll, index, table = _setup_encoded(lines, extras)
         includ = vocab.id_of[MARKER + "includ"]
-        tokens_of = lambda s: [vocab.tokens[t] for t in index.sentence(s)]
+        tokens_of = lambda s: [vocab.tokens[t] for t in sentence(index, s)]
         assert tokens_of(0)[:2] == [MARKER + "includ", "e"]
         tail_before = tokens_of(0)[2:]
         alive = set(range(len(vocab))) - {includ}
@@ -239,6 +289,20 @@ class TestRetokenize:
         # rescored entries equal a fresh fill over the re-encoded corpus
         assert np.array_equal(nll, attach_nll_cache(scratch, table, 2)[0])
 
+    def test_reports_tokens_of_rescored_sentences_before_and_after(self):
+        lines = ["include the directive", "include it", "the it"]
+        extras = [MARKER + "includ", MARKER + "inc", "de", "e", MARKER + "the",
+                  MARKER + "directive", MARKER + "it"]
+        corpus, vocab, cv, nll, index, table = _setup_encoded(lines, extras)
+        includ = vocab.id_of[MARKER + "includ"]
+        rescored = sorted(index.sentences(includ))
+        before = {t for s in rescored for t in sentence(index, s)}
+        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {includ})
+        _, touched = retokenize_sentences(nll, index, {includ}, vocab, cv2, table, 2)
+        after = {t for s in rescored for t in sentence(index, s)}
+        assert rescored == [0, 1] and before != after
+        assert touched.tolist() == sorted(before | after)
+
     def test_locality_untouched_sentences_bit_identical(self):
         corpus, vocab, cv, nll, index, table = _setup_encoded(
             ["abc abc", "bbb bbb"], [MARKER + "abc", "bb"]
@@ -247,8 +311,8 @@ class TestRetokenize:
         before, nll_before = _sentences(index), nll.copy()
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
         retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
-        assert index.sentence(0) != before[0]
-        assert index.sentence(1) == before[1]
+        assert sentence(index, 0) != before[0]
+        assert sentence(index, 1) == before[1]
         assert nll[1:].tobytes() == nll_before[1:].tobytes()
 
     def test_protected_token_removal_rejected(self):
@@ -264,7 +328,7 @@ class TestRetokenize:
         total_before = nll.sum()
         abc = vocab.id_of[MARKER + "abc"]
         cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        delta = retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        delta, _ = retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
         assert nll.sum() == pytest.approx(total_before + delta, rel=1e-12)
 
 
@@ -275,8 +339,8 @@ class TestRoundTrip:
         )
         store = index.store(vocab.digest())
         for s in range(len(store)):
-            assert store.decode_words(s, vocab) == pretokenize(corpus.lines[s])
-            assert store.decode_line(s, vocab) == corpus.lines[s]
+            assert decode_words(store, s, vocab) == pretokenize(corpus.lines[s])
+            assert decode_line(store, s, vocab) == corpus.lines[s]
 
     def test_decode_with_unk_characters(self):
         corpus = RawCorpus.from_lines(["ax¤y b"])
@@ -284,7 +348,7 @@ class TestRoundTrip:
         cv = encoder.compile(vocab)
         store = encoder.encode_corpus(corpus, cv)
         assert vocab.unk_id in store.ids[0]
-        assert store.decode_line(0, vocab) == "ax¤y b"
+        assert decode_line(store, 0, vocab) == "ax¤y b"
 
     def test_encoder_agrees_with_naive_scan(self):
         vocab = Vocabulary([MARKER, "a", "b", "c", MARKER + "a", MARKER + "ab", "bc"])

@@ -8,7 +8,8 @@ from sagetok.corpus import RawCorpus, pretokenize
 from sagetok.errors import VocabError
 from sagetok.vocab import MARKER, Vocabulary
 
-from oracles import naive_encode_word, naive_longest_prefix
+from oracles import decode_line, decode_words, naive_encode_word, naive_longest_prefix
+from textgen import generate_corpus
 
 
 def _vocab(*extra):
@@ -47,6 +48,42 @@ class TestCompile:
             naive_token, naive_len = naive_longest_prefix(vocab.tokens, word)
             assert vocab.tokens[token_id] == naive_token
             assert length == naive_len
+
+
+def _trie(node):
+    return node.token_id, {ch: _trie(child) for ch, child in node.children.items()}
+
+
+class TestRemove:
+    def test_removal_in_batches_equals_fresh_compile(self):
+        from sagetok.bpe import train_bpe
+        from sagetok.vocab import is_protected
+
+        corpus = RawCorpus.from_lines(generate_corpus(80, seed=6, n_stems=70))
+        vocab, _ = train_bpe(corpus, 200)
+        words = sorted({w for line in corpus.lines for w in pretokenize(line)})
+        cv = encoder.compile(vocab)
+        alive = set(range(len(vocab)))
+        rng = np.random.default_rng(6)
+        prunable = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
+        for batch in np.array_split(rng.permutation(prunable), 6):
+            cv.remove(batch.tolist())
+            alive -= set(batch.tolist())
+            fresh = encoder.compile(vocab, alive)
+            assert _trie(cv.root) == _trie(fresh.root)
+            assert [cv.encode_word(w) for w in words] == [fresh.encode_word(w) for w in words]
+        # only protected tokens are left; nothing below them was dropped
+        assert _trie(cv.root) == _trie(encoder.compile(vocab, alive).root)
+
+    def test_inactive_token_rejected(self):
+        vocab = _vocab("bb")
+        cv = encoder.compile(vocab, [0, 1, 2, 3])
+        for token in (MARKER + "ab", "bb"):
+            with pytest.raises(VocabError):
+                cv.remove([vocab.id_of[token]])
+        cv.remove([vocab.id_of[MARKER + "a"]])
+        with pytest.raises(VocabError):
+            cv.remove([vocab.id_of[MARKER + "a"]])
 
 
 class TestEncodeWord:
@@ -146,7 +183,7 @@ class TestEncodeCorpus:
         store2 = encoder.encode_corpus(corpus, cv)
         assert all(np.array_equal(a, b) for a, b in zip(store1.ids, store2.ids))
         # re-encoding the decoded text is a fixed point
-        decoded = [store1.decode_line(s, vocab) for s in range(len(store1))]
+        decoded = [decode_line(store1, s, vocab) for s in range(len(store1))]
         store3 = encoder.encode_corpus(RawCorpus.from_lines(decoded), cv)
         assert all(np.array_equal(a, b) for a, b in zip(store1.ids, store3.ids))
 
@@ -165,5 +202,5 @@ class TestEncodeCorpus:
         cv = encoder.compile(vocab)
         store = encoder.encode_corpus(corpus, cv)
         for s in range(len(store)):
-            assert store.decode_line(s, vocab) == corpus.lines[s]
-            assert store.decode_words(s, vocab) == pretokenize(corpus.lines[s])
+            assert decode_line(store, s, vocab) == corpus.lines[s]
+            assert decode_words(store, s, vocab) == pretokenize(corpus.lines[s])

@@ -13,6 +13,7 @@ from sagetok.objective import (
     attach_nll_cache,
     batched_sentence_nll,
     corpus_nll,
+    flatten,
     softplus,
 )
 from sagetok.vocab import MARKER, Vocabulary, is_protected
@@ -24,7 +25,7 @@ from textgen import generate_corpus
 
 def one_sentence_nll(ids, table, window):
     """NLL of one sentence scored as a batch of one."""
-    return float(batched_sentence_nll([np.asarray(ids, dtype=np.int64)], table, window)[0])
+    return float(batched_sentence_nll(*flatten([np.asarray(ids, dtype=np.int64)]), table, window)[0])
 
 
 class TestSentenceNll:
@@ -147,8 +148,8 @@ class TestAblationLoss:
         alive = set(range(len(vocab))) - {target}
         cv2 = encoder.compile(vocab, alive)
         scratch = encoder.encode_corpus(corpus, cv2)
-        new_total = float(np.sum(batched_sentence_nll(scratch.ids, table, 2)))
-        old_total = float(np.sum(batched_sentence_nll(old.ids, table, 2)))
+        new_total = float(np.sum(batched_sentence_nll(*flatten(scratch.ids), table, 2)))
+        old_total = float(np.sum(batched_sentence_nll(*flatten(old.ids), table, 2)))
         assert got.loss == pytest.approx(new_total - old_total, abs=1e-10)
         assert got.affected_sentences == 2
 
@@ -192,7 +193,7 @@ class TestAblationLoss:
                 np.asarray([i for w in pretokenize(corpus.lines[s]) for i in cv.encode_word(w, banned)[0]])
                 for s in affected
             ]
-            want = float(np.sum(batched_sentence_nll(rescored, table, 2)) - np.sum(nll[affected]))
+            want = float(np.sum(batched_sentence_nll(*flatten(rescored), table, 2)) - np.sum(nll[affected]))
             assert ablation_loss(t, nll, index, vocab, table, cv, 2).loss == want
 
     def test_protected_token_rejected(self):
@@ -217,9 +218,9 @@ class TestAblationLosses:
 
         passes = []
 
-        def counted(sentences, table, window):
-            passes.append(len(sentences))
-            return batched_sentence_nll(sentences, table, window)
+        def counted(ids, lengths, table, window):
+            passes.append(len(lengths))
+            return batched_sentence_nll(ids, lengths, table, window)
 
         monkeypatch.setattr(objective, "batched_sentence_nll", counted)
         if budget is not None:
@@ -264,7 +265,7 @@ class TestPairTerms:
         table = random_table(750, 50, rng, scale=0.3)
         batches = [_zipf_sentences(rng, 750, 8192) for _ in range(3)]
         for batch in batches + batches:
-            assert np.array_equal(batched_sentence_nll(batch, table, 5), gathered_sentence_nll(batch, table, 5))
+            assert np.array_equal(batched_sentence_nll(*flatten(batch), table, 5), gathered_sentence_nll(batch, table, 5))
         assert len(table.pair_terms) > 1000
 
     def test_both_orders_self_pairs_and_last_id(self):
@@ -277,7 +278,7 @@ class TestPairTerms:
         )]
         for window in (1, 3):
             one_by_one = [one_sentence_nll(s, table, window) for s in sentences]
-            together = batched_sentence_nll(sentences, table, window)
+            together = batched_sentence_nll(*flatten(sentences), table, window)
             assert np.array_equal(together, gathered_sentence_nll(sentences, table, window))
             assert together.tolist() == one_by_one
             assert together[1] == together[2] and together[3] == together[4]
@@ -291,7 +292,7 @@ class TestPairTerms:
         table.context[:5] = 30.0
         sentences = [rng.integers(0, 20, size=9) for _ in range(40)] + [np.array([0, 1, 2, 3, 4])]
         for _ in range(2):
-            got = batched_sentence_nll(sentences, table, 3)
+            got = batched_sentence_nll(*flatten(sentences), table, 3)
             assert np.array_equal(got, gathered_sentence_nll(sentences, table, 3))
         assert got[-1] == 0.0
         slot, absent = table.pair_terms.find(np.array([0 * 20 + 1]))
@@ -302,8 +303,8 @@ class TestPairTerms:
         first, second = random_table(40, 6, rng), random_table(40, 6, rng)
         batch = _zipf_sentences(rng, 40, 500)
         for table in (first, second, first, second):
-            assert np.array_equal(batched_sentence_nll(batch, table, 4), gathered_sentence_nll(batch, table, 4))
-        assert not np.array_equal(batched_sentence_nll(batch, first, 4), batched_sentence_nll(batch, second, 4))
+            assert np.array_equal(batched_sentence_nll(*flatten(batch), table, 4), gathered_sentence_nll(batch, table, 4))
+        assert not np.array_equal(batched_sentence_nll(*flatten(batch), first, 4), batched_sentence_nll(*flatten(batch), second, 4))
 
     def test_table_restored_from_checkpoint(self, tmp_path):
         from sagetok.embeddings import EmbedConfig
@@ -334,7 +335,7 @@ class TestPairTerms:
         batch.append(np.array([rows - 1, 0, rows - 1, rows - 2]))
         tracemalloc.start()
         try:
-            got = batched_sentence_nll(batch, table, 5)
+            got = batched_sentence_nll(*flatten(batch), table, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,9 +3,10 @@
 A refactor that must keep every output byte-identical is checked here
 instead of by hand with ``cmp``: each case runs small seeded commands
 in-process and compares the digest of every output file with the one
-recorded before the refactor. A checkpoint is a compressed zip archive
-whose bytes also depend on the zlib build, so its digest covers the
-member names and their uncompressed contents instead.
+recorded before the refactor. A checkpoint is a zip archive whose bytes
+also hold each member's write time (and, for checkpoints written
+compressed by earlier versions, depend on the zlib build), so its digest
+covers the member names and their contents instead.
 
 After an intended output change, print the new digests with
 

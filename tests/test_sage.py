@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from sagetok import encoder, sage
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig
 from sagetok.errors import ConfigError, DataError, VocabError
-from sagetok.objective import attach_nll_cache, batched_sentence_nll
+from sagetok.objective import ablation_losses, attach_nll_cache, batched_sentence_nll, flatten
 from sagetok.sage import (
     SageConfig,
     init_state,
@@ -18,9 +19,10 @@ from sagetok.sage import (
     save_events,
     train_sage,
 )
-from sagetok.vocab import is_protected, save_vocab
+from sagetok.vocab import MARKER, Vocabulary, is_protected, save_vocab
 
-from oracles import exhaustive_prune_oracle
+from conftest import random_table
+from oracles import decode_line, exhaustive_prune_oracle
 from textgen import generate_corpus
 
 
@@ -71,7 +73,7 @@ class TestInitState:
         # a store snapshot of the index round-trips every sentence
         store = state.index.store(state.vocab.digest())
         for s in range(len(store)):
-            assert store.decode_line(s, state.vocab) == corpus.lines[s]
+            assert decode_line(store, s, state.vocab) == corpus.lines[s]
         # index equals a fresh build
         assert build_index(corpus, state.cv) == state.index
         # per-sentence likelihoods sum to the maintained total
@@ -193,7 +195,7 @@ class TestPruneIteration:
             # cache-maintained total against a from-scratch rescore
             scratch = encoder.encode_corpus(corpus, state.cv)
             scratch_total = float(
-                np.sum(batched_sentence_nll(scratch.ids, state.table, cfg.window))
+                np.sum(batched_sentence_nll(*flatten(scratch.ids), state.table, cfg.window))
             )
             assert state.total_nll == pytest.approx(scratch_total, rel=1e-6)
             # maintained index against a fresh build
@@ -210,6 +212,84 @@ class TestPruneIteration:
             prune_iteration(state, cfg)
         with pytest.raises(VocabError):
             prune_iteration(state, cfg)
+
+
+def _assert_entries_fresh(state, cfg):
+    """Every loss the next iteration may reuse equals a from-scratch
+    ablation_losses call on the current state, bit for bit, and so do the
+    tokens its banned segmentation uses."""
+    kept = sorted(state.scored)
+    fresh = ablation_losses(kept, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window)
+    assert [(r.loss, r.uses) for r in fresh] == [state.scored[t] for t in kept]
+
+
+class TestLossReuse:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_reused_losses_equal_fresh_scores(self, seed, tmp_path, monkeypatch):
+        corpus = RawCorpus.from_lines(generate_corpus(150, seed=seed, n_stems=90))
+        cfg = SageConfig(
+            final_size=100, overshoot=1.45, prune_batch=3, recalc_period=3,
+            candidate_pool=30, embed_period=2, window=3, embed=_small_embed(),
+        )
+        scored = []
+        real = sage.ablation_losses
+
+        def counting(candidates, *args):
+            scored.append(len(candidates))
+            return real(candidates, *args)
+
+        monkeypatch.setattr(sage, "ablation_losses", counting)
+        # ``plain`` forgets every loss before each iteration, as if nothing
+        # were reused; ``resumed`` continues from a mid-run checkpoint
+        state, plain, resumed = init_state(corpus, cfg), init_state(corpus, cfg), None
+        path = tmp_path / "run.ckpt.npz"
+        state_scored = 0
+        while state.alive_size() > cfg.final_size:
+            plain.scored.clear()
+            prune_iteration(plain, cfg)
+            assert scored.pop() == plain.events[-1]["loss_evals"]
+            prune_iteration(state, cfg)
+            state_scored += scored.pop()
+            _assert_entries_fresh(state, cfg)
+            if resumed is not None:
+                prune_iteration(resumed, cfg)
+                _assert_entries_fresh(resumed, cfg)
+            if state.iteration == 7:
+                save_checkpoint(state, cfg, corpus, path)
+                resumed = load_checkpoint(path, corpus, cfg)
+                assert resumed.scored == {}
+        assert len(state.events) == 15
+        assert any(e["embeddings_retrained"] for e in state.events[7:])
+        assert json.dumps(state.events) == json.dumps(plain.events) == json.dumps(resumed.events)
+        # the run reused losses: it scored fewer candidates than it ranked
+        assert state_scored < sum(e["loss_evals"] for e in state.events)
+
+    def test_prune_that_changes_a_banned_segmentation_drops_the_loss(self):
+        # c = "▁abc" is the whole word "▁abc"; with c banned the word
+        # segments "▁ab c", which uses p = "▁ab". p also segments "▁abd".
+        # Pruning p rescores only the sentence "abd r", which does not hold
+        # c, yet it changes c's banned segmentation and so its loss
+        lines = ["abc q", "abd r"]
+        chars = sorted({ch for line in lines for ch in MARKER + line.replace(" ", "")})
+        vocab = Vocabulary(chars + [MARKER + "ab", MARKER + "abc"])
+        p, c = vocab.id_of[MARKER + "ab"], vocab.id_of[MARKER + "abc"]
+        cfg = SageConfig(final_size=len(vocab) - 1, prune_batch=1, recalc_period=10,
+                         candidate_pool=10, embed_period=1000, window=2, embed=_small_embed())
+        table = random_table(len(vocab), 6, np.random.default_rng(31), window=2)
+        state = sage._encoded_state(RawCorpus.from_lines(lines), cfg, vocab, set(range(len(vocab))), table)
+        before = ablation_losses([c], state.nll, state.index, vocab, table, state.cv, cfg.window)[0]
+        assert p in before.uses
+        # a bottom-set iteration between full recalculations, in which p's
+        # loss is the lowest and c is scored
+        state.iteration, state.bottom, state.scored = 1, [p, c], {p: (-1e9, frozenset())}
+        nll_before = state.nll.copy()
+        prune_iteration(state, cfg)
+        assert [e["id"] for e in state.events[-1]["pruned"]] == [p]
+        assert state.index.segs[state.index.types.index(MARKER + "abc")] == [c]
+        assert state.nll[0] == nll_before[0] and state.nll[1] != nll_before[1]
+        assert c not in state.scored
+        after = ablation_losses([c], state.nll, state.index, vocab, table, state.cv, cfg.window)[0]
+        assert p not in after.uses and after.loss != before.loss
 
 
 class TestExhaustiveOracle:
@@ -351,6 +431,32 @@ class TestCheckpoint:
         assert saved == expected + [8]
         assert resumed_vocab.tokens == vocab.tokens
         assert json.dumps(resumed_events) == json.dumps(events)
+
+    def test_compressed_checkpoint_resumes(self, tmp_path):
+        # checkpoints are written stored (uncompressed); one written
+        # compressed, as earlier versions did, resumes all the same
+        corpus = _toy_corpus(50, seed=14)
+        cfg = SageConfig(
+            final_size=64, overshoot=1.5, prune_batch=4, recalc_period=2,
+            candidate_pool=20, embed_period=2, window=2, embed=_small_embed(),
+        )
+        direct_vocab, direct_events = train_sage(corpus, cfg)
+        state = init_state(corpus, cfg)
+        prune_iteration(state, cfg)
+        prune_iteration(state, cfg)
+        path = tmp_path / "run.ckpt.npz"
+        save_checkpoint(state, cfg, corpus, path)
+        with zipfile.ZipFile(path) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        packed = tmp_path / "packed.npz"
+        np.savez_compressed(packed, **arrays)
+        with zipfile.ZipFile(packed) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+        resumed_vocab, resumed_events = train_sage(corpus, cfg, resume_path=packed)
+        assert resumed_vocab.tokens == direct_vocab.tokens
+        assert json.dumps(resumed_events) == json.dumps(direct_events)
 
     def test_checkpoint_rejects_other_config(self, tmp_path):
         corpus = _toy_corpus(30, seed=15)
