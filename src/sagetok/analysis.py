@@ -73,9 +73,6 @@ class TokenStatsTable:
             return 0.0
         return sum(s.ratio for s in self.rows.values()) / len(self.rows)
 
-    def frequencies(self) -> dict[str, int]:
-        return {t: s.frequency for t, s in self.rows.items()}
-
 
 def token_length_hist(vocab: Vocabulary) -> Histogram:
     """Vocabulary token lengths in characters, boundary marker excluded."""
@@ -191,29 +188,6 @@ def _token_stats(index: WordIndex, vocab: Vocabulary, window: int) -> TokenStats
             word_initial=is_word_initial(token),
         )
     return TokenStatsTable(rows, window, int(counts[: len(vocab)].sum()))
-
-
-@dataclass
-class FrequencyDiff:
-    """Tokens with the largest frequency gap between two tokenizations."""
-
-    more_in_a: list[tuple[str, int, int]]
-    more_in_b: list[tuple[str, int, int]]
-
-
-def frequency_diff(stats_a: TokenStatsTable, stats_b: TokenStatsTable, top_n: int = 10) -> FrequencyDiff:
-    freq_a = stats_a.frequencies()
-    freq_b = stats_b.frequencies()
-    entries = []
-    for token in set(freq_a) | set(freq_b):
-        fa = freq_a.get(token, 0)
-        fb = freq_b.get(token, 0)
-        if fa != fb:
-            entries.append((abs(fa - fb), token, fa, fb))
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    more_a = [(t, fa, fb) for _, t, fa, fb in entries if fa > fb][:top_n]
-    more_b = [(t, fa, fb) for _, t, fa, fb in entries if fb > fa][:top_n]
-    return FrequencyDiff(more_a, more_b)
 
 
 @dataclass

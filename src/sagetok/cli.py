@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, analysis, bpe, encoder, sage, unigram
-from .corpus import NormalizePolicy, build_index, load_corpus
+from .corpus import build_index, load_corpus
 from .embeddings import EmbedConfig
 from .errors import ConfigError, DataError, SagetokError
 from .unigram import UnigramModel
@@ -35,10 +35,6 @@ def _config_digest(payload: dict) -> str:
     import hashlib
 
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-def _policy(args) -> NormalizePolicy:
-    return NormalizePolicy(lowercase=getattr(args, "lowercase", False))
 
 
 @contextmanager
@@ -59,7 +55,7 @@ def _check_writable(path) -> None:
 
 
 def cmd_train_bpe(args) -> int:
-    corpus = load_corpus(args.corpus, _policy(args))
+    corpus = load_corpus(args.corpus, args.lowercase)
     vocab, merges = bpe.train_bpe(corpus, args.vocab_size)
     digest = _config_digest({"cmd": "train-bpe", "vocab_size": args.vocab_size})
     meta = _meta(corpus.digest(), digest)
@@ -73,7 +69,7 @@ def cmd_train_bpe(args) -> int:
 
 
 def cmd_train_unigram(args) -> int:
-    corpus = load_corpus(args.corpus, _policy(args))
+    corpus = load_corpus(args.corpus, args.lowercase)
     vocab = unigram.train_unigram(
         corpus,
         args.vocab_size,
@@ -184,11 +180,13 @@ def _sage_config(args) -> sage.SageConfig:
 def cmd_train_sage(args) -> int:
     cfg = _sage_config(args)
     cfg.validate()
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        raise ConfigError("checkpoint interval must be >= 1")
     events_path = args.events_out or str(args.out) + ".events.jsonl"
     for path in (args.out, events_path, args.checkpoint):
         if path is not None:
             _check_writable(path)
-    corpus = load_corpus(args.corpus, _policy(args))
+    corpus = load_corpus(args.corpus, args.lowercase)
 
     def progress(event: dict) -> None:
         print(
@@ -223,7 +221,7 @@ def cmd_train_sage(args) -> int:
 def cmd_encode(args) -> int:
     vocab, _ = load_vocab(args.vocab)
     cv = encoder.compile(vocab)
-    index = build_index(load_corpus(args.input, _policy(args)), cv)
+    index = build_index(load_corpus(args.input, args.lowercase), cv)
     # each word type is rendered once; a line joins the renderings of its words
     if args.format == "ids":
         rendered = [" ".join(map(str, seg)) for seg in index.segs]
@@ -245,7 +243,7 @@ def cmd_analyze(args) -> int:
     if args.window < 1:
         raise ConfigError("window must be >= 1")
     vocab, _ = load_vocab(args.vocab)
-    corpus = load_corpus(args.corpus, _policy(args))
+    corpus = load_corpus(args.corpus, args.lowercase)
     cv = encoder.compile(vocab)
     digest = _config_digest({"cmd": "analyze", "window": args.window})
     meta = _meta(corpus.digest(), digest)

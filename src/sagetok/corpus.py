@@ -1,7 +1,8 @@
 """Corpus ingestion, the word-type index and the tokenized sentence store.
 
-A corpus is one sentence per line. Loading normalizes whitespace, drops
-empty lines, and scrubs any literal boundary-marker character so that the
+A corpus is one sentence per line. Loading optionally lowercases each
+line, collapses every run of whitespace to one space, drops empty lines,
+and replaces any literal boundary-marker character with ``_`` so that the
 marker is unambiguous downstream. Sentences are pretokenized into
 marker-prefixed words; skipgram windows never cross sentence boundaries.
 
@@ -35,27 +36,10 @@ from .errors import DataError, VocabError
 from .vocab import MARKER, Vocabulary, is_protected
 
 
-@dataclass(frozen=True)
-class NormalizePolicy:
-    """Line normalization applied at load time.
-
-    ``marker_fallback`` replaces literal occurrences of the reserved
-    boundary marker in raw text, keeping segmentations invertible.
-    """
-
-    lowercase: bool = False
-    collapse_whitespace: bool = True
-    marker_fallback: str = "_"
-
-
-def normalize_line(line: str, policy: NormalizePolicy = NormalizePolicy()) -> str:
-    if policy.lowercase:
+def normalize_line(line: str, lowercase: bool = False) -> str:
+    if lowercase:
         line = line.lower()
-    if policy.collapse_whitespace:
-        line = " ".join(line.split())
-    if MARKER in line:
-        line = line.replace(MARKER, policy.marker_fallback)
-    return line
+    return " ".join(line.split()).replace(MARKER, "_")
 
 
 @dataclass(frozen=True)
@@ -68,8 +52,8 @@ class RawCorpus:
         return len(self.lines)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], policy: NormalizePolicy = NormalizePolicy()) -> "RawCorpus":
-        kept = [n for n in (normalize_line(l, policy) for l in lines) if n]
+    def from_lines(cls, lines: Iterable[str], lowercase: bool = False) -> "RawCorpus":
+        kept = [n for n in (normalize_line(l, lowercase) for l in lines) if n]
         if not kept:
             raise DataError("corpus has zero non-empty lines")
         return cls(tuple(kept))
@@ -84,8 +68,8 @@ class RawCorpus:
         return h.hexdigest()[:16]
 
 
-def load_corpus(path, policy: NormalizePolicy = NormalizePolicy()) -> RawCorpus:
-    """Read a UTF-8 line-per-sentence file, normalizing per ``policy``.
+def load_corpus(path, lowercase: bool = False) -> RawCorpus:
+    """Read a UTF-8 line-per-sentence file, normalizing each line.
 
     Invalid UTF-8 is reported with its 1-based line number.
     """
@@ -100,7 +84,7 @@ def load_corpus(path, policy: NormalizePolicy = NormalizePolicy()) -> RawCorpus:
             text = blob.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: invalid UTF-8 on line {lineno}: {exc}") from exc
-        norm = normalize_line(text, policy)
+        norm = normalize_line(text, lowercase)
         if norm:
             kept.append(norm)
     if not kept:

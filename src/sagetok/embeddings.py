@@ -27,6 +27,7 @@ The tables stay bit-identical to the plain form in the test oracle
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -65,6 +66,8 @@ class EmbedConfig:
             raise ConfigError("batch_pairs must be >= 1")
         if self.clip_row <= 0:
             raise ConfigError("clip_row must be positive")
+        if not (math.isfinite(self.lr_initial) and math.isfinite(self.lr_final)):
+            raise ConfigError("learning rate must be finite")
 
 
 @dataclass

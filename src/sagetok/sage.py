@@ -46,8 +46,8 @@ from .bpe import train_bpe
 from .corpus import RawCorpus, WordIndex, build_index, retokenize_sentences
 from .embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from .errors import ConfigError, DataError, VocabError
-# ablation_loss, the one-candidate scorer, stays importable from here for
-# callers that look it up in this module
+# ablation_loss is re-exported only for perfbench/test_perfbench.py, which
+# looks it up here; it goes when perfbench's hooks move to ablation_losses
 from .objective import ablation_loss, ablation_losses, attach_nll_cache, corpus_nll  # noqa: F401
 from .unigram import train_unigram
 from .vocab import Vocabulary, is_protected, load_vocab
@@ -98,7 +98,9 @@ class SageConfig:
             problems.append(f"unknown base trainer {self.base_trainer!r}")
         if self.base_trainer == "file" and not self.initial_vocab_path:
             problems.append("base trainer 'file' requires initial_vocab_path")
-        if (
+        if not math.isfinite(self.overshoot):
+            problems.append("overshoot must be finite")
+        elif (
             self.base_trainer != "file"
             and self.final_size >= 1
             and self.initial_size() <= self.final_size
@@ -133,7 +135,6 @@ class PruneState:
     bottom: list[int] = field(default_factory=list)
     losses: dict[int, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
-    embeddings_fresh: bool = True
     # candidate -> (loss under the current table, tokens its banned
     # segmentation used); see the module docstring for when entries go
     scored: dict[int, tuple[float, frozenset[int]]] = field(default_factory=dict)
@@ -217,14 +218,13 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
 
     cycle = cfg.embed_period * cfg.recalc_period
     retrained = False
-    if state.iteration % cycle == 0 and not state.embeddings_fresh:
+    if state.iteration % cycle == 0 and state.iteration > 0:
         embed_cfg = dataclasses.replace(cfg.embed, seed=cfg.embed.seed + state.iteration)
         store = state.index.store(state.vocab.digest())
         state.table = train_embeddings(store, state.vocab, embed_cfg)
         state.total_nll = corpus_nll(store, state.table, cfg.window, state.nll)
         state.scored.clear()
         retrained = True
-    state.embeddings_fresh = False
 
     need = min(cfg.prune_batch, state.alive_size() - cfg.final_size)
     full = state.iteration % cfg.recalc_period == 0
@@ -329,19 +329,6 @@ def save_events(events: list[dict], path, meta: dict | None = None) -> None:
             f.write(json.dumps(event) + "\n")
 
 
-def load_events(path) -> tuple[list[dict], dict]:
-    events = []
-    meta: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            record = json.loads(line)
-            if "meta" in record and not events:
-                meta = record["meta"]
-            else:
-                events.append(record)
-    return events, meta
-
-
 def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path) -> None:
     """Resumable snapshot at an iteration boundary, written to exactly
     ``path``: into a temporary file beside it, then renamed into place,
@@ -373,7 +360,8 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
         total_nll=np.asarray([state.total_nll]),
         config_digest=np.frombuffer(cfg.digest().encode("utf-8"), dtype=np.uint8),
         corpus_digest=np.frombuffer(corpus.digest().encode("utf-8"), dtype=np.uint8),
-        embeddings_fresh=np.asarray([state.embeddings_fresh]),
+        # no longer read on resume; written as before so the archive does not change
+        embeddings_fresh=np.asarray([state.iteration == 0]),
     )
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -418,7 +406,6 @@ def load_checkpoint(path, corpus: RawCorpus, cfg: SageConfig) -> PruneState:
                 losses=dict(zip(bottom, (float(x) for x in z["bottom_losses"]))),
                 events=json.loads(bytes(z["events"]).decode("utf-8")),
                 total_nll=float(z["total_nll"][0]),
-                embeddings_fresh=bool(z["embeddings_fresh"][0]),
             )
     except (OSError, EOFError, ValueError, KeyError, IndexError, TypeError,
             zipfile.BadZipFile, zlib.error, VocabError) as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from . import encoder
 from .bpe import word_type_counts
 from .corpus import RawCorpus, SentenceStore, WordIndex, build_index
-from .errors import ConfigError, DataError, VocabError
+from .errors import ConfigError, DataError
 from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, is_protected
 
 
@@ -67,28 +67,12 @@ class UnigramModel:
 
     @classmethod
     def fit(cls, store: SentenceStore, vocab: Vocabulary) -> "UnigramModel":
-        counts = np.bincount(_all_ids(store), minlength=len(vocab))[: len(vocab)]
+        ids = np.concatenate(store.ids) if store.ids else np.zeros(0, dtype=np.int64)
+        counts = np.bincount(ids, minlength=len(vocab))[: len(vocab)]
         total = counts.sum()
         if total == 0:
             raise DataError("store is empty; cannot fit unigram probabilities")
         return cls(vocab, counts / total)
-
-
-def _all_ids(store: SentenceStore) -> np.ndarray:
-    return np.concatenate(store.ids) if store.ids else np.zeros(0, dtype=np.int64)
-
-
-def corpus_loglik(store: SentenceStore, model: UnigramModel) -> float:
-    """Sum of log-probabilities of every token occurrence (<= 0)."""
-    ids = _all_ids(store)
-    if len(ids) and int(ids.max()) >= len(model.vocab):
-        raise VocabError("store contains ids outside the model vocabulary")
-    counts = np.bincount(ids, minlength=len(model.vocab))
-    used = counts > 0
-    if np.any(used & (model.probs <= 0)):
-        bad = int(np.nonzero(used & (model.probs <= 0))[0][0])
-        raise VocabError(f"token {model.vocab.tokens[bad]!r} has zero probability")
-    return float(np.sum(counts[used] * np.log(model.probs[used])))
 
 
 class _CountLogTerms:
@@ -187,7 +171,7 @@ def train_unigram(
         pruned = {item[3] for item in scored[:batch]}
 
         alive -= pruned
-        cv = encoder.compile(vocab, alive)
+        cv.remove(pruned)
         index.resegment(pruned, cv)
 
     return vocab.subset(alive)

@@ -76,9 +76,6 @@ class Vocabulary:
     def __hash__(self):
         return hash(self.tokens)
 
-    def token(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     @property
     def unk_id(self) -> int:
         """Reserved id for characters outside the alphabet (one past the last token)."""

@@ -5,7 +5,6 @@ from sagetok import encoder
 from sagetok.analysis import (
     Histogram,
     fertility_hist,
-    frequency_diff,
     efficiency,
     summary_report,
     token_length_hist,
@@ -123,29 +122,6 @@ class TestTokenStats:
         assert all("¤" not in token for token in stats.rows)
         # UNK neither contributes a row nor appears in neighbor counts
         assert stats.rows[MARKER + "a"].distinct_neighbors == 1  # just "b"
-
-
-class TestFrequencyDiff:
-    def test_identical_stats_empty(self):
-        corpus = RawCorpus.from_lines(["ab ab"])
-        vocab, cv = _compiled([MARKER, "a", "b", MARKER + "ab"])
-        stats = token_stats(corpus, cv, 2)
-        diff = frequency_diff(stats, stats)
-        assert diff.more_in_a == [] and diff.more_in_b == []
-
-    def test_suffix_dismantling_shows_up_on_both_sides(self):
-        # vocabulary A keeps "ings" whole; B splits it into "ing" + "s"
-        lines = ["meetings sayings doings", "meetings doings"]
-        corpus = RawCorpus.from_lines(lines)
-        shared = [MARKER, "s", "g", "n", "i", MARKER + "meet", MARKER + "say", MARKER + "do", "ing"]
-        vocab_a, cv_a = _compiled(shared + ["ings"])
-        vocab_b, cv_b = _compiled(shared)
-        stats_a = token_stats(corpus, cv_a, 2)
-        stats_b = token_stats(corpus, cv_b, 2)
-        diff = frequency_diff(stats_a, stats_b, top_n=5)
-        assert any(tok == "ings" for tok, _, _ in diff.more_in_a)
-        more_b_tokens = {tok for tok, _, _ in diff.more_in_b}
-        assert {"ing", "s"} <= more_b_tokens
 
 
 class TestVocabDiff:

@@ -189,6 +189,23 @@ class TestTrainSageCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["overshoot", "lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_exits_2(self, tmp_path, corpus_file, capsys, flag, value):
+        out = tmp_path / "x.vocab"
+        assert main(_sage_args(corpus_file, out, **{flag: value})) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("every", ["0", "-2"])
+    def test_checkpoint_every_below_one_exits_2(self, tmp_path, corpus_file, capsys, every):
+        ckpt = tmp_path / "run.ckpt"
+        argv = _sage_args(corpus_file, tmp_path / "x.vocab") + [
+            "--checkpoint", str(ckpt), "--checkpoint-every", every]
+        assert main(argv) == 2
+        assert "checkpoint interval" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("flag", ["out", "events-out", "checkpoint"])
     @pytest.mark.parametrize("where", ["below-missing-dir", "directory"])
     def test_unwritable_output_fails_before_training(self, tmp_path, corpus_file, capsys, monkeypatch, flag, where):
@@ -248,6 +265,32 @@ class TestEncodeCommand:
         out = tmp_path / "enc.txt"
         main(["encode", "--vocab", str(vocab_path), "--in", str(corpus), "--out", str(out)])
         assert out.read_text(encoding="utf-8") == f"{MARKER}a ¤ b\n"
+
+
+class TestLowercaseFlag:
+    def test_equals_running_on_the_lowercased_corpus(self, tmp_path):
+        lines = generate_corpus(40, seed=21, n_stems=50)
+        mixed = ["".join(c.upper() if i % 3 == 0 else c for i, c in enumerate(line)) for line in lines]
+        assert mixed != [line.lower() for line in mixed]
+        mixed_path, lower_path = tmp_path / "mixed.txt", tmp_path / "lower.txt"
+        mixed_path.write_text("\n".join(mixed) + "\n", encoding="utf-8")
+        lower_path.write_text("\n".join(line.lower() for line in mixed) + "\n", encoding="utf-8")
+
+        def run(*argv):
+            assert main(list(argv)) == 0
+
+        run("train-bpe", "--corpus", str(mixed_path), "--vocab-size", "80",
+            "--out", str(tmp_path / "a.vocab"), "--lowercase")
+        run("train-bpe", "--corpus", str(lower_path), "--vocab-size", "80", "--out", str(tmp_path / "b.vocab"))
+        for name in ("a.vocab", "a.vocab.merges"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("a.", "b.", 1)).read_bytes()
+
+        vocab = str(tmp_path / "a.vocab")
+        run("encode", "--vocab", vocab, "--in", str(mixed_path), "--out", str(tmp_path / "a.enc"), "--lowercase")
+        run("encode", "--vocab", vocab, "--in", str(lower_path), "--out", str(tmp_path / "b.enc"))
+        run("encode", "--vocab", vocab, "--in", str(mixed_path), "--out", str(tmp_path / "c.enc"))
+        assert (tmp_path / "a.enc").read_bytes() == (tmp_path / "b.enc").read_bytes()
+        assert (tmp_path / "c.enc").read_bytes() != (tmp_path / "b.enc").read_bytes()
 
 
 class TestAnalyzeCommand:
@@ -353,6 +396,10 @@ def _write_bad_input(tmp_path, kind):
         path.write_text(json.dumps({"vocab_size": "abc"}), encoding="utf-8")
     elif kind == "config-lr-string":
         path.write_text(json.dumps({"lr": "x"}), encoding="utf-8")
+    elif kind == "config-overshoot-nan":
+        path.write_text('{"overshoot": NaN}', encoding="utf-8")
+    elif kind == "config-lr-infinity":
+        path.write_text('{"lr": Infinity}', encoding="utf-8")
     elif kind == "initvocab-missing-chars":
         path.write_text("a\nb\nc\nd\nab\nabc\n", encoding="utf-8")
     elif kind == "corpus-invalid-utf8":
@@ -389,6 +436,8 @@ def _write_bad_input(tmp_path, kind):
         ("config-invalid-utf8", 2),
         ("config-vocab-size-string", 2),
         ("config-lr-string", 2),
+        ("config-overshoot-nan", 2),
+        ("config-lr-infinity", 2),
         ("initvocab-missing-chars", 3),
         ("corpus-invalid-utf8", 3),
         ("corpus-empty", 3),

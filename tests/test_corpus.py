@@ -3,7 +3,6 @@ import pytest
 
 from sagetok import encoder
 from sagetok.corpus import (
-    NormalizePolicy,
     RawCorpus,
     WordIndex,
     build_index,
@@ -58,7 +57,7 @@ class TestLoadCorpus:
         assert load_corpus(path).lines == ("a_b c",)
 
     def test_lowercase_policy(self):
-        assert normalize_line("A Big DOG", NormalizePolicy(lowercase=True)) == "a big dog"
+        assert normalize_line("A Big DOG", lowercase=True) == "a big dog"
 
 
 class TestPretokenize:

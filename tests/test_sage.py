@@ -13,7 +13,6 @@ from sagetok.sage import (
     SageConfig,
     init_state,
     load_checkpoint,
-    load_events,
     prune_iteration,
     save_checkpoint,
     save_events,
@@ -493,6 +492,6 @@ class TestEventLogIO:
         ]
         path = tmp_path / "events.jsonl"
         save_events(events, path, {"seed": 1})
-        loaded, meta = load_events(path)
-        assert loaded == events
-        assert meta == {"seed": 1}
+        with open(path, encoding="utf-8") as f:
+            records = [json.loads(line) for line in f]
+        assert records == [{"meta": {"seed": 1}}] + events

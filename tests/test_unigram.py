@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from sagetok import encoder, unigram
 from sagetok.corpus import RawCorpus, SentenceStore
-from sagetok.errors import ConfigError, VocabError
+from sagetok.errors import ConfigError
 from sagetok.unigram import (
     UnigramModel,
-    corpus_loglik,
     init_substring_vocab,
     save_probs,
     train_unigram,
@@ -58,36 +55,11 @@ class TestInitSubstringVocab:
 
 
 class TestCorpusLoglik:
+    """The MLE unigram fit that ``train-unigram --probs-out`` writes."""
+
     def _store(self, id_lists, vocab):
         ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
         return SentenceStore(ids, [() for _ in ids], vocab.digest())
-
-    def test_prob_one_gives_zero(self):
-        vocab = Vocabulary(["a"])
-        model = UnigramModel(vocab, np.array([1.0]))
-        assert corpus_loglik(self._store([[0]], vocab), model) == 0.0
-
-    def test_two_halves(self):
-        vocab = Vocabulary(["a", "b"])
-        model = UnigramModel(vocab, np.array([0.5, 0.5]))
-        got = corpus_loglik(self._store([[0, 1]], vocab), model)
-        assert got == pytest.approx(2 * math.log(0.5), abs=1e-12)
-
-    def test_zero_probability_token_rejected(self):
-        vocab = Vocabulary(["a", "b"])
-        model = UnigramModel(vocab, np.array([1.0, 0.0]))
-        with pytest.raises(VocabError):
-            corpus_loglik(self._store([[0, 1]], vocab), model)
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(1)
-        vocab = Vocabulary([f"t{i}" for i in range(7)])
-        id_lists = [rng.integers(0, 7, size=rng.integers(1, 9)).tolist() for _ in range(20)]
-        store = self._store(id_lists, vocab)
-        model = UnigramModel.fit(store, vocab)
-        got = corpus_loglik(store, model)
-        direct = sum(math.log(model.probs[t]) for ids in id_lists for t in ids)
-        assert got == pytest.approx(direct, abs=1e-12)
 
     def test_mle_fit_sums_to_one(self):
         vocab = Vocabulary(["a", "b", "c"])
