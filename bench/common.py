@@ -1,6 +1,6 @@
 """What the ``bench/`` scripts share: exporting the base revision, running
-one measurement in a fresh process, alternating the two sides, and the
-record's header."""
+one measurement in a fresh process, alternating the two sides, the
+record's header, and saving corpus lines for a child to read."""
 
 from __future__ import annotations
 
@@ -43,6 +43,19 @@ def header(benchmark: str, base: str, repeats: int) -> dict:
         "repeats": repeats,
         "cases": [],
     }
+
+
+def pack_lines(lines):
+    """Corpus lines as one uint8 array of their UTF-8 text, newline-joined:
+    a compact form to save with ``np.savez``."""
+    import numpy as np
+
+    return np.frombuffer("\n".join(lines).encode("utf-8"), dtype=np.uint8)
+
+
+def unpack_lines(packed) -> list[str]:
+    """The lines :func:`pack_lines` packed."""
+    return packed.tobytes().decode("utf-8").split("\n")
 
 
 def run_child(script: str, *args: str) -> dict:

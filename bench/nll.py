@@ -7,14 +7,16 @@ times the skipgram NLL scorer (``sagetok.objective.batched_sentence_nll``)
 through its two callers, from that tree and from this checkout's ``src/``.
 Each case's inputs are built once by this checkout and saved: seeded
 ``tests/textgen.py`` lines, a BPE vocabulary trained on them and an
-embedding table, so both sides score the same ids under the same rows.
-Each measurement runs in a fresh process: it loads the inputs, times the
-calls with ``time.perf_counter`` and reads its peak RSS from
-``resource.getrusage``, then repeats the calls untimed on a fresh table
-under ``tracemalloc`` for the scoring's own peak allocation (the process
-peak is mostly the inputs). The two sides alternate, and the record keeps
-every run, the median seconds, both peaks and a digest of the NLL (and
-loss) arrays of each side.
+embedding table. Each measurement runs in a fresh process: it loads the
+inputs and encodes the lines under the vocabulary with its side's own
+encoder (byte-identical across trees, so both sides score the same ids
+under the same rows), times the calls with ``time.perf_counter`` and
+reads its peak RSS from ``resource.getrusage``, then repeats the calls
+untimed on a fresh table under ``tracemalloc`` for the scoring's own peak
+allocation (the process peak is mostly the inputs and their encoding).
+The two sides alternate, and the record keeps every run, the median
+seconds, both peaks and a digest of the NLL (and loss) arrays of each
+side.
 
 The cases:
 
@@ -52,7 +54,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, run_child, same_digest
+from common import ROOT, alternate, export, header, pack_lines, run_child, same_digest, unpack_lines
 
 WINDOW = 5
 # (name, lines, corpus seed, n_stems, zipf alpha, BPE size, SGNS config or
@@ -75,7 +77,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     import numpy as np
 
     from sagetok import encoder
-    from sagetok.corpus import RawCorpus, SentenceStore, build_index
+    from sagetok.corpus import RawCorpus, build_index
     from sagetok.embeddings import SkipGramTable
     from sagetok.objective import ablation_losses, attach_nll_cache
     from sagetok.vocab import Vocabulary, is_protected
@@ -83,17 +85,14 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     with np.load(inputs) as data:
         vocab = Vocabulary([str(t) for t in data["tokens"]])
         rows = data["target"], data["context"]
-        if kind == "ablation":
-            lines = [str(line) for line in data["lines"]]
-        else:
-            ids = np.split(data["ids"], np.cumsum(data["lengths"])[:-1])
+        corpus = RawCorpus.from_lines(unpack_lines(data["text"]))
+    cv = encoder.compile(vocab)
 
     def table():
         return SkipGramTable(*rows, rows[0].shape[1], WINDOW, vocab.digest())
 
     if kind == "ablation":
-        cv = encoder.compile(vocab)
-        index = build_index(RawCorpus.from_lines(lines), cv)
+        index = build_index(corpus, cv)
         store = index.store(vocab.digest())
         candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
 
@@ -104,7 +103,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
             seconds = {"seconds": time.perf_counter() - t0}
             return seconds, _digest(nll, np.array([r.loss for r in losses]))
     else:
-        store = SentenceStore(ids, [() for _ in ids], vocab.digest())
+        store = encoder.encode_corpus(corpus, cv)
 
         def score(table) -> tuple[dict, str]:
             t0 = time.perf_counter()
@@ -129,9 +128,8 @@ def _child(src: str, kind: str, inputs: str) -> dict:
 
 
 def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int, sgns) -> dict:
-    """Train a BPE vocabulary of ``size`` on seeded lines and save it with a
-    table, and either the lines (for ablation) or their encoded ids;
-    returns the inputs' shape."""
+    """Train a BPE vocabulary of ``size`` on seeded lines and save it with
+    the lines and a table; returns the inputs' shape."""
     import numpy as np
 
     from sagetok import encoder
@@ -143,30 +141,28 @@ def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float,
     corpus = RawCorpus.from_lines(generate_corpus(lines, seed=seed, n_stems=n_stems, zipf_alpha=alpha))
     vocab, _ = train_bpe(corpus, size)
     store = encoder.encode_corpus(corpus, encoder.compile(vocab))
-    lengths = np.array([len(a) for a in store.ids], dtype=np.int64)
-    arrays = {"tokens": np.array(vocab.tokens)}
+    lengths = store.lengths
     if sgns is not None:
         table = train_embeddings(store, vocab, EmbedConfig(**sgns))
-        arrays.update(target=table.target, context=table.context, lines=np.array(corpus.lines))
+        target, context = table.target, table.context
     else:
         rng = np.random.default_rng(seed)
-        arrays.update(target=rng.normal(0.0, 0.1, (len(vocab), 50)), context=rng.normal(0.0, 0.1, (len(vocab), 50)),
-                      ids=np.concatenate(store.ids), lengths=lengths)
-    np.savez(path, **arrays)
+        target, context = rng.normal(0.0, 0.1, (len(vocab), 50)), rng.normal(0.0, 0.1, (len(vocab), 50))
+    np.savez(path, tokens=np.array(vocab.tokens), text=pack_lines(corpus.lines), target=target, context=context)
     shape = {"vocab": len(vocab), "sentences": len(lengths), "tokens": int(lengths.sum()),
              "pairs": 2 * sum(int((lengths - d).clip(0).sum()) for d in range(1, WINDOW + 1))}
     if sgns is None:
-        shape.update(pair_terms=shape["pairs"] // 2, distinct_pairs=_distinct_pairs(store.ids, len(vocab)))
+        shape.update(pair_terms=shape["pairs"] // 2, distinct_pairs=_distinct_pairs(store, len(vocab)))
     return shape
 
 
-def _distinct_pairs(sentences, rows: int) -> int:
+def _distinct_pairs(store, rows: int) -> int:
     """Distinct unordered id pairs within ``WINDOW`` positions of each other
-    in one sentence."""
+    in one sentence of ``store``."""
     import numpy as np
 
-    ids = np.concatenate(sentences).astype(np.int64)
-    sent_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    ids = store.flat
+    sent_of = np.repeat(np.arange(len(store)), store.lengths)
     seen = np.zeros(0, dtype=np.int64)
     for delta in range(1, WINDOW + 1):
         same = sent_of[:-delta] == sent_of[delta:]

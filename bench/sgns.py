@@ -5,11 +5,13 @@
 Exports ``--base`` with ``git archive`` into a temporary directory and
 times ``sagetok.embeddings.train_embeddings`` from that tree and from this
 checkout's ``src/``. Each case is one encoded store: seeded
-``tests/textgen.py`` lines, a BPE vocabulary trained on them and the lines
-encoded under it, all built once by this checkout and saved, so both sides
-train on the same ids. Each measurement runs in a fresh process: it loads
-the store, times one training with ``time.perf_counter`` and reads its
-peak RSS from ``resource.getrusage``. The two sides alternate, and the
+``tests/textgen.py`` lines and a BPE vocabulary trained on them, both built
+once by this checkout and saved. Each measurement runs in a fresh process:
+it encodes the lines under the vocabulary with its side's
+``encoder.encode_corpus`` (each tree builds its own kind of store, and the
+encoder is byte-identical across them, so both sides train on the same
+ids), times one training with ``time.perf_counter`` and reads its peak RSS
+from ``resource.getrusage``. The two sides alternate, and the
 record keeps every run, the median seconds, pairs/s and a digest of the
 target and context tables of each side.
 
@@ -31,7 +33,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, run_child, same_digest
+from common import ROOT, alternate, export, header, pack_lines, run_child, same_digest, unpack_lines
 
 # (name, lines, corpus seed, n_stems, zipf alpha, BPE size, SGNS config);
 # the first two are the `sage` workload's corpora at seed 7 with its
@@ -45,18 +47,19 @@ CASES = (
 )
 
 
-def _child(src: str, store_path: str, cfg_json: str) -> dict:
+def _child(src: str, inputs: str, cfg_json: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from sagetok.corpus import SentenceStore
+    from sagetok import encoder
+    from sagetok.corpus import RawCorpus
     from sagetok.embeddings import EmbedConfig, train_embeddings
     from sagetok.vocab import Vocabulary
 
-    with np.load(store_path) as data:
+    with np.load(inputs) as data:
         vocab = Vocabulary([str(t) for t in data["tokens"]])
-        ids = np.split(data["ids"], np.cumsum(data["lengths"])[:-1])
-    store = SentenceStore(ids, [() for _ in ids], vocab.digest())
+        lines = unpack_lines(data["text"])
+    store = encoder.encode_corpus(RawCorpus.from_lines(lines), encoder.compile(vocab))
     cfg = EmbedConfig(**json.loads(cfg_json))
     t0 = time.perf_counter()
     table = train_embeddings(store, vocab, cfg)
@@ -67,8 +70,8 @@ def _child(src: str, store_path: str, cfg_json: str) -> dict:
 
 
 def _build_store(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int) -> dict:
-    """Encode seeded lines under a BPE vocabulary of ``size`` and save the
-    ids; returns the store's shape."""
+    """Train a BPE vocabulary of ``size`` on seeded lines and save both;
+    returns the shape of the lines encoded under it."""
     import numpy as np
 
     from sagetok import encoder
@@ -79,9 +82,8 @@ def _build_store(path: Path, lines: int, seed: int, n_stems: int, alpha: float, 
     corpus = RawCorpus.from_lines(generate_corpus(lines, seed=seed, n_stems=n_stems, zipf_alpha=alpha))
     vocab, _ = train_bpe(corpus, size)
     store = encoder.encode_corpus(corpus, encoder.compile(vocab))
-    lengths = np.array([len(a) for a in store.ids], dtype=np.int64)
-    np.savez(path, tokens=np.array(vocab.tokens), ids=np.concatenate(store.ids), lengths=lengths)
-    return {"vocab": len(vocab), "tokens": int(lengths.sum()), "lengths": lengths}
+    np.savez(path, tokens=np.array(vocab.tokens), text=pack_lines(corpus.lines))
+    return {"vocab": len(vocab), "tokens": store.total_tokens(), "lengths": store.lengths}
 
 
 def _pairs(lengths, window: int) -> int:

@@ -182,6 +182,8 @@ def cmd_train_sage(args) -> int:
     cfg.validate()
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         raise ConfigError("checkpoint interval must be >= 1")
+    if args.checkpoint_every is not None and args.checkpoint is None:
+        raise ConfigError("--checkpoint-every needs --checkpoint")
     events_path = args.events_out or str(args.out) + ".events.jsonl"
     for path in (args.out, events_path, args.checkpoint):
         if path is not None:

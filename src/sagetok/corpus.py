@@ -20,8 +20,8 @@ removal to the index and rescores, in a per-sentence NLL array, only the
 sentences that held a removed token; it reports every token found in
 those sentences, before or after, so callers can tell which cached
 ablation losses the removal may have changed. A ``SentenceStore`` is a
-read-only snapshot of the whole corpus as id arrays, built from the
-index when every sentence is needed at once.
+read-only snapshot of the whole corpus in that flat form (the index's
+``token_stream``), built when every sentence is needed at once.
 """
 
 from __future__ import annotations
@@ -123,27 +123,32 @@ def window_offsets(sent_of: np.ndarray, window: int):
 
 
 class SentenceStore:
-    """Corpus as token-id sequences under one vocabulary: a snapshot.
+    """Corpus as token ids under one vocabulary: a snapshot, in flat form.
 
-    Holds, per sentence, the encoded id array and the characters absorbed
-    by UNK tokens (in emission order, so that a sentence can be decoded
-    back exactly; ``tests/oracles.py`` holds the decoder).
-    ``vocab_digest`` is the digest of the full vocabulary the ids index
-    into. Nothing changes a store after it is built.
+    ``flat`` holds every sentence's ids one after another (int64) and
+    ``lengths`` each sentence's token count. ``vocab_digest`` is the digest
+    of the full vocabulary the ids index into. Nothing changes a store
+    after it is built. Its ``WordIndex`` keeps the UNK characters.
     """
 
-    __slots__ = ("ids", "unk_chars", "vocab_digest")
+    __slots__ = ("flat", "lengths", "vocab_digest")
 
-    def __init__(self, ids: list[np.ndarray], unk_chars: list[tuple[str, ...]], vocab_digest: str):
-        self.ids = ids
-        self.unk_chars = unk_chars
+    def __init__(self, flat: np.ndarray, lengths: np.ndarray, vocab_digest: str):
+        self.flat = flat
+        self.lengths = lengths
         self.vocab_digest = vocab_digest
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.lengths)
 
     def total_tokens(self) -> int:
-        return sum(len(a) for a in self.ids)
+        return len(self.flat)
+
+    @property
+    def ids(self) -> list[np.ndarray]:
+        """One id array per sentence, split from ``flat`` on each read. No
+        module of the package reads it; perfbench and the tests do."""
+        return np.split(self.flat, np.cumsum(self.lengths)[:-1]) if len(self.lengths) else []
 
 
 class WordIndex:
@@ -304,15 +309,7 @@ class WordIndex:
 
     def store(self, vocab_digest: str) -> SentenceStore:
         """A snapshot of every sentence encoded under the current segmentations."""
-        flat, lengths = self.token_stream()
-        ids = np.split(flat.astype(np.int32), np.cumsum(lengths)[:-1]) if len(lengths) else []
-        unks: list[tuple[str, ...]] = [()] * len(lengths)
-        # walk only the sentences holding a word type that absorbed characters
-        has_unk = np.fromiter(map(bool, self.unks), dtype=bool, count=len(self.unks))
-        positions = np.flatnonzero(has_unk[self.type_ids])
-        for s in sorted_unique(np.searchsorted(self.offsets, positions, side="right") - 1).tolist():
-            unks[s] = tuple(ch for w in self.sentence_types(s) for ch in self.unks[w])
-        return SentenceStore(ids, unks, vocab_digest)
+        return SentenceStore(*self.token_stream(), vocab_digest)
 
     def segment_without(self, token_id: int, cv) -> dict[int, list[int]]:
         """New segmentation, with ``token_id`` banned, of every type holding it.

@@ -1,7 +1,8 @@
 """Skipgram-with-negative-sampling embedding training over token ids.
 
-Training is deterministic given the config seed: pairs are processed in
-corpus order grouped by window offset, negatives come from one seeded
+Training reads a ``SentenceStore``'s flat ids and sentence lengths. It
+is deterministic given the config seed: pairs are processed in corpus
+order grouped by window offset, negatives come from one seeded
 stream, and updates are applied in mini-batches with a fixed reduction
 order. Randomness is keyed to token *strings*, not ids (row
 initialization and the noise distribution use a canonical string order),
@@ -68,6 +69,8 @@ class EmbedConfig:
             raise ConfigError("clip_row must be positive")
         if not (math.isfinite(self.lr_initial) and math.isfinite(self.lr_final)):
             raise ConfigError("learning rate must be finite")
+        if self.lr_initial <= 0:
+            raise ConfigError("learning rate must be > 0")
 
 
 @dataclass
@@ -162,8 +165,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _pair_count(store: SentenceStore, window: int) -> int:
     """Number of in-window ordered pairs over the store."""
-    lengths = np.array([len(a) for a in store.ids])
-    return 2 * sum(int(np.maximum(lengths - d, 0).sum()) for d in range(1, window + 1))
+    return 2 * sum(int(np.maximum(store.lengths - d, 0).sum()) for d in range(1, window + 1))
 
 
 def _pair_batches(
@@ -177,14 +179,13 @@ def _pair_batches(
     batch may span two offsets. The order depends only on token
     positions, never on id numbering.
     """
-    flat = np.concatenate(store.ids).astype(np.int64)
-    sent_of = np.repeat(np.arange(len(store.ids)), [len(a) for a in store.ids])
+    sent_of = np.repeat(np.arange(len(store)), store.lengths)
     held_t: list[np.ndarray] = []
     held_c: list[np.ndarray] = []
     held = 0
     for delta, same in window_offsets(sent_of, window):
-        left = flat[:-delta][same]
-        right = flat[delta:][same]
+        left = store.flat[:-delta][same]
+        right = store.flat[delta:][same]
         for t, c in ((left, right), (right, left)):
             n = len(t)
             start = 0
@@ -208,7 +209,7 @@ def _pair_batches(
 
 def _noise_cdf(store: SentenceStore, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Unigram^0.75 noise distribution in canonical (string-sorted) order."""
-    counts = np.bincount(np.concatenate(store.ids), minlength=len(vocab))[: len(vocab)]
+    counts = np.bincount(store.flat, minlength=len(vocab))[: len(vocab)]
     counts = counts.astype(np.float64)
     canon = np.argsort(np.asarray(vocab.tokens, dtype=object))
     weights = counts[canon] ** _NOISE_POWER

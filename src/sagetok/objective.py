@@ -6,7 +6,8 @@ the sigmoid of the target/context embedding dot product. Windows span
 ``window`` tokens on each side, truncated at sentence boundaries, and
 every ordered (target, context) pair contributes one term. No negative
 sampling enters this computation; it is pure likelihood estimation over
-frozen embedding tables.
+frozen embedding tables. Sentences are scored in flat form: one id
+array and each sentence's length, as a ``SentenceStore`` holds them.
 
 :func:`ablation_losses` scores the re-segmented sentences of consecutive
 candidates in one pass of up to ``_SCORE_BUDGET_TOKENS`` tokens, paying
@@ -83,23 +84,16 @@ def _check_ids(ids: np.ndarray, rows: int) -> None:
         )
 
 
-def flatten(sentences) -> tuple[np.ndarray, np.ndarray]:
-    """(the ids of ``sentences`` one after another as one int64 array, the
-    length of each): the form :func:`batched_sentence_nll` takes."""
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    flat = np.concatenate(sentences) if len(sentences) else np.zeros(0, dtype=np.int64)
-    return flat.astype(np.int64, copy=False), lengths
-
-
 def batched_sentence_nll(ids: np.ndarray, lengths: np.ndarray, table, window: int) -> np.ndarray:
     """Per-sentence NLL for a batch, sharing one vectorized pass.
 
     The batch is flat: sentence ``i`` is the next ``lengths[i]`` entries
-    of ``ids`` (see :func:`flatten`). Pairs never cross sentence
-    boundaries. Per-sentence sums are accumulated offset by offset in a
-    fixed order, so results do not depend on how sentences are grouped
-    into batches. Each in-sentence pair's term is read from the table's
-    pair-term store (see :func:`_pair_terms`).
+    of ``ids``, the form ``WordIndex.gather`` builds and a
+    ``SentenceStore`` holds. Pairs never cross sentence boundaries.
+    Per-sentence sums are accumulated offset by offset in a fixed order,
+    so results do not depend on how sentences are grouped into batches.
+    Each in-sentence pair's term is read from the table's pair-term store
+    (see :func:`_pair_terms`).
     """
     if not len(lengths):
         return np.zeros(0, dtype=np.float64)
@@ -235,25 +229,24 @@ def corpus_nll(store: SentenceStore, table, window: int, nll: np.ndarray) -> flo
     """Sum of per-sentence NLL over the whole store, each sentence's value
     written into ``nll``.
 
-    Chunking is by whole sentences, so the written values do not depend
-    on the chunk size; the total is the sum of the chunk sums.
+    The flat ids and the lengths are cut at the same sentences, every
+    ``_CHUNK_SENTENCES``, so the written values do not depend on the chunk
+    size; the total is the sum of the chunk sums, in order.
     """
     if store.vocab_digest and getattr(table, "vocab_digest", "") and store.vocab_digest != table.vocab_digest:
         raise VocabError(
             "store and embedding table were built under different vocabularies"
         )
-    total = 0.0
-    for start in range(0, len(store.ids), _CHUNK_SENTENCES):
-        chunk = store.ids[start : start + _CHUNK_SENTENCES]
-        vals = batched_sentence_nll(*flatten(chunk), table, window)
-        nll[start : start + len(chunk)] = vals
-        total += float(np.sum(vals))
-    return total
+    cuts = np.arange(_CHUNK_SENTENCES, len(store), _CHUNK_SENTENCES)
+    chunks = zip(np.split(store.flat, np.cumsum(store.lengths)[cuts - 1]), np.split(store.lengths, cuts))
+    vals = [batched_sentence_nll(flat, lengths, table, window) for flat, lengths in chunks]
+    nll[:] = np.concatenate(vals)
+    return sum(float(np.sum(v)) for v in vals)
 
 
 def attach_nll_cache(store: SentenceStore, table, window: int) -> tuple[np.ndarray, float]:
     """A new per-sentence NLL array for ``store`` under ``table``, and its total."""
-    nll = np.zeros(len(store.ids), dtype=np.float64)
+    nll = np.zeros(len(store), dtype=np.float64)
     return nll, corpus_nll(store, table, window, nll)
 
 

@@ -11,7 +11,7 @@ never candidates. One word-type index (``corpus.WordIndex``) carries the
 segmentation and one array the NLL of each sentence: a candidate is
 scored by re-segmenting only the word types that hold it, and a prune
 re-segments those types and rescores only the sentences holding them.
-The corpus is encoded as ids (a ``SentenceStore`` snapshot) only to
+The whole corpus is gathered as flat ids (a ``SentenceStore``) only to
 train embeddings and refill the array. Every pruning decision is
 appended to a replayable event log, and a checkpoint resumes the loop
 exactly.

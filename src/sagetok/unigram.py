@@ -67,8 +67,7 @@ class UnigramModel:
 
     @classmethod
     def fit(cls, store: SentenceStore, vocab: Vocabulary) -> "UnigramModel":
-        ids = np.concatenate(store.ids) if store.ids else np.zeros(0, dtype=np.int64)
-        counts = np.bincount(ids, minlength=len(vocab))[: len(vocab)]
+        counts = np.bincount(store.flat, minlength=len(vocab))[: len(vocab)]
         total = counts.sum()
         if total == 0:
             raise DataError("store is empty; cannot fit unigram probabilities")

@@ -91,15 +91,17 @@ def sentence(index, s, override=None):
     return ids
 
 
-def decode_words(store, s, vocab):
-    """The pretokenized words of sentence ``s`` of a ``SentenceStore``.
+def decode_words(index, s, vocab):
+    """The pretokenized words of sentence ``s`` of a ``WordIndex``, decoded
+    from its token ids alone.
 
     A new word starts at every marker-initial token. UNK ids are
-    replaced by the source characters the store recorded for them.
+    replaced, in order, by the source characters the index recorded for
+    the sentence's word types (``index.unks``).
     """
-    unk_iter = iter(store.unk_chars[s])
+    unk_iter = iter([ch for w in index.sentence_types(s) for ch in index.unks[w]])
     words = []
-    for token_id in store.ids[s]:
+    for token_id in sentence(index, s):
         if token_id == vocab.unk_id:
             piece = next(unk_iter)
         else:
@@ -113,9 +115,20 @@ def decode_words(store, s, vocab):
     return tuple(words)
 
 
-def decode_line(store, s, vocab):
-    """Sentence ``s`` of a store decoded back to its normalized line."""
-    return " ".join(w[1:] if w.startswith(MARKER) else w for w in decode_words(store, s, vocab))
+def decode_line(index, s, vocab):
+    """Sentence ``s`` of a ``WordIndex`` decoded back to its normalized line."""
+    return " ".join(w[1:] if w.startswith(MARKER) else w for w in decode_words(index, s, vocab))
+
+
+def flatten(sentences):
+    """(the ids of ``sentences`` one after another as one int64 array, the
+    length of each): the flat form ``batched_sentence_nll`` and
+    ``SentenceStore`` take."""
+    import numpy as np
+
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = np.concatenate(sentences) if len(sentences) else np.zeros(0, dtype=np.int64)
+    return flat.astype(np.int64, copy=False), lengths
 
 
 def nll_oracle(ids, target, context, window):
@@ -238,7 +251,7 @@ def exhaustive_prune_oracle(corpus, vocab, table, window, final_size, prune_batc
     import numpy as np
 
     from sagetok import encoder
-    from sagetok.objective import batched_sentence_nll, flatten
+    from sagetok.objective import batched_sentence_nll
 
     alive = set(range(len(vocab)))
     pruned_sequence = []

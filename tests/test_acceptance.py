@@ -18,12 +18,12 @@ from sagetok import analysis, encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index, normalize_line, pretokenize
 from sagetok.embeddings import EmbedConfig, SkipGramTable
-from sagetok.objective import attach_nll_cache, batched_sentence_nll, corpus_nll, flatten
+from sagetok.objective import attach_nll_cache, batched_sentence_nll, corpus_nll
 from sagetok.sage import SageConfig, init_state, prune_iteration, train_sage
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
 from conftest import zero_table
-from oracles import bpe_merge_oracle, exhaustive_prune_oracle, nll_oracle, pair_count
+from oracles import bpe_merge_oracle, exhaustive_prune_oracle, flatten, nll_oracle, pair_count
 from textgen import generate_corpus
 
 
@@ -64,11 +64,7 @@ class TestCriterion1SkipgramOracle:
             ]
             from sagetok.corpus import SentenceStore
 
-            store = SentenceStore(
-                [np.asarray(a, dtype=np.int32) for a in id_lists],
-                [() for _ in id_lists],
-                "",
-            )
+            store = SentenceStore(*flatten(id_lists), "")
             nll = np.zeros(len(store))
             got = corpus_nll(store, table, window, nll)
             want = sum(nll_oracle(ids, table.target, table.context, window) for ids in id_lists)

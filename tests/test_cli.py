@@ -206,6 +206,16 @@ class TestTrainSageCommand:
         assert "checkpoint interval" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "0"], "learning rate must be > 0"),
+        (["--lr", "-5"], "learning rate must be > 0"),
+        (["--checkpoint-every", "2"], "--checkpoint-every needs --checkpoint"),
+    ], ids=["lr-0", "lr-negative", "checkpoint-every-alone"])
+    def test_invalid_flag_exits_2_before_writing(self, tmp_path, corpus_file, capsys, flags, message):
+        assert main(_sage_args(corpus_file, tmp_path / "x.vocab") + flags) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus_file]
+
     @pytest.mark.parametrize("flag", ["out", "events-out", "checkpoint"])
     @pytest.mark.parametrize("where", ["below-missing-dir", "directory"])
     def test_unwritable_output_fails_before_training(self, tmp_path, corpus_file, capsys, monkeypatch, flag, where):
@@ -400,6 +410,8 @@ def _write_bad_input(tmp_path, kind):
         path.write_text('{"overshoot": NaN}', encoding="utf-8")
     elif kind == "config-lr-infinity":
         path.write_text('{"lr": Infinity}', encoding="utf-8")
+    elif kind == "config-lr-zero":
+        path.write_text('{"lr": 0}', encoding="utf-8")
     elif kind == "initvocab-missing-chars":
         path.write_text("a\nb\nc\nd\nab\nabc\n", encoding="utf-8")
     elif kind == "corpus-invalid-utf8":
@@ -438,6 +450,7 @@ def _write_bad_input(tmp_path, kind):
         ("config-lr-string", 2),
         ("config-overshoot-nan", 2),
         ("config-lr-infinity", 2),
+        ("config-lr-zero", 2),
         ("initvocab-missing-chars", 3),
         ("corpus-invalid-utf8", 3),
         ("corpus-empty", 3),

@@ -144,31 +144,17 @@ class TestBuildIndex:
             expected = {s for s, ids in enumerate(segmented) if token in ids}
             assert index.sentences(token) == expected
             assert index.frequencies()[token] == sum(ids.count(token) for ids in segmented)
-        # the store gathered from the type segmentations, UNK pieces included
+        # the store gathered from the type segmentations, UNK pieces included,
+        # and the UNK characters of each sentence's types in emission order
         pieces = [[p for w in pretokenize(line) for p in naive_encode_word(tokens, w)] for line in corpus.lines]
         store = index.store("x")
         assert [a.tolist() for a in store.ids] == [
             [vocab.unk_id if isinstance(p, tuple) else tokens.index(p) for p in ps] for ps in pieces
         ]
-        assert store.unk_chars == [tuple(p[1] for p in ps if isinstance(p, tuple)) for ps in pieces]
-        assert any(store.unk_chars)
-
-    @pytest.mark.parametrize("unk_share", [0, 4])
-    def test_store_unk_chars_equal_full_sentence_walk(self, unk_share):
-        # the store walks only sentences holding a type with UNK characters;
-        # every sentence's entry equals the walk over all of them
-        lines = generate_corpus(120, seed=13, n_stems=80)
-        chars = sorted({ch for line in lines for ch in MARKER + line.replace(" ", "")})
-        if unk_share:
-            lines = [l + " q¤z" if i % unk_share == 0 else l for i, l in enumerate(lines)]
-        corpus = RawCorpus.from_lines(lines)
-        index = build_index(corpus, encoder.compile(Vocabulary(chars)))
-        walked = [
-            tuple(ch for w in index.sentence_types(s) for ch in index.unks[w])
-            for s in range(len(corpus))
-        ]
-        assert index.store("x").unk_chars == walked
-        assert any(walked) == bool(unk_share)
+        assert store.lengths.tolist() == [len(ps) for ps in pieces]
+        unk_chars = [tuple(ch for w in index.sentence_types(s) for ch in index.unks[w]) for s in range(len(store))]
+        assert unk_chars == [tuple(p[1] for p in ps if isinstance(p, tuple)) for ps in pieces]
+        assert any(unk_chars)
 
 
 def _setup_encoded(corpus_lines, extra_tokens, seed=0):
@@ -338,16 +324,17 @@ class TestRoundTrip:
         )
         store = index.store(vocab.digest())
         for s in range(len(store)):
-            assert decode_words(store, s, vocab) == pretokenize(corpus.lines[s])
-            assert decode_line(store, s, vocab) == corpus.lines[s]
+            assert decode_words(index, s, vocab) == pretokenize(corpus.lines[s])
+            assert decode_line(index, s, vocab) == corpus.lines[s]
+            assert store.ids[s].tolist() == sentence(index, s)
 
     def test_decode_with_unk_characters(self):
         corpus = RawCorpus.from_lines(["ax¤y b"])
         vocab = Vocabulary([MARKER, "a", "b", "x", "y", MARKER + "a", MARKER + "b"])
         cv = encoder.compile(vocab)
-        store = encoder.encode_corpus(corpus, cv)
-        assert vocab.unk_id in store.ids[0]
-        assert decode_line(store, 0, vocab) == "ax¤y b"
+        index = build_index(corpus, cv)
+        assert vocab.unk_id in encoder.encode_corpus(corpus, cv).ids[0]
+        assert decode_line(index, 0, vocab) == "ax¤y b"
 
     def test_encoder_agrees_with_naive_scan(self):
         vocab = Vocabulary([MARKER, "a", "b", "c", MARKER + "a", MARKER + "ab", "bc"])
@@ -375,8 +362,8 @@ def _assert_matches_rebuild(corpus, index, cv):
     store = index.store(cv.vocab.digest())
     fresh = encoder.encode_corpus(corpus, cv)
     assert len(store) == len(fresh)
-    assert all(np.array_equal(a, b) for a, b in zip(store.ids, fresh.ids))
-    assert store.unk_chars == fresh.unk_chars
+    assert np.array_equal(store.flat, fresh.flat)
+    assert np.array_equal(store.lengths, fresh.lengths)
     n = cv.unk_id
     counts = np.bincount(np.concatenate(store.ids), minlength=n + 1)[:n]
     assert np.array_equal(index.frequencies(), counts)

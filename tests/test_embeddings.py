@@ -15,7 +15,7 @@ from sagetok.embeddings import (
 from sagetok.errors import ConfigError, DataError
 from sagetok.vocab import MARKER, Vocabulary
 
-from oracles import sgns_pairs, sgns_reference_trainer
+from oracles import flatten, sgns_pairs, sgns_reference_trainer
 from textgen import generate_corpus
 
 
@@ -106,7 +106,7 @@ class TestTrainEmbeddings:
         vocab = Vocabulary([MARKER, "a"])
         from sagetok.corpus import SentenceStore
 
-        store = SentenceStore([], [], vocab.digest())
+        store = SentenceStore(*flatten([]), vocab.digest())
         with pytest.raises(DataError):
             train_embeddings(store, vocab, EmbedConfig(dim=4))
 

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sagetok import encoder
-from sagetok.corpus import RawCorpus, pretokenize
+from sagetok.corpus import RawCorpus, build_index, pretokenize
 from sagetok.errors import VocabError
 from sagetok.vocab import MARKER, Vocabulary
 
-from oracles import decode_line, decode_words, naive_encode_word, naive_longest_prefix
+from oracles import decode_line, decode_words, naive_encode_word, naive_longest_prefix, sentence
 from textgen import generate_corpus
 
 
@@ -183,7 +183,8 @@ class TestEncodeCorpus:
         store2 = encoder.encode_corpus(corpus, cv)
         assert all(np.array_equal(a, b) for a, b in zip(store1.ids, store2.ids))
         # re-encoding the decoded text is a fixed point
-        decoded = [decode_line(store1, s, vocab) for s in range(len(store1))]
+        index = build_index(corpus, cv)
+        decoded = [decode_line(index, s, vocab) for s in range(len(store1))]
         store3 = encoder.encode_corpus(RawCorpus.from_lines(decoded), cv)
         assert all(np.array_equal(a, b) for a, b in zip(store1.ids, store3.ids))
 
@@ -200,7 +201,9 @@ class TestEncodeCorpus:
         corpus = RawCorpus.from_lines(lines)
         vocab = Vocabulary([MARKER, *"abcdef", MARKER + "a", "ab", "cde"])
         cv = encoder.compile(vocab)
+        index = build_index(corpus, cv)
         store = encoder.encode_corpus(corpus, cv)
         for s in range(len(store)):
-            assert decode_line(store, s, vocab) == corpus.lines[s]
-            assert decode_words(store, s, vocab) == pretokenize(corpus.lines[s])
+            assert decode_line(index, s, vocab) == corpus.lines[s]
+            assert decode_words(index, s, vocab) == pretokenize(corpus.lines[s])
+            assert store.ids[s].tolist() == sentence(index, s)

@@ -13,13 +13,12 @@ from sagetok.objective import (
     attach_nll_cache,
     batched_sentence_nll,
     corpus_nll,
-    flatten,
     softplus,
 )
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
 from conftest import random_table, zero_table
-from oracles import gathered_sentence_nll, nll_oracle, pair_count
+from oracles import flatten, gathered_sentence_nll, nll_oracle, pair_count
 from textgen import generate_corpus
 
 
@@ -64,8 +63,7 @@ class TestCorpusNll:
     def _store(self, id_lists):
         from sagetok.corpus import SentenceStore
 
-        ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
-        return SentenceStore(ids, [() for _ in ids], "")
+        return SentenceStore(*flatten(id_lists), "")
 
     def _total(self, id_lists, table, window):
         return corpus_nll(self._store(id_lists), table, window, np.zeros(len(id_lists)))

@@ -8,7 +8,7 @@ from sagetok import encoder, sage
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig
 from sagetok.errors import ConfigError, DataError, VocabError
-from sagetok.objective import ablation_losses, attach_nll_cache, batched_sentence_nll, flatten
+from sagetok.objective import ablation_losses, attach_nll_cache, batched_sentence_nll
 from sagetok.sage import (
     SageConfig,
     init_state,
@@ -21,7 +21,7 @@ from sagetok.sage import (
 from sagetok.vocab import MARKER, Vocabulary, is_protected, save_vocab
 
 from conftest import random_table
-from oracles import decode_line, exhaustive_prune_oracle
+from oracles import decode_line, exhaustive_prune_oracle, flatten, sentence
 from textgen import generate_corpus
 
 
@@ -69,10 +69,12 @@ class TestInitState:
         state = init_state(corpus, cfg)
         assert state.iteration == 0
         assert state.alive == set(range(len(state.vocab)))
-        # a store snapshot of the index round-trips every sentence
+        # the index round-trips every sentence, and a store snapshot of it
+        # holds each sentence's ids
         store = state.index.store(state.vocab.digest())
         for s in range(len(store)):
-            assert decode_line(store, s, state.vocab) == corpus.lines[s]
+            assert decode_line(state.index, s, state.vocab) == corpus.lines[s]
+            assert store.ids[s].tolist() == sentence(state.index, s)
         # index equals a fresh build
         assert build_index(corpus, state.cv) == state.index
         # per-sentence likelihoods sum to the maintained total

@@ -12,7 +12,7 @@ from sagetok.unigram import (
 )
 from sagetok.vocab import MARKER, Vocabulary, is_protected
 
-from oracles import unigram_loglik_oracle, unigram_reference_losses
+from oracles import flatten, unigram_loglik_oracle, unigram_reference_losses
 from textgen import generate_corpus
 
 
@@ -58,8 +58,7 @@ class TestCorpusLoglik:
     """The MLE unigram fit that ``train-unigram --probs-out`` writes."""
 
     def _store(self, id_lists, vocab):
-        ids = [np.asarray(a, dtype=np.int32) for a in id_lists]
-        return SentenceStore(ids, [() for _ in ids], vocab.digest())
+        return SentenceStore(*flatten(id_lists), vocab.digest())
 
     def test_mle_fit_sums_to_one(self):
         vocab = Vocabulary(["a", "b", "c"])
