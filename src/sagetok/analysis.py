@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import RawCorpus, WordIndex, build_index, sorted_unique, window_offsets
 from .encoder import CompiledVocab
-from .vocab import Vocabulary, content_length, is_word_initial
+from .vocab import Vocabulary, content_length, header_lines, is_word_initial
 
 
 @dataclass
@@ -251,8 +251,7 @@ def vocab_diff(vocab_a: Vocabulary, vocab_b: Vocabulary) -> VocabDiff:
 
 def write_histogram_csv(hist: Histogram, path, key_name: str, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for k, v in (meta or {}).items():
-            f.write(f"#sagetok {k}={v}\n")
+        f.writelines(line + "\n" for line in header_lines(meta))
         writer = csv.writer(f)
         writer.writerow([key_name, "count"])
         for key in sorted(hist.buckets):
@@ -261,8 +260,7 @@ def write_histogram_csv(hist: Histogram, path, key_name: str, meta: dict | None 
 
 def write_token_stats_csv(stats: TokenStatsTable, path, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for k, v in (meta or {}).items():
-            f.write(f"#sagetok {k}={v}\n")
+        f.writelines(line + "\n" for line in header_lines(meta))
         writer = csv.writer(f)
         writer.writerow(["token", "frequency", "distinct_neighbors", "ratio", "word_initial"])
         for token in sorted(stats.rows, key=lambda t: (-stats.rows[t].distinct_neighbors, t)):

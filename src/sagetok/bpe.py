@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .corpus import RawCorpus, pretokenize
 from .errors import ConfigError, DataError
-from .vocab import PROV_ALPHABET, PROV_MERGED, Vocabulary
+from .vocab import PROV_ALPHABET, PROV_MERGED, Vocabulary, header_lines
 
 log = logging.getLogger(__name__)
 
@@ -162,7 +162,7 @@ def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[Mer
 
 def save_merges(merges: list[MergeRecord], path, meta: dict | None = None) -> None:
     """TSV merge log: left<TAB>right<TAB>count, one merge per line."""
-    lines = [f"#sagetok {k}={v}" for k, v in (meta or {}).items()]
+    lines = header_lines(meta)
     lines.extend(f"{m.left}\t{m.right}\t{m.count}" for m in merges)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

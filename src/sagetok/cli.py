@@ -10,15 +10,16 @@ error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__, analysis, bpe, encoder, sage, unigram
 from .corpus import build_index, load_corpus
-from .embeddings import EmbedConfig
 from .errors import ConfigError, DataError, SagetokError
 from .unigram import UnigramModel
 from .vocab import load_vocab, save_vocab
@@ -46,22 +47,23 @@ def _writing(path):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_writable(path) -> None:
-    """Fail before a long run, not after it, when ``path`` cannot be
-    written; creates nothing."""
-    path = Path(path)
-    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
-        raise DataError(f"cannot write {path}: not a file path in a writable directory")
+def _check_writable(*paths) -> None:
+    """Fail before a long run, not after it, when one of ``paths`` cannot
+    be written (``None`` is skipped); creates nothing."""
+    for path in (Path(p) for p in paths if p is not None):
+        if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+            raise DataError(f"cannot write {path}: not a file path in a writable directory")
 
 
 def cmd_train_bpe(args) -> int:
+    merge_path = args.merge_log or str(args.out) + ".merges"
+    _check_writable(args.out, merge_path)
     corpus = load_corpus(args.corpus, args.lowercase)
     vocab, merges = bpe.train_bpe(corpus, args.vocab_size)
     digest = _config_digest({"cmd": "train-bpe", "vocab_size": args.vocab_size})
     meta = _meta(corpus.digest(), digest)
     with _writing(args.out):
         save_vocab(vocab, args.out, meta)
-    merge_path = args.merge_log or str(args.out) + ".merges"
     with _writing(merge_path):
         bpe.save_merges(merges, merge_path, meta)
     print(f"wrote {len(vocab)} tokens to {args.out}, {len(merges)} merges to {merge_path}")
@@ -69,6 +71,7 @@ def cmd_train_bpe(args) -> int:
 
 
 def cmd_train_unigram(args) -> int:
+    _check_writable(args.out, args.probs_out or None)
     corpus = load_corpus(args.corpus, args.lowercase)
     vocab = unigram.train_unigram(
         corpus,
@@ -111,28 +114,32 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-_SAGE_DEFAULTS = {
-    "vocab_size": 16000,
-    "overshoot": 1.25,
-    "prune_batch": 100,
-    "candidate_pool": 1500,
-    "recalc_every": 10,
-    "embed_every": 4,
-    "window": 5,
-    "dim": 50,
-    "embed_window": 5,
-    "negatives": 15,
-    "epochs": 5,
-    "lr": 0.025,
-    "seed": 1,
-    "base_trainer": "bpe",
-    "initial_vocab": None,
+# Each train-sage hyperparameter: its config-file key, which is also its
+# flag ("--" + the key with "-" for "_"), and the config field it sets.
+# Defaults and flag types come from the fields themselves.
+_SAGE_KEYS = {
+    "vocab_size": "final_size",
+    "overshoot": "overshoot",
+    "prune_batch": "prune_batch",
+    "candidate_pool": "candidate_pool",
+    "recalc_every": "recalc_period",
+    "embed_every": "embed_period",
+    "window": "window",
+    "dim": "embed.dim",
+    "embed_window": "embed.window",
+    "negatives": "embed.negatives",
+    "epochs": "embed.epochs",
+    "lr": "embed.lr_initial",
+    "seed": "embed.seed",
+    "base_trainer": "base_trainer",
+    "initial_vocab": "initial_vocab_path",
 }
+_SAGE_DEFAULTS = sage.SageConfig(final_size=16000)  # the one default of the CLI's own
 
 
 def _check_type(key: str, value) -> None:
     """A config-file value must have its default's type (an int passes as a float)."""
-    default = _SAGE_DEFAULTS[key]
+    default = attrgetter(_SAGE_KEYS[key])(_SAGE_DEFAULTS)
     kinds = {float: (int, float), type(None): (str, type(None))}.get(type(default), type(default))
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
@@ -141,40 +148,22 @@ def _check_type(key: str, value) -> None:
 def _sage_config(args) -> sage.SageConfig:
     """Flags > config file > defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(_SAGE_DEFAULTS)
+    unknown = set(file_cfg) - set(_SAGE_KEYS)
     if unknown:
         raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
-    values = {}
-    for key in _SAGE_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-        elif key in file_cfg:
+    top, embed = {}, {}
+    for key, field in _SAGE_KEYS.items():
+        value = getattr(args, key)
+        if value is None and key in file_cfg:
             _check_type(key, file_cfg[key])
-            values[key] = file_cfg[key]
-        else:
-            values[key] = _SAGE_DEFAULTS[key]
-    embed = EmbedConfig(
-        dim=values["dim"],
-        window=values["embed_window"],
-        negatives=values["negatives"],
-        epochs=values["epochs"],
-        lr_initial=values["lr"],
-        seed=values["seed"],
-    )
-    base = "file" if values["initial_vocab"] else values["base_trainer"]
-    return sage.SageConfig(
-        final_size=values["vocab_size"],
-        overshoot=values["overshoot"],
-        prune_batch=values["prune_batch"],
-        recalc_period=values["recalc_every"],
-        candidate_pool=values["candidate_pool"],
-        embed_period=values["embed_every"],
-        window=values["window"],
-        embed=embed,
-        base_trainer=base,
-        initial_vocab_path=values["initial_vocab"],
-    )
+            value = file_cfg[key]
+        if value is not None:
+            owner, _, name = field.rpartition(".")
+            (embed if owner else top)[name] = value
+    if top.get("initial_vocab_path"):
+        top["base_trainer"] = "file"
+    embed_cfg = dataclasses.replace(_SAGE_DEFAULTS.embed, **embed)
+    return dataclasses.replace(_SAGE_DEFAULTS, embed=embed_cfg, **top)
 
 
 def cmd_train_sage(args) -> int:
@@ -185,9 +174,7 @@ def cmd_train_sage(args) -> int:
     if args.checkpoint_every is not None and args.checkpoint is None:
         raise ConfigError("--checkpoint-every needs --checkpoint")
     events_path = args.events_out or str(args.out) + ".events.jsonl"
-    for path in (args.out, events_path, args.checkpoint):
-        if path is not None:
-            _check_writable(path)
+    _check_writable(args.out, events_path, args.checkpoint)
     corpus = load_corpus(args.corpus, args.lowercase)
 
     def progress(event: dict) -> None:
@@ -294,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--prune-batch", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=16)
-    p.add_argument("--min-count", type=int, default=2)
+    p.add_argument("--max-len", type=int, default=unigram.MAX_LEN)
+    p.add_argument("--min-count", type=int, default=unigram.MIN_COUNT)
     p.add_argument("--probs-out")
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=cmd_train_unigram)
@@ -304,21 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--overshoot", type=float)
-    p.add_argument("--prune-batch", type=int, dest="prune_batch")
-    p.add_argument("--candidate-pool", type=int, dest="candidate_pool")
-    p.add_argument("--recalc-every", type=int, dest="recalc_every")
-    p.add_argument("--embed-every", type=int, dest="embed_every")
-    p.add_argument("--window", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-window", type=int, dest="embed_window")
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--base-trainer", choices=("bpe", "unigram"), dest="base_trainer")
-    p.add_argument("--initial-vocab", dest="initial_vocab", help="skip base training, prune this vocabulary file")
+    extras = {
+        "base_trainer": {"choices": ("bpe", "unigram")},
+        "initial_vocab": {"help": "skip base training, prune this vocabulary file"},
+    }
+    for key, field in _SAGE_KEYS.items():
+        default = attrgetter(field)(_SAGE_DEFAULTS)
+        kind = str if default is None else type(default)
+        p.add_argument("--" + key.replace("_", "-"), type=kind, **extras.get(key, {}))
     p.add_argument("--events-out")
     p.add_argument("--checkpoint", help="checkpoint file, written to exactly this path at iteration boundaries")
     p.add_argument("--checkpoint-every", type=int)

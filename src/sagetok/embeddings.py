@@ -180,31 +180,19 @@ def _pair_batches(
     positions, never on id numbering.
     """
     sent_of = np.repeat(np.arange(len(store)), store.lengths)
-    held_t: list[np.ndarray] = []
-    held_c: list[np.ndarray] = []
-    held = 0
+    rest_t = rest_c = store.flat[:0]
     for delta, same in window_offsets(sent_of, window):
         left = store.flat[:-delta][same]
         right = store.flat[delta:][same]
         for t, c in ((left, right), (right, left)):
-            n = len(t)
-            start = 0
-            if held:
-                start = min(size - held, n)
-                held_t.append(t[:start])
-                held_c.append(c[:start])
-                held += start
-                if held < size:
-                    continue
-                yield np.concatenate(held_t), np.concatenate(held_c)
-                held_t, held_c, held = [], [], 0
-            stop = start + (n - start) // size * size
-            for i in range(start, stop, size):
+            t = np.concatenate([rest_t, t])
+            c = np.concatenate([rest_c, c])
+            stop = len(t) // size * size
+            for i in range(0, stop, size):
                 yield t[i : i + size], c[i : i + size]
-            if stop < n:
-                held_t, held_c, held = [t[stop:]], [c[stop:]], n - stop
-    if held:
-        yield np.concatenate(held_t), np.concatenate(held_c)
+            rest_t, rest_c = t[stop:], c[stop:]
+    if len(rest_t):
+        yield rest_t, rest_c
 
 
 def _noise_cdf(store: SentenceStore, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:

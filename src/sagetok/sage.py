@@ -49,7 +49,7 @@ from .errors import ConfigError, DataError, VocabError
 # ablation_loss is re-exported only for perfbench/test_perfbench.py, which
 # looks it up here; it goes when perfbench's hooks move to ablation_losses
 from .objective import ablation_loss, ablation_losses, attach_nll_cache, corpus_nll  # noqa: F401
-from .unigram import train_unigram
+from .unigram import MAX_LEN, MIN_COUNT, train_unigram
 from .vocab import Vocabulary, is_protected, load_vocab
 
 BASE_TRAINERS = ("bpe", "unigram", "file")
@@ -73,8 +73,8 @@ class SageConfig:
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     base_trainer: str = "bpe"
     initial_vocab_path: str | None = None
-    unigram_max_len: int = 16
-    unigram_min_count: int = 2
+    unigram_max_len: int = MAX_LEN
+    unigram_min_count: int = MIN_COUNT
 
     def initial_size(self) -> int:
         return math.ceil(self.overshoot * self.final_size)

@@ -21,10 +21,13 @@ from . import encoder
 from .bpe import word_type_counts
 from .corpus import RawCorpus, SentenceStore, WordIndex, build_index
 from .errors import ConfigError, DataError
-from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, is_protected
+from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, header_lines, is_protected
+
+MAX_LEN = 16
+MIN_COUNT = 2
 
 
-def init_substring_vocab(corpus: RawCorpus, max_len: int = 16, min_count: int = 2) -> Vocabulary:
+def init_substring_vocab(corpus: RawCorpus, max_len: int = MAX_LEN, min_count: int = MIN_COUNT) -> Vocabulary:
     """All word-internal substrings (marker included) of length <= max_len
     occurring at least min_count times, plus the full alphabet.
 
@@ -139,8 +142,8 @@ def train_unigram(
     corpus: RawCorpus,
     target_size: int,
     prune_batch: int = 1,
-    max_len: int = 16,
-    min_count: int = 2,
+    max_len: int = MAX_LEN,
+    min_count: int = MIN_COUNT,
 ) -> Vocabulary:
     """Prune an all-substrings vocabulary down to ``target_size``.
 
@@ -201,7 +204,7 @@ def score_candidates(index: WordIndex, vocab: Vocabulary, alive: set[int], cv) -
 
 def save_probs(model: UnigramModel, path, meta: dict | None = None) -> None:
     """TSV dump: token <TAB> log-probability, support only."""
-    lines = [f"#sagetok {k}={v}" for k, v in (meta or {}).items()]
+    lines = header_lines(meta)
     for i, token in enumerate(model.vocab.tokens):
         if model.probs[i] > 0:
             lines.append(f"{token}\t{np.log(model.probs[i])}")

@@ -117,15 +117,19 @@ def corpus_alphabet(words: Iterable[str]) -> tuple[list[str], list[str]]:
 HEADER_PREFIX = "#sagetok "
 
 
+def header_lines(meta: dict | None) -> list[str]:
+    """The ``#sagetok key=value`` metadata lines that open every output
+    file, without line terminators; :func:`load_vocab` parses them."""
+    return [f"{HEADER_PREFIX}{key}={value}" for key, value in (meta or {}).items()]
+
+
 def save_vocab(vocab: Vocabulary, path, meta: dict | None = None) -> None:
     """Write one token per line, preceded by ``#sagetok`` header lines.
 
     Header lines contain a space and therefore can never collide with a
     token (tokens are substrings of space-delimited words).
     """
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"{HEADER_PREFIX}{key}={value}")
+    lines = header_lines(meta)
     lines.extend(vocab.tokens)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -106,6 +107,34 @@ class TestSageDefaults:
         assert (cfg.embed.dim, cfg.embed.window, cfg.embed.negatives) == (50, 5, 15)
         # embeddings are retrained every recalc_period * embed_period iterations
         assert cfg.recalc_period * cfg.embed_period == 40
+        # every other field is the dataclasses' own default
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(sage.SageConfig(16000))
+
+    def test_config_file_sets_every_key_as_its_flag_does(self, tmp_path):
+        from sagetok.cli import build_parser, _sage_config
+
+        values = {
+            "vocab_size": 58, "overshoot": 1.5, "prune_batch": 4, "candidate_pool": 16,
+            "recalc_every": 2, "embed_every": 3, "window": 2, "dim": 6, "embed_window": 3,
+            "negatives": 3, "epochs": 1, "lr": 0.05, "seed": 9, "base_trainer": "unigram",
+            "initial_vocab": "base.vocab",
+        }
+        cfg_path = tmp_path / "sage.json"
+        cfg_path.write_text(json.dumps(values), encoding="utf-8")
+        required = ["train-sage", "--corpus", "c.txt", "--out", "v.vocab"]
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+        from_file = _sage_config(build_parser().parse_args(required + ["--config", str(cfg_path)]))
+        from_flags = _sage_config(build_parser().parse_args(required + flags))
+        assert dataclasses.asdict(from_file) == dataclasses.asdict(from_flags)
+        assert from_file.digest() == from_flags.digest()
+        # every key reached its field
+        got = dataclasses.asdict(from_file)
+        assert (got["final_size"], got["overshoot"], got["prune_batch"], got["candidate_pool"]) == (58, 1.5, 4, 16)
+        assert (got["recalc_period"], got["embed_period"], got["window"]) == (2, 3, 2)
+        assert (got["base_trainer"], got["initial_vocab_path"]) == ("file", "base.vocab")
+        embed = got["embed"]
+        assert (embed["dim"], embed["window"], embed["negatives"], embed["epochs"]) == (6, 3, 3, 1)
+        assert (embed["lr_initial"], embed["seed"]) == (0.05, 9)
 
 
 class TestTrainSageCommand:
@@ -492,6 +521,7 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
     else:
         argv = _sage_args(corpus_file, out) + ["--resume", str(bad)]
     env = dict(os.environ, PYTHONPATH=str(Path(sagetok.__file__).parents[1]))
+    before = sorted(tmp_path.rglob("*"))
     proc = subprocess.run(
         [sys.executable, "-m", "sagetok.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -500,6 +530,8 @@ def test_malformed_input_file_exits_cleanly(tmp_path, corpus_file, kind, expecte
     assert proc.stderr.startswith(("config error:", "data error:"))
     if role == "output":
         assert str(bad / "x") in proc.stderr
+        # the paths are checked before any work, so nothing else was written
+        assert sorted(tmp_path.rglob("*")) == before
     if role == "initvocab":
         assert all(repr(ch) in proc.stderr for ch in (MARKER, "x", "y", "z"))
 
