@@ -34,6 +34,12 @@ The cases:
   and does the same work whatever their values.
 * ``attach-v20k``: the same at 100k lines with BPE to V=20,000, the
   initial vocabulary of the README's ``train-sage --vocab-size 16000``.
+* ``top-20k`` and ``top-100k``: the attach cases' corpora and seeded
+  tables, and ``ablation_losses`` of the single most frequent unprotected
+  token (a ``▁the``-like token, whose sentences hold most of the corpus)
+  after an untimed ``attach_nll_cache``; the time is the ablation call's.
+  Its scoring peak is what tracemalloc sees above the memory held when
+  the call starts, so it leaves out the inputs and the NLL cache.
 
 Attach cases also record ``pair_terms``, the pair terms one pass adds,
 and ``distinct_pairs``, the unordered id pairs among them: a first pass
@@ -65,6 +71,8 @@ CASES = (
     ("attach-20k", 20_000, 7001, 12500, 1.15, 2500, None),
     ("attach-100k", 100_000, 7001, 62500, 1.15, 5000, None),
     ("attach-v20k", 100_000, 7001, 62500, 1.15, 20000, None),
+    ("top-20k", 20_000, 7001, 12500, 1.15, 2500, None),
+    ("top-100k", 100_000, 7001, 62500, 1.15, 5000, None),
 )
 
 
@@ -102,6 +110,24 @@ def _child(src: str, kind: str, inputs: str) -> dict:
             losses = ablation_losses(candidates, nll, index, vocab, table, cv, WINDOW)
             seconds = {"seconds": time.perf_counter() - t0}
             return seconds, _digest(nll, np.array([r.loss for r in losses]))
+    elif kind == "top":
+        index = build_index(corpus, cv)
+        store = index.store(vocab.digest())
+        counts = np.bincount(store.flat, minlength=len(vocab))
+        top = max((t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])), key=lambda t: counts[t])
+
+        def score(table) -> tuple[dict, str]:
+            nll, _ = attach_nll_cache(store, table, WINDOW)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            t0 = time.perf_counter()
+            loss = ablation_losses([top], nll, index, vocab, table, cv, WINDOW)[0]
+            seconds = time.perf_counter() - t0
+            # zero when tracemalloc is off
+            extra = max(tracemalloc.get_traced_memory()[1] - held, 0)
+            return ({"seconds": seconds, "top_scoring_peak_mb": extra / 2**20, "top_token": vocab.tokens[top],
+                     "top_count": int(counts[top]), "top_sentence_tokens": int(store.lengths[sorted(
+                         index.sentences(top))].sum())}, _digest(nll, np.array([loss.loss])))
     else:
         store = encoder.encode_corpus(corpus, cv)
 
@@ -121,9 +147,11 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     # from a second, untimed run on a fresh table under tracemalloc, which
     # sees numpy's array allocations
     tracemalloc.start()
-    score(table())
+    traced, _ = score(table())
     scoring_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    if "top_scoring_peak_mb" in traced:
+        seconds["top_scoring_peak_mb"] = traced["top_scoring_peak_mb"]
     return {**seconds, "peak_rss_mb": peak_kb / 1024, "scoring_peak_mb": scoring_peak / 2**20, "digest": digest}
 
 
@@ -179,6 +207,9 @@ def _summary(runs: list[dict]) -> dict:
             values = [r[key] for r in runs]
             out[f"{key}_median"] = statistics.median(values)
             out[key] = values
+    out.update({key: runs[0][key] for key in ("top_token", "top_count", "top_sentence_tokens") if key in runs[0]})
+    if "top_scoring_peak_mb" in runs[0]:
+        out["top_scoring_peak_mb_max"] = max(r["top_scoring_peak_mb"] for r in runs)
     return {**out, "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs),
             "scoring_peak_mb_max": max(r["scoring_peak_mb"] for r in runs), "digest": digest}
 
@@ -208,7 +239,7 @@ def main(argv: list[str]) -> int:
                 continue
             inputs = tmp / f"{name}.npz"
             shape = _build_inputs(inputs, lines, seed, n_stems, alpha, size, sgns)
-            kind = "ablation" if sgns is not None else "attach"
+            kind = "ablation" if sgns is not None else name.split("-")[0]
             runs = alternate(args.repeats,
                              lambda side: run_child(__file__, str(sides[side]), kind, str(inputs)))
             case = {"name": name, "lines": lines, "seed": seed, "n_stems": n_stems, "zipf_alpha": alpha,
@@ -221,7 +252,9 @@ def main(argv: list[str]) -> int:
                   f"{case['base']['peak_rss_mb_max']:.0f} -> {case['change']['peak_rss_mb_max']:.0f} MB, "
                   f"scoring peak {case['base']['scoring_peak_mb_max']:.0f} -> "
                   f"{case['change']['scoring_peak_mb_max']:.0f} MB, "
-                  f"identical={case['identical_output']}", file=sys.stderr)
+                  + (f"top-candidate scoring peak {case['base']['top_scoring_peak_mb_max']:.1f} -> "
+                     f"{case['change']['top_scoring_peak_mb_max']:.1f} MB, " if kind == "top" else "")
+                  + f"identical={case['identical_output']}", file=sys.stderr)
             record["cases"].append(case)
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0 if all(c["identical_output"] for c in record["cases"]) else 1

@@ -14,6 +14,10 @@ The tables stay bit-identical to the plain form in the test oracle
 
 * Pairs are streamed one window offset at a time and cut into batches at
   the same global positions.
+* A batch's negatives are gathered, dotted and turned into target-side
+  gradients in blocks of pairs (``_NEG_BLOCK_BYTES``), not all ``b * k``
+  context rows at once. Each pair's values depend on its own rows
+  alone, so the blocks change no bit.
 * Row sums compact the touched ids once, then run one weighted
   ``np.bincount`` per gradient column. Each row still adds its products
   in batch order from 0.0 at double precision. The context side writes
@@ -40,6 +44,12 @@ from .vocab import Vocabulary
 
 _NOISE_POWER = 0.75
 _MAX_EXP = 6.0
+# bytes of negatives' context rows gathered at once: a batch's negatives
+# are processed in blocks of max(1, this // (8 * k * dim)) pairs, 65 at the
+# default k = 15 and dim 50, so a block's rows stay in cache and the
+# working set does not grow with batch_pairs; a row's dot products and
+# gradient have the same bits in any block
+_NEG_BLOCK_BYTES = 3 << 17
 
 
 @dataclass(frozen=True)
@@ -175,9 +185,10 @@ def _pair_batches(
     may be shorter) over every in-window ordered pair of the store.
 
     Pairs come grouped by offset, forward then backward pairs, one offset
-    at a time, so no more than one offset's pairs are held at once; a
-    batch may span two offsets. The order depends only on token
-    positions, never on id numbering.
+    at a time, so no more than one offset's pairs are held at once. A
+    batch may span two directions; it alone is copied, and every other
+    batch is a view. The order depends only on token positions, never on
+    id numbering.
     """
     sent_of = np.repeat(np.arange(len(store)), store.lengths)
     rest_t = rest_c = store.flat[:0]
@@ -185,10 +196,15 @@ def _pair_batches(
         left = store.flat[:-delta][same]
         right = store.flat[delta:][same]
         for t, c in ((left, right), (right, left)):
-            t = np.concatenate([rest_t, t])
-            c = np.concatenate([rest_c, c])
-            stop = len(t) // size * size
-            for i in range(0, stop, size):
+            # pairs of this direction that complete the carried batch
+            head = (size - len(rest_t)) % size
+            if len(t) < head:
+                rest_t, rest_c = np.concatenate([rest_t, t]), np.concatenate([rest_c, c])
+                continue
+            if head:
+                yield np.concatenate([rest_t, t[:head]]), np.concatenate([rest_c, c[:head]])
+            stop = head + (len(t) - head) // size * size
+            for i in range(head, stop, size):
                 yield t[i : i + size], c[i : i + size]
             rest_t, rest_c = t[stop:], c[stop:]
     if len(rest_t):
@@ -263,6 +279,7 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     # one column of a batch's context-side gradients: b positive pairs,
     # then b*k negatives
     col_buf = np.empty(cfg.batch_pairs * (1 + k))
+    block = max(1, _NEG_BLOCK_BYTES // (8 * k * cfg.dim)) if k else 1
     done = 0
     for _epoch in range(cfg.epochs):
         for t_ids, c_ids in _pair_batches(store, cfg.window, cfg.batch_pairs):
@@ -281,10 +298,13 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
             g_neg = None
             if k > 0:
                 n_ids = sample(rng.random((b, k)))
-                n_rows = ctx[n_ids]
-                neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows, n_rows), -_MAX_EXP, _MAX_EXP)
-                g_neg = -_sigmoid(neg_dots) * lr[:, None]
-                grad_t += np.einsum("ik,ikj->ij", g_neg, n_rows)
+                g_neg = np.empty((b, k))
+                for s in range(0, b, block):
+                    blk = slice(s, s + block)
+                    n_rows = ctx[n_ids[blk]]
+                    neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows[blk], n_rows), -_MAX_EXP, _MAX_EXP)
+                    g_neg[blk] = -_sigmoid(neg_dots) * lr[blk, None]
+                    grad_t[blk] += np.einsum("ik,ikj->ij", g_neg[blk], n_rows)
                 ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
             _apply_clipped(tgt, t_ids, np.ascontiguousarray(grad_t.T), cfg.clip_row)
             _apply_clipped(ctx, ctx_ids, _context_columns(t_rows, g_pos, g_neg, col_buf), cfg.clip_row)

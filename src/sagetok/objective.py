@@ -13,9 +13,15 @@ array and each sentence's length, as a ``SentenceStore`` holds them.
 candidates in one pass of up to ``_SCORE_BUDGET_TOKENS`` tokens, paying
 numpy's per-call cost once per batch. A batch's sentences are built in
 one ``WordIndex.gather``, each candidate's re-segmented types passed as
-an override of the sentences holding them. Per-sentence values do not
-depend on the grouping, so the budget never moves a score; it bounds the
-size of one pass's index arrays.
+an override of the sentences holding them. A candidate whose sentences
+alone hold more than the budget, such as a frequent word-initial token,
+is scored by itself in parts cut at sentence boundaries: each gather
+holds about a budget of the sentences' current tokens and each scoring
+call about a budget of their re-segmented tokens, a sentence longer than
+the budget being one part. Per-sentence values do not depend on the
+grouping, and a candidate's values are summed once in sentence order, so
+the budget never moves a score; it bounds the memory of one pass, which
+would otherwise grow with a candidate's frequency.
 
 A candidate's loss is a function of the table, the sentences holding it,
 their segmentations and NLL entries, and how the types holding it
@@ -268,14 +274,9 @@ def ablation_losses(
     recomputed.
     """
     results: list[AblationLoss] = []
-    for pending in _batches(candidates, index, vocab, cv):
-        sentences = [affected for _, affected, _ in pending]
-        flat, lengths = index.gather(
-            np.concatenate(sentences),
-            [changed for _, _, changed in pending],
-            np.repeat(np.arange(len(pending)), [len(a) for a in sentences]),
-        )
-        vals = batched_sentence_nll(flat, lengths, table, window)
+    lengths = index.sentence_lengths()
+    for pending in _batches(candidates, index, vocab, cv, lengths):
+        vals = _batch_values(pending, index, lengths, table, window)
         offset = 0
         for token_id, affected, changed in pending:
             end = offset + len(affected)
@@ -286,11 +287,12 @@ def ablation_losses(
     return results
 
 
-def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
+def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv, lengths: np.ndarray):
     """Yield lists of ``(candidate, its sorted affected sentences, its
-    re-segmented types)``, closing a list once the sentences rebuilt
-    without each candidate hold ``_SCORE_BUDGET_TOKENS`` tokens."""
-    lengths = index.sentence_lengths()
+    re-segmented types)`` whose sentences, rebuilt without each
+    candidate, hold at most ``_SCORE_BUDGET_TOKENS`` tokens, or of one
+    candidate that alone holds more. ``lengths`` is every sentence's
+    current token count."""
     pending: list[tuple[int, np.ndarray, dict[int, list[int]]]] = []
     tokens = 0
     for token_id in candidates:
@@ -300,14 +302,46 @@ def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv):
         affected = np.array(sorted(index.sentences(token_id)), dtype=np.int64)
         changed = index.segment_without(token_id, cv)
         # every occurrence of a re-segmented type lies in the affected sentences
-        tokens += int(lengths[affected].sum()) + sum(
+        own = int(lengths[affected].sum()) + sum(
             int(index.counts[w]) * (len(ids) - len(index.segs[w])) for w, ids in changed.items())
-        pending.append((token_id, affected, changed))
-        if tokens >= _SCORE_BUDGET_TOKENS:
+        if tokens and tokens + own > _SCORE_BUDGET_TOKENS:
             yield pending
             pending, tokens = [], 0
+        pending.append((token_id, affected, changed))
+        tokens += own
     if pending:
         yield pending
+
+
+def _batch_values(pending, index: WordIndex, lengths: np.ndarray, table, window: int) -> np.ndarray:
+    """Per-sentence NLL of a batch's affected sentences, each candidate's
+    re-segmented with its types, in batch order.
+
+    The sentences are gathered in parts of about a budget of their
+    current ``lengths``, and each part is scored in calls of about a
+    budget of its re-segmented tokens; a batch within the budget is
+    usually one gather and one call.
+    """
+    sentences = np.concatenate([affected for _, affected, _ in pending])
+    owner = np.repeat(np.arange(len(pending)), [len(a) for _, a, _ in pending])
+    overrides = [changed for _, _, changed in pending]
+    cuts = _budget_cuts(lengths[sentences])
+    vals = []
+    for part, part_owner in zip(np.split(sentences, cuts), np.split(owner, cuts)):
+        flat, new = index.gather(part, overrides, part_owner)
+        calls = _budget_cuts(new)
+        for ids, lens in zip(np.split(flat, np.cumsum(new)[calls - 1]), np.split(new, calls)):
+            vals.append(batched_sentence_nll(ids, lens, table, window))
+    return np.concatenate(vals)
+
+
+def _budget_cuts(lengths: np.ndarray) -> np.ndarray:
+    """Positions that cut a run of sentences of ``lengths`` tokens into
+    parts whose sentences all start within one window of
+    ``_SCORE_BUDGET_TOKENS`` tokens, so that a part holds fewer than the
+    budget plus its last sentence's tokens."""
+    window_of = (np.cumsum(lengths) - lengths) // _SCORE_BUDGET_TOKENS
+    return np.flatnonzero(np.diff(window_of)) + 1
 
 
 def ablation_loss(

@@ -67,8 +67,9 @@ def test_nll_children_score_the_saved_lines(tmp_path, monkeypatch):
     inputs = tmp_path / "sage-ablation.npz"
     shape = nll._build_inputs(inputs, lines, seed, n_stems, alpha, size, sgns)
     ablation = nll._child(SRC, "ablation", str(inputs))
-    # the attach child reads the same inputs, so this case covers it too
+    # the attach and top children read the same inputs, so this case covers them too
     attach = nll._child(SRC, "attach", str(inputs))
+    top = nll._child(SRC, "top", str(inputs))
 
     cv = encoder.compile(vocab)
     index = build_index(corpus, cv)
@@ -81,4 +82,8 @@ def test_nll_children_score_the_saved_lines(tmp_path, monkeypatch):
     assert shape["sentences"] == len(store) and shape["tokens"] == store.total_tokens()
     assert ablation["digest"] == nll._digest(scores, np.array([r.loss for r in losses]))
     assert attach["digest"] == nll._digest(scores, np.array([total]))
-    assert ablation["seconds"] > 0 and attach["repeat_seconds"] > 0
+    counts = np.bincount(store.flat, minlength=len(vocab))
+    frequent = max(candidates, key=lambda t: counts[t])
+    assert top["top_token"] == vocab.tokens[frequent]
+    assert top["digest"] == nll._digest(scores, np.array([losses[candidates.index(frequent)].loss]))
+    assert ablation["seconds"] > 0 and attach["repeat_seconds"] > 0 and top["top_scoring_peak_mb"] > 0

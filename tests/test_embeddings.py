@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sagetok import encoder
+from sagetok import embeddings, encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
 from sagetok.embeddings import (
@@ -158,6 +158,42 @@ class TestTrainEmbeddings:
         assert np.array_equal(table.target, target)
         assert np.array_equal(table.context, context)
 
+    @pytest.mark.parametrize("negatives", [0, 1, 6])
+    @pytest.mark.parametrize("batch_pairs", [1, 3, 4, 10])
+    def test_negative_blocks_match_reference_bit_for_bit(self, monkeypatch, batch_pairs, negatives):
+        # negatives are processed in blocks of 4 pairs here: batches below,
+        # equal to and not a multiple of the block, and batches of one pair
+        corpus = RawCorpus.from_lines(generate_corpus(30, seed=2, n_stems=60))
+        vocab, _ = train_bpe(corpus, 120)
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        cfg = EmbedConfig(dim=5, window=2, negatives=negatives, epochs=1, seed=batch_pairs, batch_pairs=batch_pairs)
+        monkeypatch.setattr(embeddings, "_NEG_BLOCK_BYTES", 8 * max(negatives, 1) * cfg.dim * 4)
+        table = train_embeddings(store, vocab, cfg)
+        target, context = sgns_reference_trainer(store, vocab, cfg)
+        assert np.array_equal(table.target, target)
+        assert np.array_equal(table.context, context)
+
+    def test_working_set_does_not_grow_with_the_batch(self):
+        """tracemalloc peak of one training at the ``sage`` workload's first
+        corpus (60 lines, V=250) under the default batch of 1,024 pairs,
+        15 negatives and dim 50. Gathering all 1,024 x 15 negative context
+        rows at once peaked at 13.6 MB; in blocks of 65 pairs it peaks at
+        3.0 MB (numpy 2.4, Python 3.11)."""
+        import tracemalloc
+
+        corpus = RawCorpus.from_lines(generate_corpus(60, seed=7000, n_stems=1500, zipf_alpha=1.3))
+        vocab, _ = train_bpe(corpus, 250)
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        cfg = EmbedConfig(dim=50, window=5, negatives=15, epochs=1, seed=1)
+        assert _pair_count(store, cfg.window) > 4 * cfg.batch_pairs
+        tracemalloc.start()
+        try:
+            train_embeddings(store, vocab, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
 
 class TestPairBatches:
     @pytest.mark.parametrize("size", [1, 7, 300, 1024, 100_000])
@@ -170,6 +206,19 @@ class TestPairBatches:
         assert _pair_count(store, window) == len(targets)
         batches = list(_pair_batches(store, window, size))
         assert len(batches) == -(-len(targets) // size)
+        for i, (t_ids, c_ids) in enumerate(batches):
+            assert np.array_equal(t_ids, targets[i * size : (i + 1) * size])
+            assert np.array_equal(c_ids, contexts[i * size : (i + 1) * size])
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_batches_of_a_size_that_divides_the_pair_count(self, window):
+        corpus = RawCorpus.from_lines(generate_corpus(60, seed=window, n_stems=80))
+        vocab, _ = train_bpe(corpus, 150)
+        store = encoder.encode_corpus(corpus, encoder.compile(vocab))
+        targets, contexts = sgns_pairs(store, window)
+        size = next(d for d in range(50, len(targets)) if len(targets) % d == 0)
+        batches = list(_pair_batches(store, window, size))
+        assert [len(t) for t, _ in batches] == [size] * (len(targets) // size)
         for i, (t_ids, c_ids) in enumerate(batches):
             assert np.array_equal(t_ids, targets[i * size : (i + 1) * size])
             assert np.array_equal(c_ids, contexts[i * size : (i + 1) * size])

@@ -201,10 +201,11 @@ class TestAblationLoss:
 
 
 class TestAblationLosses:
-    @pytest.mark.parametrize("budget", [1, None, 10**9])
+    @pytest.mark.parametrize("budget", [1, 7, None, 10**9])
     def test_batches_equal_one_candidate_at_a_time(self, monkeypatch, budget):
-        # batching only regroups sentences, so every score must be exactly
-        # the one-candidate score; budget None keeps the module's own
+        # batching candidates and cutting one into parts only regroup
+        # sentences, so every score must be exactly the one-candidate score;
+        # budget None keeps the module's own
         corpus = RawCorpus.from_lines(generate_corpus(150, seed=4, n_stems=90))
         vocab, _ = train_bpe(corpus, 220)
         cv = encoder.compile(vocab)
@@ -217,7 +218,7 @@ class TestAblationLosses:
         passes = []
 
         def counted(ids, lengths, table, window):
-            passes.append(len(lengths))
+            passes.append((len(lengths), len(ids), int(lengths.max(initial=0))))
             return batched_sentence_nll(ids, lengths, table, window)
 
         monkeypatch.setattr(objective, "batched_sentence_nll", counted)
@@ -228,13 +229,48 @@ class TestAblationLosses:
         for got, want in zip(batched, single):
             assert got.loss == want.loss
             assert got.affected_sentences == want.affected_sentences
-        assert sum(passes) == sum(r.affected_sentences for r in single)
+            assert got.uses == want.uses
+        assert sum(n for n, _, _ in passes) == sum(r.affected_sentences for r in single)
+        limit = objective._SCORE_BUDGET_TOKENS + max(longest for _, _, longest in passes)
+        assert all(tokens <= limit for _, tokens, _ in passes)
         if budget == 1:
-            assert len(passes) == sum(1 for r in single if r.affected_sentences)
+            assert all(n == 1 for n, _, _ in passes)
+        elif budget == 7:
+            # candidates cut into parts, so more passes than candidates scored
+            assert len(passes) > sum(1 for r in single if r.affected_sentences)
         elif budget == 10**9:
             assert len(passes) == 1
         else:
             assert 1 < len(passes) < len(candidates)
+
+    def test_frequent_candidate_is_scored_in_bounded_parts(self, monkeypatch):
+        # a candidate whose sentences hold many budgets of tokens is gathered
+        # and scored in parts, each pass within a budget plus one sentence
+        corpus = RawCorpus.from_lines(generate_corpus(150, seed=4, n_stems=90))
+        vocab, _ = train_bpe(corpus, 220)
+        cv = encoder.compile(vocab)
+        index = build_index(corpus, cv)
+        table = random_table(len(vocab), 6, np.random.default_rng(4))
+        nll, _ = attach_nll_cache(index.store(vocab.digest()), table, 3)
+        lengths = index.sentence_lengths()
+        candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
+        top = max(candidates, key=lambda t: int(lengths[sorted(index.sentences(t))].sum()))
+        want = ablation_loss(top, nll, index, vocab, table, cv, 3)
+        budget = 50
+        assert lengths[sorted(index.sentences(top))].sum() > 10 * budget
+
+        passes = []
+
+        def counted(ids, lengths, table, window):
+            passes.append((len(ids), int(lengths.max())))
+            return batched_sentence_nll(ids, lengths, table, window)
+
+        monkeypatch.setattr(objective, "batched_sentence_nll", counted)
+        monkeypatch.setattr(objective, "_SCORE_BUDGET_TOKENS", budget)
+        got = ablation_loss(top, nll, index, vocab, table, cv, 3)
+        assert got == want
+        assert len(passes) > 10
+        assert all(tokens <= budget + longest for tokens, longest in passes)
 
     def test_protected_candidate_rejected(self):
         corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["ab"])
