@@ -32,7 +32,6 @@ import hashlib
 import io
 import json
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -40,7 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, run_child, same_digest
+from common import ROOT, alternate, export, header, peak_rss_mb, run_child, same_digest
 
 COMMANDS = ("embed", "prune", "resume")
 
@@ -117,7 +116,7 @@ def _child(src: str, seed: int, work: str) -> dict:
             "checkpoint_s": counts.get("checkpoint_s", 0.0),
             "checkpoint_bytes": int(counts.get("checkpoint_bytes", 0)),
         }
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["peak_rss_mb"] = peak_rss_mb()
     out["digest"] = digest.hexdigest()
     return out
 

@@ -7,7 +7,7 @@ times ``sagetok.bpe.train_bpe`` from that tree and from this checkout's
 ``src/`` on seeded ``tests/textgen.py`` corpora. Both sides read the same
 corpus files, generated once by this checkout's generator. Each
 measurement runs in a fresh process: it times one training with
-``time.perf_counter``, reads its peak RSS from ``resource.getrusage``,
+``time.perf_counter``, reads its peak RSS (``common.peak_rss_mb``),
 then trains again with ``heapq.heappop`` wrapped to count heap pops (the
 wrapper slows that second run, so it is not timed). The two sides
 alternate, and the record keeps every run, the median seconds, and a
@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import resource
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, run_child, same_digest
+from common import ROOT, alternate, export, header, peak_rss_mb, run_child, same_digest
 
 # (name, lines, seed, n_stems, target vocabulary size); the first is the
 # `baselines` benchmark workload's train-bpe corpus at seed 7
@@ -50,7 +49,7 @@ def _child(src: str, corpus: str, target: int) -> dict:
     t0 = time.perf_counter()
     vocab, merges = train_bpe(raw, target)
     seconds = time.perf_counter() - t0
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak_rss_mb()
 
     pops = 0
     heappop = heapq.heappop
@@ -75,7 +74,7 @@ def _child(src: str, corpus: str, target: int) -> dict:
         "merges": len(merges),
         "merges_per_s": len(merges) / seconds,
         "heap_pops": pops,
-        "peak_rss_mb": peak_kb / 1024,
+        "peak_rss_mb": peak_mb,
         "digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
 

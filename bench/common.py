@@ -58,6 +58,25 @@ def unpack_lines(packed) -> list[str]:
     return packed.tobytes().decode("utf-8").split("\n")
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB, read as ``VmHWM``: a
+    program image starts it afresh. Linux carries the forking process's
+    RSS into ``ru_maxrss`` across ``fork`` and ``exec``, so a child of the
+    script's parent, which holds every case's inputs, would report at
+    least that process's size; ``ru_maxrss`` is the fallback where
+    ``/proc`` is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def run_child(script: str, *args: str) -> dict:
     """Run ``script --child args...`` in a fresh interpreter; its stdout is
     one JSON object."""

@@ -11,7 +11,7 @@ embedding table. Each measurement runs in a fresh process: it loads the
 inputs and encodes the lines under the vocabulary with its side's own
 encoder (byte-identical across trees, so both sides score the same ids
 under the same rows), times the calls with ``time.perf_counter`` and
-reads its peak RSS from ``resource.getrusage``, then repeats the calls
+reads its peak RSS (``common.peak_rss_mb``), then repeats the calls
 untimed on a fresh table under ``tracemalloc`` for the scoring's own peak
 allocation (the process peak is mostly the inputs and their encoding).
 The two sides alternate, and the record keeps every run, the median
@@ -52,7 +52,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import resource
 import statistics
 import sys
 import tempfile
@@ -60,7 +59,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, pack_lines, run_child, same_digest, unpack_lines
+from common import ROOT, alternate, export, header, pack_lines, peak_rss_mb, run_child, same_digest, unpack_lines
 
 WINDOW = 5
 # (name, lines, corpus seed, n_stems, zipf alpha, BPE size, SGNS config or
@@ -142,7 +141,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
             return {"seconds": t1 - t0, "repeat_seconds": t2 - t1}, _digest(first, np.array([first_total]))
 
     seconds, digest = score(table())
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak_rss_mb()
     # the process peak is mostly the inputs; the scoring's own peak comes
     # from a second, untimed run on a fresh table under tracemalloc, which
     # sees numpy's array allocations
@@ -152,7 +151,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     tracemalloc.stop()
     if "top_scoring_peak_mb" in traced:
         seconds["top_scoring_peak_mb"] = traced["top_scoring_peak_mb"]
-    return {**seconds, "peak_rss_mb": peak_kb / 1024, "scoring_peak_mb": scoring_peak / 2**20, "digest": digest}
+    return {**seconds, "peak_rss_mb": peak_mb, "scoring_peak_mb": scoring_peak / 2**20, "digest": digest}
 
 
 def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int, sgns) -> dict:

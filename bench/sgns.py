@@ -11,7 +11,7 @@ it encodes the lines under the vocabulary with its side's
 ``encoder.encode_corpus`` (each tree builds its own kind of store, and the
 encoder is byte-identical across them, so both sides train on the same
 ids), times one training with ``time.perf_counter`` and reads its peak RSS
-from ``resource.getrusage``. The two sides alternate, and the
+(``common.peak_rss_mb``). The two sides alternate, and the
 record keeps every run, the median seconds, pairs/s and a digest of the
 target and context tables of each side.
 
@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import resource
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, pack_lines, run_child, same_digest, unpack_lines
+from common import ROOT, alternate, export, header, pack_lines, peak_rss_mb, run_child, same_digest, unpack_lines
 
 # (name, lines, corpus seed, n_stems, zipf alpha, BPE size, SGNS config);
 # the first two are the `sage` workload's corpora at seed 7 with its
@@ -64,9 +63,9 @@ def _child(src: str, inputs: str, cfg_json: str) -> dict:
     t0 = time.perf_counter()
     table = train_embeddings(store, vocab, cfg)
     seconds = time.perf_counter() - t0
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak_rss_mb()
     digest = hashlib.sha256(table.target.tobytes() + table.context.tobytes()).hexdigest()
-    return {"seconds": seconds, "peak_rss_mb": peak_kb / 1024, "digest": digest}
+    return {"seconds": seconds, "peak_rss_mb": peak_mb, "digest": digest}
 
 
 def _build_store(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int) -> dict:

@@ -231,8 +231,10 @@ class TestAblationLosses:
             assert got.affected_sentences == want.affected_sentences
             assert got.uses == want.uses
         assert sum(n for n, _, _ in passes) == sum(r.affected_sentences for r in single)
-        limit = objective._SCORE_BUDGET_TOKENS + max(longest for _, _, longest in passes)
-        assert all(tokens <= limit for _, tokens, _ in passes)
+        # a pass holds at most a budget of tokens, or one part of a candidate
+        # whose sentences start within a budget of tokens of each other
+        limit = objective._SCORE_BUDGET_TOKENS
+        assert all(tokens <= limit + longest for _, tokens, longest in passes)
         if budget == 1:
             assert all(n == 1 for n, _, _ in passes)
         elif budget == 7:
@@ -242,35 +244,6 @@ class TestAblationLosses:
             assert len(passes) == 1
         else:
             assert 1 < len(passes) < len(candidates)
-
-    def test_frequent_candidate_is_scored_in_bounded_parts(self, monkeypatch):
-        # a candidate whose sentences hold many budgets of tokens is gathered
-        # and scored in parts, each pass within a budget plus one sentence
-        corpus = RawCorpus.from_lines(generate_corpus(150, seed=4, n_stems=90))
-        vocab, _ = train_bpe(corpus, 220)
-        cv = encoder.compile(vocab)
-        index = build_index(corpus, cv)
-        table = random_table(len(vocab), 6, np.random.default_rng(4))
-        nll, _ = attach_nll_cache(index.store(vocab.digest()), table, 3)
-        lengths = index.sentence_lengths()
-        candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-        top = max(candidates, key=lambda t: int(lengths[sorted(index.sentences(t))].sum()))
-        want = ablation_loss(top, nll, index, vocab, table, cv, 3)
-        budget = 50
-        assert lengths[sorted(index.sentences(top))].sum() > 10 * budget
-
-        passes = []
-
-        def counted(ids, lengths, table, window):
-            passes.append((len(ids), int(lengths.max())))
-            return batched_sentence_nll(ids, lengths, table, window)
-
-        monkeypatch.setattr(objective, "batched_sentence_nll", counted)
-        monkeypatch.setattr(objective, "_SCORE_BUDGET_TOKENS", budget)
-        got = ablation_loss(top, nll, index, vocab, table, cv, 3)
-        assert got == want
-        assert len(passes) > 10
-        assert all(tokens <= budget + longest for tokens, longest in passes)
 
     def test_protected_candidate_rejected(self):
         corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["ab"])
