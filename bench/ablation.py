@@ -21,38 +21,40 @@ digest of every vocabulary and event log must agree across all runs.
 ``--criterion7`` also runs ``tests/test_acceptance.py``'s Criterion 7
 (the 100k-line protocol, ``SAGETOK_ACCEPTANCE_FULL=1``) once per side, one
 after the other, each in a fresh process, and records its seconds, peak
-RSS, outcome and reported values.
+RSS (``common.peak_rss_mb``), outcome and reported values.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from common import ROOT, alternate, export, header, peak_rss_mb, run_child, same_digest
+import common
 
 COMMANDS = ("embed", "prune", "resume")
 
 
-def _child(src: str, seed: int, work: str) -> dict:
+def _child(src: str, seed: str) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        return _measure(src, int(seed), Path(work))
+
+
+def _measure(src: str, seed: int, work: Path) -> dict:
     sys.path.insert(0, src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    sys.path.insert(0, str(ROOT / "tests"))
+    sys.path.insert(0, str(common.ROOT / "perfbench"))
+    sys.path.insert(0, str(common.ROOT / "tests"))
     import textgen
     import workloads
     from sagetok import cli, encoder, sage
 
-    work = Path(work)
     wl = workloads.build("sage")
     for spec in wl.corpora:
         lines = textgen.generate_corpus(spec.lines, seed=spec.seed(seed), n_stems=spec.n_stems)
@@ -116,37 +118,26 @@ def _child(src: str, seed: int, work: str) -> dict:
             "checkpoint_s": counts.get("checkpoint_s", 0.0),
             "checkpoint_bytes": int(counts.get("checkpoint_bytes", 0)),
         }
-    out["peak_rss_mb"] = peak_rss_mb()
+    out["peak_rss_mb"] = common.peak_rss_mb()
     out["digest"] = digest.hexdigest()
     return out
 
 
-def _summary(runs: list[dict]) -> dict:
-    out: dict = {"digest": same_digest(runs), "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs)}
-    for name in COMMANDS:
-        per: dict = {}
-        for key in runs[0][name]:
-            values = [r[name][key] for r in runs]
-            per[f"{key}_median"] = statistics.median(values)
-            if key.endswith("_s") or key == "seconds":
-                per[key] = values
-        out[name] = per
-    return out
-
-
+# the peak comes from this checkout's `common`, which an older tree may lack
 _CRITERION7 = """
-import json, resource, sys, time
+import json, time
 import pytest
+from common import peak_rss_mb
 start = time.perf_counter()
 code = pytest.main(["-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py", "-k", "Criterion7"])
-print(json.dumps({"exit": int(code), "seconds": time.perf_counter() - start,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+print(json.dumps({"exit": int(code), "seconds": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()}))
 """
 
 
 def _criterion7(tree: Path) -> dict:
     """One Criterion 7 run from ``tree``, in a fresh interpreter."""
-    env = dict(os.environ, SAGETOK_ACCEPTANCE_FULL="1", PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, SAGETOK_ACCEPTANCE_FULL="1",
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(common.ROOT / "bench")]))
     out = subprocess.run([sys.executable, "-c", _CRITERION7], cwd=tree, env=env, check=False,
                          stdout=subprocess.PIPE, text=True).stdout.splitlines()
     result = json.loads(out[-1])
@@ -156,44 +147,20 @@ def _criterion7(tree: Path) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--child"]:
-        src, seed = argv[1:]
-        with tempfile.TemporaryDirectory() as work:
-            print(json.dumps(_child(src, int(seed), work)))
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--repeats", type=int, default=5, help="fresh processes per side and seed")
+    parser = common.parser(__doc__, "BENCH_ablation.json", repeats=5)
     parser.add_argument("--seeds", type=int, nargs="*", default=[7, 11])
     parser.add_argument("--criterion7", action="store_true", help="also run Criterion 7 once per side")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ablation.json")
     args = parser.parse_args(argv)
-
-    record = header("sagetok.objective.ablation_losses", args.base, args.repeats)
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        sides = {"base": export(args.base, tmp / "base"), "change": ROOT / "src"}
+    record = common.header("sagetok.objective.ablation_losses", args.base, args.repeats)
+    with common.exported(args.base) as (_, sides):
         for seed in args.seeds:
-            runs = alternate(args.repeats, lambda side: run_child(__file__, str(sides[side]), str(seed)))
             case = {"workload": "sage", "seed": seed}
-            case.update({side: _summary(runs[side]) for side in ("base", "change")})
-            case["identical_output"] = case["base"]["digest"] == case["change"]["digest"]
-            for name in COMMANDS:
-                base, change = case["base"][name], case["change"][name]
-                print(f"seed {seed} {name}: ablation {base['ablation_s_median']:.3f} -> "
-                      f"{change['ablation_s_median']:.3f} s, scored {base['scored_median']:.0f} -> "
-                      f"{change['scored_median']:.0f} of {change['ranked_median']:.0f}, compile "
-                      f"{base['compile_calls_median']:.0f} -> {change['compile_calls_median']:.0f}, "
-                      f"checkpoints {base['checkpoint_bytes_median']:.0f} -> "
-                      f"{change['checkpoint_bytes_median']:.0f} B in {base['checkpoint_s_median']:.3f} -> "
-                      f"{change['checkpoint_s_median']:.3f} s", file=sys.stderr)
-            record["cases"].append(case)
+            record["cases"].append(common.compare(__file__, sides, args.repeats, case, str(seed)))
         if args.criterion7:
-            record["criterion7"] = {side: _criterion7(sides[side].parent) for side in ("base", "change")}
+            record["criterion7"] = {side: _criterion7(sides[side].parent) for side in common.SIDES}
             print(f"criterion 7: {json.dumps(record['criterion7'])}", file=sys.stderr)
-    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return 0 if all(c["identical_output"] for c in record["cases"]) else 1
+    return common.finish(record, args.out)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(common.dispatch(_child, main))

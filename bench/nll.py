@@ -49,17 +49,14 @@ is the share of terms it reads back rather than computes.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import statistics
 import sys
-import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
-from common import ROOT, alternate, export, header, pack_lines, peak_rss_mb, run_child, same_digest, unpack_lines
+import numpy as np
+
+import common
 
 WINDOW = 5
 # (name, lines, corpus seed, n_stems, zipf alpha, BPE size, SGNS config or
@@ -81,18 +78,16 @@ def _digest(*arrays) -> str:
 
 def _child(src: str, kind: str, inputs: str) -> dict:
     sys.path.insert(0, src)
-    import numpy as np
-
     from sagetok import encoder
     from sagetok.corpus import RawCorpus, build_index
     from sagetok.embeddings import SkipGramTable
     from sagetok.objective import ablation_losses, attach_nll_cache
     from sagetok.vocab import Vocabulary, is_protected
 
-    with np.load(inputs) as data:
-        vocab = Vocabulary([str(t) for t in data["tokens"]])
-        rows = data["target"], data["context"]
-        corpus = RawCorpus.from_lines(unpack_lines(data["text"]))
+    tokens, lines, arrays = common.load_inputs(inputs)
+    vocab = Vocabulary(tokens)
+    rows = arrays["target"], arrays["context"]
+    corpus = RawCorpus.from_lines(lines)
     cv = encoder.compile(vocab)
 
     def table():
@@ -141,7 +136,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
             return {"seconds": t1 - t0, "repeat_seconds": t2 - t1}, _digest(first, np.array([first_total]))
 
     seconds, digest = score(table())
-    peak_mb = peak_rss_mb()
+    peak_mb = common.peak_rss_mb()
     # the process peak is mostly the inputs; the scoring's own peak comes
     # from a second, untimed run on a fresh table under tracemalloc, which
     # sees numpy's array allocations
@@ -154,30 +149,21 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     return {**seconds, "peak_rss_mb": peak_mb, "scoring_peak_mb": scoring_peak / 2**20, "digest": digest}
 
 
-def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float, size: int, sgns) -> dict:
-    """Train a BPE vocabulary of ``size`` on seeded lines and save it with
-    the lines and a table; returns the inputs' shape."""
-    import numpy as np
+def _prepare(path, lines: int, seed: int, n_stems: int, alpha: float, size: int, sgns) -> dict:
+    """Save the case's inputs (``common.build_inputs`` and a table: trained
+    under ``sgns``, or seeded rows); returns their shape."""
+    vocab, store, arrays = common.build_inputs(lines, seed, n_stems, alpha, size)
+    from sagetok.embeddings import EmbedConfig, train_embeddings  # build_inputs put src/ on sys.path
 
-    from sagetok import encoder
-    from sagetok.bpe import train_bpe
-    from sagetok.corpus import RawCorpus
-    from sagetok.embeddings import EmbedConfig, train_embeddings
-    from textgen import generate_corpus
-
-    corpus = RawCorpus.from_lines(generate_corpus(lines, seed=seed, n_stems=n_stems, zipf_alpha=alpha))
-    vocab, _ = train_bpe(corpus, size)
-    store = encoder.encode_corpus(corpus, encoder.compile(vocab))
-    lengths = store.lengths
     if sgns is not None:
         table = train_embeddings(store, vocab, EmbedConfig(**sgns))
         target, context = table.target, table.context
     else:
         rng = np.random.default_rng(seed)
         target, context = rng.normal(0.0, 0.1, (len(vocab), 50)), rng.normal(0.0, 0.1, (len(vocab), 50))
-    np.savez(path, tokens=np.array(vocab.tokens), text=pack_lines(corpus.lines), target=target, context=context)
-    shape = {"vocab": len(vocab), "sentences": len(lengths), "tokens": int(lengths.sum()),
-             "pairs": 2 * sum(int((lengths - d).clip(0).sum()) for d in range(1, WINDOW + 1))}
+    np.savez(path, **arrays, target=target, context=context)
+    shape = {"vocab": len(vocab), "sentences": len(store), "tokens": store.total_tokens(),
+             "pairs": common.window_pairs(store.lengths, WINDOW)}
     if sgns is None:
         shape.update(pair_terms=shape["pairs"] // 2, distinct_pairs=_distinct_pairs(store, len(vocab)))
     return shape
@@ -186,8 +172,6 @@ def _build_inputs(path: Path, lines: int, seed: int, n_stems: int, alpha: float,
 def _distinct_pairs(store, rows: int) -> int:
     """Distinct unordered id pairs within ``WINDOW`` positions of each other
     in one sentence of ``store``."""
-    import numpy as np
-
     ids = store.flat
     sent_of = np.repeat(np.arange(len(store)), store.lengths)
     seen = np.zeros(0, dtype=np.int64)
@@ -198,66 +182,22 @@ def _distinct_pairs(store, rows: int) -> int:
     return len(seen)
 
 
-def _summary(runs: list[dict]) -> dict:
-    digest = same_digest(runs)
-    out = {}
-    for key in ("seconds", "repeat_seconds"):
-        if key in runs[0]:
-            values = [r[key] for r in runs]
-            out[f"{key}_median"] = statistics.median(values)
-            out[key] = values
-    out.update({key: runs[0][key] for key in ("top_token", "top_count", "top_sentence_tokens") if key in runs[0]})
-    if "top_scoring_peak_mb" in runs[0]:
-        out["top_scoring_peak_mb_max"] = max(r["top_scoring_peak_mb"] for r in runs)
-    return {**out, "peak_rss_mb_max": max(r["peak_rss_mb"] for r in runs),
-            "scoring_peak_mb_max": max(r["scoring_peak_mb"] for r in runs), "digest": digest}
-
-
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--child"]:
-        src, kind, inputs = argv[1:]
-        print(json.dumps(_child(src, kind, inputs)))
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per side and case")
-    parser.add_argument("--cases", nargs="*", default=[c[0] for c in CASES],
-                        choices=[c[0] for c in CASES])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_nll.json")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "tests"))
-    record = header("sagetok.objective.batched_sentence_nll", args.base, args.repeats)
+    args = common.parser(__doc__, "BENCH_nll.json", CASES).parse_args(argv)
+    record = common.header("sagetok.objective.batched_sentence_nll", args.base, args.repeats)
     record["window"] = WINDOW
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        sides = {"base": export(args.base, tmp / "base"), "change": ROOT / "src"}
+    with common.exported(args.base) as (tmp, sides):
         for name, lines, seed, n_stems, alpha, size, sgns in CASES:
             if name not in args.cases:
                 continue
             inputs = tmp / f"{name}.npz"
-            shape = _build_inputs(inputs, lines, seed, n_stems, alpha, size, sgns)
+            shape = _prepare(inputs, lines, seed, n_stems, alpha, size, sgns)
             kind = "ablation" if sgns is not None else name.split("-")[0]
-            runs = alternate(args.repeats,
-                             lambda side: run_child(__file__, str(sides[side]), kind, str(inputs)))
             case = {"name": name, "lines": lines, "seed": seed, "n_stems": n_stems, "zipf_alpha": alpha,
                     "bpe_size": size, **shape, "sgns": sgns}
-            case.update({side: _summary(runs[side]) for side in ("base", "change")})
-            case["identical_output"] = case["base"]["digest"] == case["change"]["digest"]
-            case["speedup"] = case["base"]["seconds_median"] / case["change"]["seconds_median"]
-            print(f"{name}: {case['base']['seconds_median']:.3f} s -> "
-                  f"{case['change']['seconds_median']:.3f} s, peak RSS "
-                  f"{case['base']['peak_rss_mb_max']:.0f} -> {case['change']['peak_rss_mb_max']:.0f} MB, "
-                  f"scoring peak {case['base']['scoring_peak_mb_max']:.0f} -> "
-                  f"{case['change']['scoring_peak_mb_max']:.0f} MB, "
-                  + (f"top-candidate scoring peak {case['base']['top_scoring_peak_mb_max']:.1f} -> "
-                     f"{case['change']['top_scoring_peak_mb_max']:.1f} MB, " if kind == "top" else "")
-                  + f"identical={case['identical_output']}", file=sys.stderr)
-            record["cases"].append(case)
-    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return 0 if all(c["identical_output"] for c in record["cases"]) else 1
+            record["cases"].append(common.compare(__file__, sides, args.repeats, case, kind, str(inputs)))
+    return common.finish(record, args.out)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(common.dispatch(_child, main))

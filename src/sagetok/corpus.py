@@ -78,18 +78,15 @@ def load_corpus(path, lowercase: bool = False) -> RawCorpus:
             raw = f.read()
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    kept: list[str] = []
-    for lineno, blob in enumerate(raw.split(b"\n"), start=1):
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: invalid UTF-8 on line {lineno}: {exc}") from exc
-        norm = normalize_line(text, lowercase)
-        if norm:
-            kept.append(norm)
-    if not kept:
-        raise DataError(f"corpus file {path} has zero non-empty lines")
-    return RawCorpus(tuple(kept))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: invalid UTF-8 on line {lineno}: {exc}") from exc
+    try:
+        return RawCorpus.from_lines(text.split("\n"), lowercase)
+    except DataError:
+        raise DataError(f"corpus file {path} has zero non-empty lines") from None
 
 
 def pretokenize(line: str) -> tuple[str, ...]:
@@ -248,7 +245,8 @@ class WordIndex:
     def sentence_lengths(self) -> np.ndarray:
         """Token count of every sentence under the current segmentations."""
         _, _, seg_len = self._flat_segs()
-        return np.diff(np.r_[0, np.cumsum(seg_len[self.type_ids])][self.offsets])
+        # one sum per sentence; a sentence is never empty, so no index repeats
+        return np.add.reduceat(seg_len[self.type_ids], self.offsets[:-1])
 
     def token_stream(self) -> tuple[np.ndarray, np.ndarray]:
         """(token ids of the whole corpus in running order, token count of
