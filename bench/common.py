@@ -154,8 +154,8 @@ def peak_rss_mb() -> float:
 def summary(runs: list[dict]) -> dict:
     """One side's runs as one record entry, key by key of the first run:
     ``digest``, which every run must agree on; a nested dict (one per
-    command), summarized by this rule; a string, as the first run gives
-    it; a peak (``peak_rss_mb``, ``*_peak_mb``) as ``<key>_max``; any
+    command), summarized by this rule; a string, as every run gives it, or
+    the list of every run's value where they differ; a peak (``peak_rss_mb``, ``*_peak_mb``) as ``<key>_max``; any
     other number as ``<key>_median``, and a time (``seconds``,
     ``*_seconds``, ``*_s`` but not a rate ``*_per_s``) also as the list
     ``<key>`` of every run's value."""
@@ -169,7 +169,7 @@ def summary(runs: list[dict]) -> dict:
         elif isinstance(first, dict):
             out[key] = summary(values)
         elif isinstance(first, str):
-            out[key] = first
+            out[key] = first if len(set(values)) == 1 else values
         elif key == "peak_rss_mb" or key.endswith("_peak_mb"):
             out[f"{key}_max"] = max(values)
         else:

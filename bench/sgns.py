@@ -11,9 +11,13 @@ it encodes the lines under the vocabulary with its side's
 ``encoder.encode_corpus`` (each tree builds its own kind of store, and the
 encoder is byte-identical across them, so both sides train on the same
 ids), times one training with ``time.perf_counter`` and reads its peak RSS
-(``common.peak_rss_mb``). The two sides alternate, and the
-record keeps every run, the median seconds, pairs/s and a digest of the
-target and context tables of each side.
+(``common.peak_rss_mb``). Each run records which path summed the rows,
+``row_sums``: ``compiled`` where the tree has the C row-sum loops and they
+load (they are built, or loaded from the tree's cache, before the clock
+starts: a cached build is what every later process loads), else
+``numpy``. The two sides alternate, and the record keeps every run, the
+median seconds, pairs/s and a digest of the target and context tables of
+each side.
 
 The cases are the two stores of the ``sage`` benchmark workload at seed 7
 under that workload's flags (60 lines at V=250, 250 lines at V=750), and
@@ -46,7 +50,7 @@ CASES = (
 
 def _child(src: str, inputs: str, cfg_json: str, pairs: str) -> dict:
     sys.path.insert(0, src)
-    from sagetok import encoder
+    from sagetok import embeddings, encoder
     from sagetok.corpus import RawCorpus
     from sagetok.embeddings import EmbedConfig, train_embeddings
     from sagetok.vocab import Vocabulary
@@ -55,12 +59,15 @@ def _child(src: str, inputs: str, cfg_json: str, pairs: str) -> dict:
     vocab = Vocabulary(tokens)
     store = encoder.encode_corpus(RawCorpus.from_lines(lines), encoder.compile(vocab))
     cfg = EmbedConfig(**json.loads(cfg_json))
+    kernel = getattr(embeddings, "_kernel", None)
+    row_sums = "numpy" if kernel is None or kernel() is None else "compiled"
     t0 = time.perf_counter()
     table = train_embeddings(store, vocab, cfg)
     seconds = time.perf_counter() - t0
     peak_mb = common.peak_rss_mb()
     digest = hashlib.sha256(table.target.tobytes() + table.context.tobytes()).hexdigest()
-    return {"seconds": seconds, "pairs_per_s": int(pairs) / seconds, "peak_rss_mb": peak_mb, "digest": digest}
+    return {"seconds": seconds, "pairs_per_s": int(pairs) / seconds, "peak_rss_mb": peak_mb, "row_sums": row_sums,
+            "digest": digest}
 
 
 def main(argv: list[str]) -> int:

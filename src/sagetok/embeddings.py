@@ -18,11 +18,18 @@ The tables stay bit-identical to the plain form in the test oracle
   gradients in blocks of pairs (``_NEG_BLOCK_BYTES``), not all ``b * k``
   context rows at once. Each pair's values depend on its own rows
   alone, so the blocks change no bit.
-* Row sums compact the touched ids once, then run one weighted
-  ``np.bincount`` per gradient column. Each row still adds its products
-  in batch order from 0.0 at double precision. The context side writes
-  each column's products into one reused vector instead of building the
-  ``(b * (1 + k), dim)`` gradient matrix.
+* Row sums compact the touched ids once, then add each row's gradients
+  in batch order from 0.0 at double precision, one rounded product and
+  one rounded add per element. Two loops in ``_sgns_rows.c`` do this,
+  compiled on the first training into the package's ``__pycache__`` and
+  called through ``ctypes``. Where no C compiler runs or that directory
+  cannot be written, one weighted ``np.bincount`` per gradient column
+  does the same adds in the same order (``_BincountSums``), so the
+  tables do not depend on which path ran. Only the sums are in C: the
+  dot products, ``einsum`` contractions and ``exp`` stay in numpy,
+  because numpy fixes neither the order in which its dot products
+  accumulate nor the bits of its SIMD ``exp``, so C could not match
+  them.
 * Negative draws look their id up in a table of M = 2^ceil(log2(4V))
   equal buckets of [0, 1). A bucket that holds no cdf value yields one
   id for every draw in it; draws in the other buckets use
@@ -31,10 +38,17 @@ The tables stay bit-identical to the plain form in the test oracle
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
-from collections.abc import Iterable, Iterator
+import os
+import subprocess
+import sysconfig
+import threading
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +64,9 @@ _MAX_EXP = 6.0
 # working set does not grow with batch_pairs; a row's dot products and
 # gradient have the same bits in any block
 _NEG_BLOCK_BYTES = 3 << 17
+_KERNEL_SOURCE = Path(__file__).with_name("_sgns_rows.c")
+# no -march=native or -ffast-math: the loops must round as numpy does
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 @dataclass(frozen=True)
@@ -128,25 +145,32 @@ def init_tables(vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
 
 
 def _apply_clipped(
-    matrix: np.ndarray, ids: np.ndarray, columns: Iterable[np.ndarray], clip: float
+    matrix: np.ndarray, ids: np.ndarray, row_sums: Callable[[np.ndarray, int], np.ndarray], clip: float
 ) -> None:
     """Sum per-row gradients for the batch, clip each row's total update
-    norm, and apply. ``columns`` yields the gradient one column at a time,
-    each a weight vector aligned with ``ids``.
+    norm, and apply. ``row_sums(rids, n)`` returns the ``(n, dim)`` sums of
+    the batch's gradients, row ``r`` summing the gradients whose ``rids``
+    entry is ``r``; ``rids`` compacts ``ids`` to ``0..n-1``.
 
     Sequential reference updates are self-limiting; summed stale-row
     updates are not, so rows hit many times in one batch need the cap.
     """
     hit = np.bincount(ids, minlength=matrix.shape[0]) > 0
     touched = np.flatnonzero(hit)
-    rids = (np.cumsum(hit) - 1)[ids]
-    buf_t = np.empty((matrix.shape[1], len(touched)))
-    for j, weights in enumerate(columns):
-        buf_t[j] = np.bincount(rids, weights=weights, minlength=len(touched))
-    buf = np.ascontiguousarray(buf_t.T)
+    buf = row_sums((np.cumsum(hit) - 1)[ids], len(touched))
     norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
     np.clip(norms / clip, 1.0, None, out=norms)
     matrix[touched] += buf / norms[:, None]
+
+
+def _column_sums(rids: np.ndarray, n: int, dim: int, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """``(n, dim)`` row sums by one weighted ``np.bincount`` per column;
+    ``columns`` yields the gradient one column at a time, each a weight
+    vector aligned with ``rids``."""
+    buf_t = np.empty((dim, n))
+    for j, weights in enumerate(columns):
+        buf_t[j] = np.bincount(rids, weights=weights, minlength=n)
+    return np.ascontiguousarray(buf_t.T)
 
 
 def _context_columns(
@@ -165,12 +189,12 @@ def _context_columns(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    below, so ``exp`` never overflows; ``-|x|`` is ``-x`` or ``x`` exactly,
+    so each branch has the bits of computing it on its own entries."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _pair_count(store: SentenceStore, window: int) -> int:
@@ -253,6 +277,99 @@ class _NoiseSampler:
         return ids
 
 
+class _BincountSums:
+    """A batch's row sums in numpy, one weighted ``np.bincount`` per
+    gradient column: the path where the compiled loops cannot be built,
+    and their oracle. ``col`` holds one context-side column: ``b``
+    positive pairs, then ``b * k`` negatives."""
+
+    def __init__(self, batch_pairs: int, negatives: int):
+        self.col = np.empty(batch_pairs * (1 + negatives))
+
+    def target(self, grad_t: np.ndarray, rids: np.ndarray, n: int) -> np.ndarray:
+        return _column_sums(rids, n, grad_t.shape[1], np.ascontiguousarray(grad_t.T))
+
+    def context(
+        self, t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, rids: np.ndarray, n: int
+    ) -> np.ndarray:
+        return _column_sums(rids, n, t_rows.shape[1], _context_columns(t_rows, g_pos, g_neg, self.col))
+
+
+class _CompiledSums:
+    """The same row sums from the loops of ``_sgns_rows.c``. The loops
+    index without bounds checks, so the shapes are checked here; every
+    ``rids`` entry is below ``n`` by construction (``_apply_clipped``)."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self.lib = lib
+
+    def target(self, grad_t: np.ndarray, rids: np.ndarray, n: int) -> np.ndarray:
+        if len(rids) != len(grad_t):
+            raise ValueError("one row id per gradient row")
+        acc = np.zeros((n, grad_t.shape[1]))
+        self.lib.target_sums(acc, rids, grad_t, *grad_t.shape)
+        return acc
+
+    def context(
+        self, t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, rids: np.ndarray, n: int
+    ) -> np.ndarray:
+        (b, dim), k = t_rows.shape, 0 if g_neg is None else g_neg.shape[1]
+        if len(g_pos) != b or len(rids) != b * (1 + k) or (g_neg is not None and len(g_neg) != b):
+            raise ValueError("batch shapes disagree")
+        acc = np.zeros((n, dim))
+        # with k = 0 the loop reads no negative; g_pos stands in for the pointer
+        self.lib.context_sums(acc, rids, t_rows, g_pos, g_pos if g_neg is None else g_neg, b, k, dim)
+        return acc
+
+
+def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
+    """The loops of ``_sgns_rows.c``, compiled into ``cache`` on the first
+    call and loaded; None when the compiler is missing or fails, or
+    ``cache`` cannot be written or read. The library's name hashes the
+    source, the flags and the platform, so an edit builds a new one. It is
+    written to a temporary name and renamed, so a process never loads a
+    partly written library."""
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
+        lib_path = cache / f"_sgns_rows.{key.hexdigest()[:16]}.so"
+        if not lib_path.exists():
+            cache.mkdir(exist_ok=True)
+            # a name of this thread's own, created by the linker with the
+            # usual permissions
+            tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            try:
+                subprocess.run([compiler, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                               capture_output=True, check=True, timeout=300)
+                os.replace(tmp, lib_path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(lib_path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ids = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    size = ctypes.c_int64
+    lib.context_sums.argtypes = [rows, ids, rows, rows, rows, size, size, size]
+    lib.target_sums.argtypes = [rows, ids, rows, size, size]
+    lib.context_sums.restype = lib.target_sums.restype = None
+    return lib
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The compiled row-sum loops, built on the first training into the
+    package's own ``__pycache__`` (never a directory other users can
+    write to), or None: then training sums in numpy, silently, with the
+    same output."""
+    return _build_kernel(Path(__file__).with_name("__pycache__"))
+
+
+def _row_sums(cfg: EmbedConfig) -> _CompiledSums | _BincountSums:
+    lib = _kernel()
+    return _BincountSums(cfg.batch_pairs, cfg.negatives) if lib is None else _CompiledSums(lib)
+
+
 def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
     """Train target/context tables by SGNS over the tokenized store.
 
@@ -276,9 +393,7 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     total_updates = n_pairs * cfg.epochs
     tgt, ctx = table.target, table.context
     k = cfg.negatives
-    # one column of a batch's context-side gradients: b positive pairs,
-    # then b*k negatives
-    col_buf = np.empty(cfg.batch_pairs * (1 + k))
+    sums = _row_sums(cfg)
     block = max(1, _NEG_BLOCK_BYTES // (8 * k * cfg.dim)) if k else 1
     done = 0
     for _epoch in range(cfg.epochs):
@@ -306,8 +421,8 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
                     g_neg[blk] = -_sigmoid(neg_dots) * lr[blk, None]
                     grad_t[blk] += np.einsum("ik,ikj->ij", g_neg[blk], n_rows)
                 ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
-            _apply_clipped(tgt, t_ids, np.ascontiguousarray(grad_t.T), cfg.clip_row)
-            _apply_clipped(ctx, ctx_ids, _context_columns(t_rows, g_pos, g_neg, col_buf), cfg.clip_row)
+            _apply_clipped(tgt, t_ids, functools.partial(sums.target, grad_t), cfg.clip_row)
+            _apply_clipped(ctx, ctx_ids, functools.partial(sums.context, t_rows, g_pos, g_neg), cfg.clip_row)
     if not (np.isfinite(tgt).all() and np.isfinite(ctx).all()):
         raise VocabError("embedding training diverged to non-finite values")
     return table

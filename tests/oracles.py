@@ -309,6 +309,19 @@ def sgns_pairs(store, window):
     return np.concatenate(t_parts), np.concatenate(c_parts)
 
 
+def sigmoid(x):
+    """Logistic function by boolean masks: ``1 / (1 + exp(-x))`` on the
+    entries ``>= 0``, ``exp(x) / (1 + exp(x))`` on the rest."""
+    import numpy as np
+
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sgns_reference_trainer(store, vocab, cfg):
     """SGNS training with the plain scatter: per-sentence noise counts,
     concatenated context gradients, and ``np.unique`` + ``np.add.at``
@@ -322,14 +335,6 @@ def sgns_reference_trainer(store, vocab, cfg):
     from sagetok.embeddings import init_tables
 
     max_exp, noise_power = 6.0, 0.75
-
-    def sigmoid(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
 
     def apply_clipped(matrix, ids, grads):
         uniq, inverse = np.unique(ids, return_inverse=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sagetok import cli, encoder, sage
+from sagetok import cli, embeddings, encoder, sage
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig, SkipGramTable, train_embeddings
@@ -70,6 +70,7 @@ def test_sgns_child_trains_on_the_saved_lines(tmp_path, monkeypatch):
     assert built.tokens == vocab.tokens and np.array_equal(store.flat, direct.flat)
     assert got["digest"] == hashlib.sha256(table.target.tobytes() + table.context.tobytes()).hexdigest()
     assert got["seconds"] > 0 and got["peak_rss_mb"] > 0 and got["pairs_per_s"] == 1000 / got["seconds"]
+    assert got["row_sums"] == ("numpy" if embeddings._kernel() is None else "compiled")
 
 
 def test_nll_children_score_the_saved_lines(tmp_path, monkeypatch):
@@ -160,6 +161,8 @@ def test_summary_rule(monkeypatch):
         "token": "a", "peak_rss_mb_max": 30.0, "scoring_peak_mb_max": 15.0,
         "embed": {"ablation_s_median": 1.0, "ablation_s": [0.5, 2.0, 1.0], "ranked_median": 3}, "digest": "d",
     }
+    runs[1]["token"] = "b"
+    assert common.summary(runs)["token"] == ["a", "b", "a"]
     runs[1]["digest"] = "e"
     with pytest.raises(SystemExit, match="disagree"):
         common.summary(runs)

@@ -1,7 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from sagetok import embeddings, encoder
+from sagetok import cli, embeddings, encoder
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
 from sagetok.embeddings import (
@@ -15,7 +17,7 @@ from sagetok.embeddings import (
 from sagetok.errors import ConfigError, DataError
 from sagetok.vocab import MARKER, Vocabulary
 
-from oracles import flatten, sgns_pairs, sgns_reference_trainer
+from oracles import flatten, sgns_pairs, sgns_reference_trainer, sigmoid
 from textgen import generate_corpus
 
 
@@ -275,3 +277,137 @@ class TestNoiseSampler:
         sample = _NoiseSampler(cdf, np.arange(750, dtype=np.int64))
         assert sample.buckets == 4096
         assert np.mean(sample.table >= 0) > 0.75
+
+
+def _compiled_kernel():
+    lib = embeddings._kernel()
+    if lib is None:
+        pytest.skip("no C compiler: the compiled row sums cannot be built here")
+    return lib
+
+
+def _bpe_store(lines, seed, n_stems, size):
+    corpus = RawCorpus.from_lines(generate_corpus(lines, seed=seed, n_stems=n_stems))
+    vocab, _ = train_bpe(corpus, size)
+    return vocab, encoder.encode_corpus(corpus, encoder.compile(vocab))
+
+
+class TestSigmoid:
+    def test_matches_the_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([0.0, -0.0, 6.0, -6.0, tiny, -tiny, tiny / 7, -tiny / 7, 5e-324, -5e-324, 1e-300, 36.0, -36.0])
+        # lengths around SIMD widths put values in both the vector body and the tail
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 65, 975, 15_360):
+            x = np.clip(rng.normal(0.0, 3.0, n), -6.0, 6.0)
+            assert embeddings._sigmoid(x).tobytes() == sigmoid(x).tobytes()
+        x = np.concatenate([special, rng.uniform(-6.0, 6.0, 100_000), rng.uniform(-1e-3, 1e-3, 1000)])
+        assert embeddings._sigmoid(x).tobytes() == sigmoid(x).tobytes()
+        block = x[:975].reshape(65, 15)
+        assert embeddings._sigmoid(block).tobytes() == sigmoid(block).tobytes()
+
+
+def _batch(rng, b, k, dim, rows):
+    """One synthetic batch: target rows, the two gradient scales, and the
+    context ids of the positives then every pair's negatives, Zipf-drawn so
+    that ids repeat."""
+    t_rows = rng.normal(0.0, 0.3, (b, dim))
+    g_pos = rng.normal(0.0, 0.01, b)
+    g_neg = None if k == 0 else rng.normal(0.0, 0.01, (b, k))
+    ids = np.minimum(rng.zipf(1.3, b * (1 + k)) - 1, rows - 1)
+    return t_rows, g_pos, g_neg, ids
+
+
+class TestRowSums:
+    @pytest.mark.parametrize(
+        "b, k, dim",
+        [(1024, 15, 50), (1024, 0, 50), (1, 15, 50), (1, 0, 1), (300, 3, 1), (7, 1, 3), (65, 15, 50)],
+    )
+    def test_compiled_sums_equal_bincount_sums_bit_for_bit(self, b, k, dim):
+        # a buffer for 1,024 pairs, so every b below it is a short last batch
+        compiled, numpy_sums = embeddings._CompiledSums(_compiled_kernel()), embeddings._BincountSums(1024, k)
+        rng = np.random.default_rng(b * 100 + k * 10 + dim)
+        for _ in range(5):
+            t_rows, g_pos, g_neg, ids = _batch(rng, b, k, dim, rows=40)
+            hit = np.bincount(ids) > 0
+            rids, n = (np.cumsum(hit) - 1)[ids], int(hit.sum())
+            assert n < len(ids) or len(ids) == 1
+            context = compiled.context(t_rows, g_pos, g_neg, rids, n)
+            assert context.tobytes() == numpy_sums.context(t_rows, g_pos, g_neg, rids, n).tobytes()
+            grad_t = rng.normal(0.0, 0.01, (b, dim))
+            target = compiled.target(grad_t, rids[:b], n)
+            assert target.tobytes() == numpy_sums.target(grad_t, rids[:b], n).tobytes()
+
+    def test_compiled_sums_reject_mismatched_shapes(self):
+        compiled = embeddings._CompiledSums(_compiled_kernel())
+        rng = np.random.default_rng(1)
+        t_rows, g_pos, g_neg, ids = _batch(rng, 8, 2, 4, rows=10)
+        with pytest.raises(ValueError):
+            compiled.context(t_rows, g_pos, g_neg, ids[:-1], 10)
+        with pytest.raises(ValueError):
+            compiled.target(t_rows, ids[:7], 10)
+
+    @pytest.mark.parametrize("negatives, batch_pairs", [(0, 300), (6, 300), (15, 1), (15, 1024)])
+    def test_tables_equal_on_both_paths(self, monkeypatch, negatives, batch_pairs):
+        _compiled_kernel()
+        vocab, store = _bpe_store(30, 4, 60, 120)
+        cfg = EmbedConfig(dim=7, window=3, negatives=negatives, epochs=1, seed=4, batch_pairs=batch_pairs)
+        compiled = train_embeddings(store, vocab, cfg)
+        monkeypatch.setattr(embeddings, "_kernel", lambda: None)
+        fallback = train_embeddings(store, vocab, cfg)
+        assert np.array_equal(compiled.target, fallback.target)
+        assert np.array_equal(compiled.context, fallback.context)
+
+
+class TestKernelBuild:
+    def test_builds_once_then_loads_from_the_cache(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        cache = tmp_path / "__pycache__"
+        assert embeddings._build_kernel(cache) is not None
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 1 and built[0].endswith(".so")
+        # the cached library loads without a compiler
+        assert embeddings._build_kernel(cache, compiler="no-such-cc") is not None
+        assert sorted(p.name for p in cache.iterdir()) == built
+
+    @pytest.mark.parametrize("case", ["no compiler", "compiler fails", "cache not writable"])
+    def test_falls_back_to_numpy_silently_with_the_same_tables(self, tmp_path, monkeypatch, capfd, case):
+        cache = tmp_path / "__pycache__"
+        compiler = {"no compiler": "no-such-cc", "compiler fails": "false"}.get(case, "cc")
+        if case == "cache not writable":
+            # a path below a regular file cannot be created, even by root
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "__pycache__"
+        assert embeddings._build_kernel(cache, compiler) is None
+        monkeypatch.setattr(embeddings, "_kernel", lambda: embeddings._build_kernel(cache, compiler))
+        vocab, store = _bpe_store(60, 9, 80, 150)
+        cfg = EmbedConfig(dim=5, window=2, negatives=4, epochs=1, seed=2, batch_pairs=200)
+        table = train_embeddings(store, vocab, cfg)
+        target, context = sgns_reference_trainer(store, vocab, cfg)
+        assert np.array_equal(table.target, target)
+        assert np.array_equal(table.context, context)
+        assert capfd.readouterr() == ("", "")
+        if cache.is_dir():
+            assert list(cache.iterdir()) == []
+
+    def test_only_train_sage_loads_the_kernel(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embeddings, "_kernel", lambda: calls.append(1))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(generate_corpus(40, seed=20, n_stems=50)) + "\n", encoding="utf-8")
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("abab abab cd\ncd abab ab\n", encoding="utf-8")
+        vocab = str(tmp_path / "bpe.vocab")
+        for argv in (
+            ["train-bpe", "--corpus", str(corpus), "--vocab-size", "80", "--out", vocab],
+            ["train-unigram", "--corpus", str(tiny), "--vocab-size", "10", "--out", str(tmp_path / "uni.vocab")],
+            ["encode", "--vocab", vocab, "--in", str(corpus), "--out", str(tmp_path / "enc.txt")],
+            ["analyze", "--vocab", vocab, "--corpus", str(corpus), "--outdir", str(tmp_path / "reports")],
+        ):
+            assert cli.main(argv) == 0
+        assert calls == []
+        assert cli.main(["train-sage", "--corpus", str(corpus), "--out", str(tmp_path / "sage.vocab"),
+                         "--vocab-size", "60", "--overshoot", "1.2", "--prune-batch", "6", "--dim", "6",
+                         "--negatives", "3", "--epochs", "1", "--quiet"]) == 0
+        assert calls
