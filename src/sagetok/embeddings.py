@@ -43,8 +43,6 @@ import functools
 import hashlib
 import math
 import os
-import subprocess
-import sysconfig
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -329,6 +327,10 @@ def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
     source, the flags and the platform, so an edit builds a new one. It is
     written to a temporary name and renamed, so a process never loads a
     partly written library."""
+    # imported here: a process that never trains never needs them
+    import subprocess
+    import sysconfig
+
     try:
         source = _KERNEL_SOURCE.read_bytes()
         key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
@@ -365,11 +367,6 @@ def _kernel() -> ctypes.CDLL | None:
     return _build_kernel(Path(__file__).with_name("__pycache__"))
 
 
-def _row_sums(cfg: EmbedConfig) -> _CompiledSums | _BincountSums:
-    lib = _kernel()
-    return _BincountSums(cfg.batch_pairs, cfg.negatives) if lib is None else _CompiledSums(lib)
-
-
 def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
     """Train target/context tables by SGNS over the tokenized store.
 
@@ -393,7 +390,8 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     total_updates = n_pairs * cfg.epochs
     tgt, ctx = table.target, table.context
     k = cfg.negatives
-    sums = _row_sums(cfg)
+    lib = _kernel()
+    sums = _BincountSums(cfg.batch_pairs, k) if lib is None else _CompiledSums(lib)
     block = max(1, _NEG_BLOCK_BYTES // (8 * k * cfg.dim)) if k else 1
     done = 0
     for _epoch in range(cfg.epochs):
