@@ -361,9 +361,9 @@ def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled row-sum loops, built on the first training into the
-    package's own ``__pycache__`` (never a directory other users can
-    write to), or None: then training sums in numpy, silently, with the
-    same output."""
+    package's own ``__pycache__``, or None: then training sums in numpy,
+    silently, with the same output. No shared temporary directory:
+    another user could plant a library there."""
     return _build_kernel(Path(__file__).with_name("__pycache__"))
 
 
