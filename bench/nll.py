@@ -172,12 +172,10 @@ def _prepare(path, lines: int, seed: int, n_stems: int, alpha: float, size: int,
 def _distinct_pairs(store, rows: int) -> int:
     """Distinct unordered id pairs within ``WINDOW`` positions of each other
     in one sentence of ``store``."""
-    ids = store.flat
-    sent_of = np.repeat(np.arange(len(store)), store.lengths)
+    from sagetok.corpus import window_pairs  # build_inputs put src/ on sys.path
+
     seen = np.zeros(0, dtype=np.int64)
-    for delta in range(1, WINDOW + 1):
-        same = sent_of[:-delta] == sent_of[delta:]
-        left, right = ids[:-delta][same], ids[delta:][same]
+    for left, right, _ in window_pairs(store.flat, store.lengths, WINDOW):
         seen = np.union1d(seen, np.minimum(left, right) * rows + np.maximum(left, right))
     return len(seen)
 

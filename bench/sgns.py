@@ -12,8 +12,8 @@ it encodes the lines under the vocabulary with its side's
 encoder is byte-identical across them, so both sides train on the same
 ids), times one training with ``time.perf_counter`` and reads its peak RSS
 (``common.peak_rss_mb``). Each run records which path summed the rows,
-``row_sums``: ``compiled`` where the tree has the C row-sum loops and they
-load (they are built, or loaded from the tree's cache, before the clock
+``row_sums``: ``compiled`` where the tree has the C row-sum kernel and it
+loads (it is built, or loaded from the tree's cache, before the clock
 starts: a cached build is what every later process loads), else
 ``numpy``. The two sides alternate, and the record keeps every run, the
 median seconds, pairs/s and a digest of the target and context tables of

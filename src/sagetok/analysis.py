@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import RawCorpus, WordIndex, build_index, sorted_unique, window_offsets
+from .corpus import RawCorpus, WordIndex, build_index, sorted_unique, window_pairs
 from .encoder import CompiledVocab
 from .vocab import Vocabulary, content_length, header_lines, is_word_initial
 
@@ -158,15 +158,12 @@ def _efficiency(fertility: Histogram) -> tuple[int, float]:
 def _token_stats(index: WordIndex, vocab: Vocabulary, window: int) -> TokenStatsTable:
     flat, lengths = index.token_stream()
     unk = index.unk_id
-    sent_of = np.repeat(np.arange(len(lengths)), lengths)
     counts = np.bincount(flat, minlength=unk + 1)
     key_base = np.int64(unk + 1)
     # distinct (token, neighbor) keys, deduplicated per offset before the
     # merge so that the merged array stays small
     unique_parts: list[np.ndarray] = []
-    for delta, same in window_offsets(sent_of, window):
-        a = flat[:-delta][same]
-        b = flat[delta:][same]
+    for a, b, _ in window_pairs(flat, lengths, window):
         keep = (a != unk) & (b != unk)
         a, b = a[keep], b[keep]
         if len(a) == 0:

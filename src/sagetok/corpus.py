@@ -106,17 +106,20 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
 
 
-def window_offsets(sent_of: np.ndarray, window: int):
-    """Yield ``(delta, same)`` for each offset ``delta`` in 1..``window``
-    that pairs two positions of one sentence, where ``same[i]`` tells
-    whether positions ``i`` and ``i + delta`` do. ``sent_of`` gives each
-    position's sentence in runs, so the first offset that pairs nothing
-    ends the walk: no sentence is longer than it."""
+def window_pairs(flat: np.ndarray, lengths: np.ndarray, window: int):
+    """Yield ``(left, right, sentence)`` for each offset ``delta`` in
+    1..``window`` that pairs two positions of one sentence: the ids at
+    positions ``i`` and ``i + delta`` of each such pair, in position
+    order, and the sentence that holds the pair. ``flat`` holds the
+    sentences' ids one after another, ``lengths[s]`` of them for sentence
+    ``s``. The first offset that pairs nothing ends the walk: no sentence
+    is longer than it."""
+    sent_of = np.repeat(np.arange(len(lengths)), lengths)
     for delta in range(1, window + 1):
         same = sent_of[:-delta] == sent_of[delta:]
         if not same.any():
             return
-        yield delta, same
+        yield flat[:-delta][same], flat[delta:][same], sent_of[:-delta][same]
 
 
 class SentenceStore:

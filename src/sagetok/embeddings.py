@@ -20,16 +20,18 @@ The tables stay bit-identical to the plain form in the test oracle
   alone, so the blocks change no bit.
 * Row sums compact the touched ids once, then add each row's gradients
   in batch order from 0.0 at double precision, one rounded product and
-  one rounded add per element. Two loops in ``_sgns_rows.c`` do this,
-  compiled on the first training into the package's ``__pycache__`` and
-  called through ``ctypes``. Where no C compiler runs or that directory
-  cannot be written, one weighted ``np.bincount`` per gradient column
-  does the same adds in the same order (``_BincountSums``), so the
-  tables do not depend on which path ran. Only the sums are in C: the
-  dot products, ``einsum`` contractions and ``exp`` stay in numpy,
-  because numpy fixes neither the order in which its dot products
-  accumulate nor the bits of its SIMD ``exp``, so C could not match
-  them.
+  one rounded add per element. Both tables use one routine: the context
+  side weighs the target rows by the positive and negative scales, the
+  target side weighs its gradient rows by 1.0, which changes no bit. One
+  loop in ``_sgns_rows.c`` does this, compiled on the first training
+  into the package's ``__pycache__`` and called through ``ctypes``.
+  Where no C compiler runs or that directory cannot be written, one
+  weighted ``np.bincount`` per gradient column does the same adds in the
+  same order (``_bincount_sums``), so the tables do not depend on which
+  path ran. Only the sums are in C: the dot products, ``einsum``
+  contractions and ``exp`` stay in numpy, because numpy fixes neither
+  the order in which its dot products accumulate nor the bits of its
+  SIMD ``exp``, so C could not match them.
 * Negative draws look their id up in a table of M = 2^ceil(log2(4V))
   equal buckets of [0, 1). A bucket that holds no cdf value yields one
   id for every draw in it; draws in the other buckets use
@@ -44,13 +46,13 @@ import hashlib
 import math
 import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import SentenceStore, window_offsets
+from .corpus import SentenceStore, window_pairs
 from .errors import ConfigError, DataError, VocabError
 from .vocab import Vocabulary
 
@@ -90,6 +92,8 @@ class EmbedConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_pairs < 1:
             raise ConfigError("batch_pairs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.clip_row <= 0:
             raise ConfigError("clip_row must be positive")
         if not (math.isfinite(self.lr_initial) and math.isfinite(self.lr_final)):
@@ -143,47 +147,24 @@ def init_tables(vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:
 
 
 def _apply_clipped(
-    matrix: np.ndarray, ids: np.ndarray, row_sums: Callable[[np.ndarray, int], np.ndarray], clip: float
+    matrix: np.ndarray, ids: np.ndarray, clip: float, row_sums: Callable[..., np.ndarray], rows: np.ndarray,
+    g_pos: np.ndarray, g_neg: np.ndarray,
 ) -> None:
     """Sum per-row gradients for the batch, clip each row's total update
-    norm, and apply. ``row_sums(rids, n)`` returns the ``(n, dim)`` sums of
-    the batch's gradients, row ``r`` summing the gradients whose ``rids``
-    entry is ``r``; ``rids`` compacts ``ids`` to ``0..n-1``.
+    norm, and apply. ``row_sums(rows, g_pos, g_neg, rids, n)`` returns the
+    ``(n, dim)`` sums in which row ``i`` of ``rows`` is added times
+    ``g_pos[i]``, then times each ``g_neg[i, q]``, in the order of
+    ``rids``: ``ids`` compacted to ``0..n-1``.
 
     Sequential reference updates are self-limiting; summed stale-row
     updates are not, so rows hit many times in one batch need the cap.
     """
     hit = np.bincount(ids, minlength=matrix.shape[0]) > 0
     touched = np.flatnonzero(hit)
-    buf = row_sums((np.cumsum(hit) - 1)[ids], len(touched))
+    buf = row_sums(rows, g_pos, g_neg, (np.cumsum(hit) - 1)[ids], len(touched))
     norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
     np.clip(norms / clip, 1.0, None, out=norms)
     matrix[touched] += buf / norms[:, None]
-
-
-def _column_sums(rids: np.ndarray, n: int, dim: int, columns: Iterable[np.ndarray]) -> np.ndarray:
-    """``(n, dim)`` row sums by one weighted ``np.bincount`` per column;
-    ``columns`` yields the gradient one column at a time, each a weight
-    vector aligned with ``rids``."""
-    buf_t = np.empty((dim, n))
-    for j, weights in enumerate(columns):
-        buf_t[j] = np.bincount(rids, weights=weights, minlength=n)
-    return np.ascontiguousarray(buf_t.T)
-
-
-def _context_columns(
-    t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, buf: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield the context-side gradient of a batch column by column, each
-    written into ``buf``: ``g_pos * t`` for the positive pairs, then
-    ``g_neg * t`` for each pair's negatives, in batch order."""
-    b = len(g_pos)
-    col = buf[: b if g_neg is None else b * (1 + g_neg.shape[1])]
-    for t_col in np.ascontiguousarray(t_rows.T):
-        np.multiply(g_pos, t_col, out=col[:b])
-        if g_neg is not None:
-            np.multiply(g_neg, t_col[:, None], out=col[b:].reshape(g_neg.shape))
-        yield col
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -212,11 +193,8 @@ def _pair_batches(
     batch is a view. The order depends only on token positions, never on
     id numbering.
     """
-    sent_of = np.repeat(np.arange(len(store)), store.lengths)
     rest_t = rest_c = store.flat[:0]
-    for delta, same in window_offsets(sent_of, window):
-        left = store.flat[:-delta][same]
-        right = store.flat[delta:][same]
+    for left, right, _ in window_pairs(store.flat, store.lengths, window):
         for t, c in ((left, right), (right, left)):
             # pairs of this direction that complete the carried batch
             head = (size - len(rest_t)) % size
@@ -275,53 +253,44 @@ class _NoiseSampler:
         return ids
 
 
-class _BincountSums:
+def _bincount_sums(batch_pairs: int, negatives: int) -> Callable[..., np.ndarray]:
     """A batch's row sums in numpy, one weighted ``np.bincount`` per
-    gradient column: the path where the compiled loops cannot be built,
-    and their oracle. ``col`` holds one context-side column: ``b``
-    positive pairs, then ``b * k`` negatives."""
+    gradient column: the path where the compiled loop cannot be built, and
+    its oracle. ``col`` holds one column's weights: ``b`` rows, then
+    ``b * k`` negatives."""
+    col = np.empty(batch_pairs * (1 + negatives))
 
-    def __init__(self, batch_pairs: int, negatives: int):
-        self.col = np.empty(batch_pairs * (1 + negatives))
+    def row_sums(rows, g_pos, g_neg, rids, n):
+        b, dim = rows.shape
+        weights = col[: b + g_neg.size]
+        sums_t = np.empty((dim, n))
+        for j, x in enumerate(np.ascontiguousarray(rows.T)):
+            np.multiply(g_pos, x, out=weights[:b])
+            np.multiply(g_neg, x[:, None], out=weights[b:].reshape(g_neg.shape))
+            sums_t[j] = np.bincount(rids, weights=weights, minlength=n)
+        return np.ascontiguousarray(sums_t.T)
 
-    def target(self, grad_t: np.ndarray, rids: np.ndarray, n: int) -> np.ndarray:
-        return _column_sums(rids, n, grad_t.shape[1], np.ascontiguousarray(grad_t.T))
-
-    def context(
-        self, t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, rids: np.ndarray, n: int
-    ) -> np.ndarray:
-        return _column_sums(rids, n, t_rows.shape[1], _context_columns(t_rows, g_pos, g_neg, self.col))
+    return row_sums
 
 
-class _CompiledSums:
-    """The same row sums from the loops of ``_sgns_rows.c``. The loops
-    index without bounds checks, so the shapes are checked here; every
+def _compiled_sums(lib: ctypes.CDLL) -> Callable[..., np.ndarray]:
+    """The same row sums from the loop of ``_sgns_rows.c``. The loop
+    indexes without bounds checks, so the shapes are checked here; every
     ``rids`` entry is below ``n`` by construction (``_apply_clipped``)."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        self.lib = lib
-
-    def target(self, grad_t: np.ndarray, rids: np.ndarray, n: int) -> np.ndarray:
-        if len(rids) != len(grad_t):
-            raise ValueError("one row id per gradient row")
-        acc = np.zeros((n, grad_t.shape[1]))
-        self.lib.target_sums(acc, rids, grad_t, *grad_t.shape)
-        return acc
-
-    def context(
-        self, t_rows: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray | None, rids: np.ndarray, n: int
-    ) -> np.ndarray:
-        (b, dim), k = t_rows.shape, 0 if g_neg is None else g_neg.shape[1]
-        if len(g_pos) != b or len(rids) != b * (1 + k) or (g_neg is not None and len(g_neg) != b):
+    def row_sums(rows, g_pos, g_neg, rids, n):
+        (b, dim), k = rows.shape, g_neg.shape[1]
+        if len(g_pos) != b or len(g_neg) != b or len(rids) != b * (1 + k):
             raise ValueError("batch shapes disagree")
         acc = np.zeros((n, dim))
-        # with k = 0 the loop reads no negative; g_pos stands in for the pointer
-        self.lib.context_sums(acc, rids, t_rows, g_pos, g_pos if g_neg is None else g_neg, b, k, dim)
+        lib.row_sums(acc, rids, rows, g_pos, g_neg, b, k, dim)
         return acc
+
+    return row_sums
 
 
 def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
-    """The loops of ``_sgns_rows.c``, compiled into ``cache`` on the first
+    """The loop of ``_sgns_rows.c``, compiled into ``cache`` on the first
     call and loaded; None when the compiler is missing or fails, or
     ``cache`` cannot be written or read. The library's name hashes the
     source, the flags and the platform, so an edit builds a new one. It is
@@ -352,15 +321,14 @@ def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
     rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ids = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     size = ctypes.c_int64
-    lib.context_sums.argtypes = [rows, ids, rows, rows, rows, size, size, size]
-    lib.target_sums.argtypes = [rows, ids, rows, size, size]
-    lib.context_sums.restype = lib.target_sums.restype = None
+    lib.row_sums.argtypes = [rows, ids, rows, rows, rows, size, size, size]
+    lib.row_sums.restype = None
     return lib
 
 
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
-    """The compiled row-sum loops, built on the first training into the
+    """The compiled row-sum loop, built on the first training into the
     package's own ``__pycache__``, or None: then training sums in numpy,
     silently, with the same output. No shared temporary directory:
     another user could plant a library there."""
@@ -391,8 +359,10 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
     tgt, ctx = table.target, table.context
     k = cfg.negatives
     lib = _kernel()
-    sums = _BincountSums(cfg.batch_pairs, k) if lib is None else _CompiledSums(lib)
-    block = max(1, _NEG_BLOCK_BYTES // (8 * k * cfg.dim)) if k else 1
+    row_sums = _bincount_sums(cfg.batch_pairs, k) if lib is None else _compiled_sums(lib)
+    # the target side's weights: its gradient rows are summed as they are
+    ones = np.ones(cfg.batch_pairs)
+    block = max(1, _NEG_BLOCK_BYTES // (8 * max(k, 1) * cfg.dim))
     done = 0
     for _epoch in range(cfg.epochs):
         for t_ids, c_ids in _pair_batches(store, cfg.window, cfg.batch_pairs):
@@ -407,20 +377,17 @@ def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) 
             dots = np.clip(np.einsum("ij,ij->i", t_rows, c_rows), -_MAX_EXP, _MAX_EXP)
             g_pos = (1.0 - _sigmoid(dots)) * lr
             grad_t = g_pos[:, None] * c_rows
-            ctx_ids = c_ids
-            g_neg = None
-            if k > 0:
-                n_ids = sample(rng.random((b, k)))
-                g_neg = np.empty((b, k))
-                for s in range(0, b, block):
-                    blk = slice(s, s + block)
-                    n_rows = ctx[n_ids[blk]]
-                    neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows[blk], n_rows), -_MAX_EXP, _MAX_EXP)
-                    g_neg[blk] = -_sigmoid(neg_dots) * lr[blk, None]
-                    grad_t[blk] += np.einsum("ik,ikj->ij", g_neg[blk], n_rows)
-                ctx_ids = np.concatenate([c_ids, n_ids.ravel()])
-            _apply_clipped(tgt, t_ids, functools.partial(sums.target, grad_t), cfg.clip_row)
-            _apply_clipped(ctx, ctx_ids, functools.partial(sums.context, t_rows, g_pos, g_neg), cfg.clip_row)
+            # with k = 0 this draws nothing and leaves the stream where it was
+            n_ids = sample(rng.random((b, k)))
+            g_neg = np.empty((b, k))
+            for s in range(0, b, block):
+                blk = slice(s, s + block)
+                n_rows = ctx[n_ids[blk]]
+                neg_dots = np.clip(np.einsum("ij,ikj->ik", t_rows[blk], n_rows), -_MAX_EXP, _MAX_EXP)
+                g_neg[blk] = -_sigmoid(neg_dots) * lr[blk, None]
+                grad_t[blk] += np.einsum("ik,ikj->ij", g_neg[blk], n_rows)
+            _apply_clipped(tgt, t_ids, cfg.clip_row, row_sums, grad_t, ones[:b], g_neg[:, :0])
+            _apply_clipped(ctx, np.concatenate([c_ids, n_ids.ravel()]), cfg.clip_row, row_sums, t_rows, g_pos, g_neg)
     if not (np.isfinite(tgt).all() and np.isfinite(ctx).all()):
         raise VocabError("embedding training diverged to non-finite values")
     return table

@@ -49,7 +49,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import SentenceStore, WordIndex, sorted_unique, window_offsets
+from .corpus import SentenceStore, WordIndex, sorted_unique, window_pairs
 from .errors import VocabError
 from .vocab import Vocabulary, is_protected
 
@@ -110,15 +110,11 @@ def batched_sentence_nll(ids: np.ndarray, lengths: np.ndarray, table, window: in
     flat = np.asarray(ids).astype(np.int64, copy=False)
     rows = table.target.shape[0]
     _check_ids(flat, rows)
-    if len(flat) == 0:
-        return acc.astype(np.float64)
-    sent_of = np.repeat(np.arange(len(lengths)), lengths)
     owners: list[np.ndarray] = []
     keys: list[np.ndarray] = []
-    for delta, same in window_offsets(sent_of, window):
-        # the pair of positions i and i + delta, keyed by its unordered ids
-        left, right = flat[:-delta][same], flat[delta:][same]
-        owners.append(sent_of[:-delta][same])
+    for left, right, sentence in window_pairs(flat, lengths, window):
+        # each pair keyed by its unordered ids
+        owners.append(sentence)
         keys.append(np.minimum(left, right) * rows + np.maximum(left, right))
     if keys:
         terms = _pair_terms(table, np.concatenate(keys))

@@ -239,7 +239,8 @@ class TestTrainSageCommand:
         (["--lr", "0"], "learning rate must be > 0"),
         (["--lr", "-5"], "learning rate must be > 0"),
         (["--checkpoint-every", "2"], "--checkpoint-every needs --checkpoint"),
-    ], ids=["lr-0", "lr-negative", "checkpoint-every-alone"])
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["lr-0", "lr-negative", "checkpoint-every-alone", "seed-negative"])
     def test_invalid_flag_exits_2_before_writing(self, tmp_path, corpus_file, capsys, flags, message):
         assert main(_sage_args(corpus_file, tmp_path / "x.vocab") + flags) == 2
         assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -310,12 +311,14 @@ class TestSigmoid:
 def _batch(rng, b, k, dim, rows):
     """One synthetic batch: target rows, the two gradient scales, and the
     context ids of the positives then every pair's negatives, Zipf-drawn so
-    that ids repeat."""
+    that ids repeat, compacted to row ids ``0..n-1`` as ``_apply_clipped``
+    compacts them."""
     t_rows = rng.normal(0.0, 0.3, (b, dim))
     g_pos = rng.normal(0.0, 0.01, b)
-    g_neg = None if k == 0 else rng.normal(0.0, 0.01, (b, k))
+    g_neg = rng.normal(0.0, 0.01, (b, k))
     ids = np.minimum(rng.zipf(1.3, b * (1 + k)) - 1, rows - 1)
-    return t_rows, g_pos, g_neg, ids
+    hit = np.bincount(ids) > 0
+    return t_rows, g_pos, g_neg, (np.cumsum(hit) - 1)[ids], int(hit.sum())
 
 
 class TestRowSums:
@@ -325,27 +328,51 @@ class TestRowSums:
     )
     def test_compiled_sums_equal_bincount_sums_bit_for_bit(self, b, k, dim):
         # a buffer for 1,024 pairs, so every b below it is a short last batch
-        compiled, numpy_sums = embeddings._CompiledSums(_compiled_kernel()), embeddings._BincountSums(1024, k)
+        compiled = embeddings._compiled_sums(_compiled_kernel())
+        numpy_sums = embeddings._bincount_sums(1024, k)
+        ones = np.ones(1024)
         rng = np.random.default_rng(b * 100 + k * 10 + dim)
         for _ in range(5):
-            t_rows, g_pos, g_neg, ids = _batch(rng, b, k, dim, rows=40)
-            hit = np.bincount(ids) > 0
-            rids, n = (np.cumsum(hit) - 1)[ids], int(hit.sum())
-            assert n < len(ids) or len(ids) == 1
-            context = compiled.context(t_rows, g_pos, g_neg, rids, n)
-            assert context.tobytes() == numpy_sums.context(t_rows, g_pos, g_neg, rids, n).tobytes()
+            t_rows, g_pos, g_neg, rids, n = _batch(rng, b, k, dim, rows=40)
+            assert n < len(rids) or len(rids) == 1
+            context = compiled(t_rows, g_pos, g_neg, rids, n)
+            assert context.tobytes() == numpy_sums(t_rows, g_pos, g_neg, rids, n).tobytes()
+            # the target side as training calls it: unit weights and no
+            # negatives, g_neg[:, :0] a non-contiguous view
             grad_t = rng.normal(0.0, 0.01, (b, dim))
-            target = compiled.target(grad_t, rids[:b], n)
-            assert target.tobytes() == numpy_sums.target(grad_t, rids[:b], n).tobytes()
+            target = compiled(grad_t, ones[:b], g_neg[:, :0], rids[:b], n)
+            assert target.tobytes() == numpy_sums(grad_t, ones[:b], g_neg[:, :0], rids[:b], n).tobytes()
+
+    @pytest.mark.parametrize("b, dim", [(1024, 50), (1, 1), (65, 7)])
+    def test_target_sums_equal_add_at(self, b, dim):
+        # unit weights change no bit: both paths give what np.add.at over
+        # the gradient rows gives, the reference trainer's form
+        rng = np.random.default_rng(b + dim)
+        _, _, g_neg, rids, n = _batch(rng, b, 15, dim, rows=40)
+        rids = rids[:b]
+        n = int(rids.max()) + 1
+        grad_t = rng.normal(0.0, 0.01, (b, dim))
+        grad_t[::3] *= 1e-310  # subnormal rows too
+        expected = np.zeros((n, dim))
+        np.add.at(expected, rids, grad_t)
+        paths = [embeddings._bincount_sums(b, 15)]
+        if embeddings._kernel() is not None:
+            paths.append(embeddings._compiled_sums(embeddings._kernel()))
+        for row_sums in paths:
+            assert row_sums(grad_t, np.ones(b), g_neg[:, :0], rids, n).tobytes() == expected.tobytes()
 
     def test_compiled_sums_reject_mismatched_shapes(self):
-        compiled = embeddings._CompiledSums(_compiled_kernel())
+        compiled = embeddings._compiled_sums(_compiled_kernel())
         rng = np.random.default_rng(1)
-        t_rows, g_pos, g_neg, ids = _batch(rng, 8, 2, 4, rows=10)
+        t_rows, g_pos, g_neg, rids, n = _batch(rng, 8, 2, 4, rows=10)
         with pytest.raises(ValueError):
-            compiled.context(t_rows, g_pos, g_neg, ids[:-1], 10)
+            compiled(t_rows, g_pos, g_neg, rids[:-1], n)
         with pytest.raises(ValueError):
-            compiled.target(t_rows, ids[:7], 10)
+            compiled(t_rows, g_pos[:7], g_neg, rids, n)
+        with pytest.raises(ValueError):
+            compiled(t_rows, g_pos, g_neg[:7], rids, n)
+        with pytest.raises(ValueError):
+            compiled(t_rows, np.ones(8), g_neg[:, :0], rids[:7], n)
 
     @pytest.mark.parametrize("negatives, batch_pairs", [(0, 300), (6, 300), (15, 1), (15, 1024)])
     def test_tables_equal_on_both_paths(self, monkeypatch, negatives, batch_pairs):
@@ -370,6 +397,14 @@ class TestKernelBuild:
         # the cached library loads without a compiler
         assert embeddings._build_kernel(cache, compiler="no-such-cc") is not None
         assert sorted(p.name for p in cache.iterdir()) == built
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        argv = ["cc", *embeddings._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(embeddings._KERNEL_SOURCE),
+                "-o", str(tmp_path / "rows.so")]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("case", ["no compiler", "compiler fails", "cache not writable"])
     def test_falls_back_to_numpy_silently_with_the_same_tables(self, tmp_path, monkeypatch, capfd, case):
