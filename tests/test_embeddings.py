@@ -348,16 +348,15 @@ class TestRowSums:
         # unit weights change no bit: both paths give what np.add.at over
         # the gradient rows gives, the reference trainer's form
         rng = np.random.default_rng(b + dim)
-        _, _, g_neg, rids, n = _batch(rng, b, 15, dim, rows=40)
+        _, _, g_neg, rids, _ = _batch(rng, b, 15, dim, rows=40)
         rids = rids[:b]
         n = int(rids.max()) + 1
         grad_t = rng.normal(0.0, 0.01, (b, dim))
         grad_t[::3] *= 1e-310  # subnormal rows too
         expected = np.zeros((n, dim))
         np.add.at(expected, rids, grad_t)
-        paths = [embeddings._bincount_sums(b, 15)]
-        if embeddings._kernel() is not None:
-            paths.append(embeddings._compiled_sums(embeddings._kernel()))
+        lib = embeddings._kernel()
+        paths = [embeddings._bincount_sums(b, 15)] + ([] if lib is None else [embeddings._compiled_sums(lib)])
         for row_sums in paths:
             assert row_sums(grad_t, np.ones(b), g_neg[:, :0], rids, n).tobytes() == expected.tobytes()
 
