@@ -175,7 +175,7 @@ def _distinct_pairs(store, rows: int) -> int:
     from sagetok.corpus import window_pairs  # build_inputs put src/ on sys.path
 
     seen = np.zeros(0, dtype=np.int64)
-    for left, right, _ in window_pairs(store.flat, store.lengths, WINDOW):
+    for left, right in window_pairs(store.flat, store.lengths, WINDOW):
         seen = np.union1d(seen, np.minimum(left, right) * rows + np.maximum(left, right))
     return len(seen)
 

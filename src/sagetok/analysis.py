@@ -163,7 +163,7 @@ def _token_stats(index: WordIndex, vocab: Vocabulary, window: int) -> TokenStats
     # distinct (token, neighbor) keys, deduplicated per offset before the
     # merge so that the merged array stays small
     unique_parts: list[np.ndarray] = []
-    for a, b, _ in window_pairs(flat, lengths, window):
+    for a, b in window_pairs(flat, lengths, window):
         keep = (a != unk) & (b != unk)
         a, b = a[keep], b[keep]
         if len(a) == 0:

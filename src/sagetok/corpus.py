@@ -8,11 +8,14 @@ marker-prefixed words; skipgram windows never cross sentence boundaries.
 
 ``build_index`` turns a corpus into a ``WordIndex``: its distinct words
 ("types") with their counts, each sentence as a run of type ids, and each
-type's segmentation under a compiled vocabulary. The encoder, the SaGe
-trainer and the unigram trainer all segment through it. Pruning uses two
-steps on it: ``WordIndex.segment_without`` (pure: how the types holding a
-token would segment without it) and ``WordIndex.resegment`` (mutating:
-re-segment them after the token is removed). ``WordIndex.gather`` turns
+type's segmentation under a compiled vocabulary, all types in one
+``encode_words`` call. The encoder, the SaGe trainer and the unigram
+trainer all segment through it. Pruning uses two steps on it:
+``WordIndex.segment_without`` (pure: how the types holding a token would
+segment without it; only the part of each word from the token's first
+occurrence on is segmented again) and ``WordIndex.resegment`` (mutating:
+re-segment them, in one ``encode_words`` call, after the token is
+removed). ``WordIndex.gather`` turns
 any run of sentences into one flat id array and per-sentence lengths in
 a few numpy passes, optionally with per-sentence segmentation overrides
 (the candidates of ablation scoring). ``retokenize_sentences`` applies a
@@ -22,6 +25,8 @@ those sentences, before or after, so callers can tell which cached
 ablation losses the removal may have changed. A ``SentenceStore`` is a
 read-only snapshot of the whole corpus in that flat form (the index's
 ``token_stream``), built when every sentence is needed at once.
+``window_pairs`` walks the in-sentence id pairs of such a flat form one
+window offset at a time.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def pretokenize(line: str) -> tuple[str, ...]:
     """Split a normalized line on single spaces and prefix each word with the marker."""
     if not line:
         return ()
-    return tuple(MARKER + w for w in line.split(" "))
+    return tuple((MARKER + line.replace(" ", " " + MARKER)).split(" "))
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -107,19 +112,19 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def window_pairs(flat: np.ndarray, lengths: np.ndarray, window: int):
-    """Yield ``(left, right, sentence)`` for each offset ``delta`` in
-    1..``window`` that pairs two positions of one sentence: the ids at
-    positions ``i`` and ``i + delta`` of each such pair, in position
-    order, and the sentence that holds the pair. ``flat`` holds the
-    sentences' ids one after another, ``lengths[s]`` of them for sentence
-    ``s``. The first offset that pairs nothing ends the walk: no sentence
-    is longer than it."""
+    """Yield ``(left, right)`` for each offset ``delta`` in 1..``window``
+    that pairs two positions of one sentence: the ids at positions ``i``
+    and ``i + delta`` of each such pair, in position order. ``flat`` holds
+    the sentences' ids one after another, ``lengths[s]`` of them for
+    sentence ``s``, so sentence ``s`` holds ``max(lengths[s] - delta, 0)``
+    of the ``delta``-th pairs, one run after another. The first offset
+    that pairs nothing ends the walk: no sentence is longer than it."""
     sent_of = np.repeat(np.arange(len(lengths)), lengths)
     for delta in range(1, window + 1):
         same = sent_of[:-delta] == sent_of[delta:]
         if not same.any():
             return
-        yield flat[:-delta][same], flat[delta:][same], sent_of[:-delta][same]
+        yield flat[:-delta][same], flat[delta:][same]
 
 
 class SentenceStore:
@@ -172,14 +177,14 @@ class WordIndex:
     __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unks", "unk_id",
                  "_type_sentences", "_postings", "_flat")
 
-    def __init__(self, types, counts, type_ids, offsets, unk_id: int):
+    def __init__(self, types, counts, type_ids, offsets, unk_id: int, segs, unks):
         self.types: tuple[str, ...] = types
         self.counts: np.ndarray = counts
         self.type_ids: np.ndarray = type_ids
         self.offsets: np.ndarray = offsets
         self.unk_id = unk_id
-        self.segs: list[list[int]] = [[] for _ in types]
-        self.unks: list[tuple[str, ...]] = [() for _ in types]
+        self.segs: list[list[int]] = segs
+        self.unks: list[tuple[str, ...]] = unks
         self._type_sentences: list[list[int]] | None = None
         self._postings: dict[int, set[int]] | None = None
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -317,9 +322,21 @@ class WordIndex:
 
         Pure: the index is not changed. Types that do not hold the token
         keep their segmentation (greedy matching never reaches it there).
+        Within a type, the tokens before the first occurrence of
+        ``token_id`` stay too: greedy matching never took it there, so
+        only the rest of the word, from that occurrence on, is segmented
+        again.
         """
         banned = frozenset((token_id,))
-        return {w: cv.encode_word(self.types[w], banned)[0] for w in self.postings.get(token_id, ())}
+        tokens, unk = cv.vocab.tokens, self.unk_id
+        out = {}
+        for w in self.postings.get(token_id, ()):
+            seg = self.segs[w]
+            at = seg.index(token_id)
+            # an UNK stands for one character
+            pos = sum(1 if t == unk else len(tokens[t]) for t in seg[:at])
+            out[w] = seg[:at] + cv.encode_word(self.types[w][pos:], banned)[0]
+        return out
 
     def resegment(self, removed, cv) -> dict[int, list[int]]:
         """Re-segment under ``cv`` every type holding a removed token, and
@@ -331,12 +348,11 @@ class WordIndex:
         for t in removed:
             changed |= self.postings.pop(t, set())
         old = {w: self.segs[w] for w in sorted(changed)}
-        for w in old:
-            self._segment(w, cv)
+        for w, (ids, unks) in zip(old, cv.encode_words([self.types[w] for w in old])):
+            self._set_segmentation(w, ids, unks)
         return old
 
-    def _segment(self, w: int, cv) -> None:
-        ids, unks = cv.encode_word(self.types[w])
+    def _set_segmentation(self, w: int, ids: list[int], unks: list[str]) -> None:
         if self._postings is not None:
             old, new = set(self.segs[w]), set(ids)
             for t in old - new:
@@ -363,16 +379,17 @@ def build_index(corpus: RawCorpus, cv) -> WordIndex:
     type_of = {w: i for i, w in enumerate(dict.fromkeys(words))}
     type_ids = list(map(type_of.__getitem__, words))
     offsets = list(accumulate(map(len, lines), initial=0))
-    index = WordIndex(
-        tuple(type_of),
+    types = tuple(type_of)
+    segmented = cv.encode_words(types)
+    return WordIndex(
+        types,
         np.bincount(np.asarray(type_ids, dtype=np.int64), minlength=len(type_of)),
         np.asarray(type_ids, dtype=np.int32),
         np.asarray(offsets, dtype=np.int64),
         cv.unk_id,
+        [ids for ids, _ in segmented],
+        [tuple(unks) for _, unks in segmented],
     )
-    for w in range(len(index.types)):
-        index._segment(w, cv)
-    return index
 
 
 def retokenize_sentences(

@@ -194,7 +194,7 @@ def _pair_batches(
     id numbering.
     """
     rest_t = rest_c = store.flat[:0]
-    for left, right, _ in window_pairs(store.flat, store.lengths, window):
+    for left, right in window_pairs(store.flat, store.lengths, window):
         for t, c in ((left, right), (right, left)):
             # pairs of this direction that complete the carried batch
             head = (size - len(rest_t)) % size
@@ -289,41 +289,43 @@ def _compiled_sums(lib: ctypes.CDLL) -> Callable[..., np.ndarray]:
     return row_sums
 
 
-def _build_kernel(cache: Path, compiler: str = "cc") -> ctypes.CDLL | None:
-    """The loop of ``_sgns_rows.c``, compiled into ``cache`` on the first
-    call and loaded; None when the compiler is missing or fails, or
-    ``cache`` cannot be written or read. The library's name hashes the
-    source, the flags and the platform, so an edit builds a new one. It is
-    written to a temporary name and renamed, so a process never loads a
-    partly written library."""
-    # imported here: a process that never trains never needs them
+def _compile_library(source: bytes, lib_path: Path, compiler: str) -> None:
+    """Compile C ``source`` into the shared library ``lib_path``; OSError
+    when the compiler is missing or fails. The library is written to a
+    name of this thread's own and renamed, so a process never loads a
+    partly written one."""
+    # imported here: a process that finds its libraries cached never needs it
     import subprocess
+
+    lib_path.parent.mkdir(exist_ok=True)
+    tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        subprocess.run([compiler, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, lib_path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler} failed: {exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _build_kernel(cache: Path, compiler: str = "cc", source: Path = _KERNEL_SOURCE) -> ctypes.CDLL | None:
+    """The C file ``source``, compiled into ``cache`` on the first call and
+    loaded; None when the compiler is missing or fails, or ``cache``
+    cannot be written or read. The library's name hashes the source, the
+    flags and the platform, so an edit builds a new one. The caller
+    declares the argument types of the functions it calls."""
     import sysconfig
 
     try:
-        source = _KERNEL_SOURCE.read_bytes()
-        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
-        lib_path = cache / f"_sgns_rows.{key.hexdigest()[:16]}.so"
+        text = source.read_bytes()
+        key = hashlib.sha256(b"\0".join([text, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
+        lib_path = cache / f"{source.stem}.{key.hexdigest()[:16]}.so"
         if not lib_path.exists():
-            cache.mkdir(exist_ok=True)
-            # a name of this thread's own, created by the linker with the
-            # usual permissions
-            tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                subprocess.run([compiler, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp], input=source,
-                               capture_output=True, check=True, timeout=300)
-                os.replace(tmp, lib_path)
-            finally:
-                tmp.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(lib_path))
-    except (OSError, subprocess.SubprocessError):
+            _compile_library(text, lib_path, compiler)
+        return ctypes.CDLL(str(lib_path))
+    except OSError:
         return None
-    rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    ids = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    size = ctypes.c_int64
-    lib.row_sums.argtypes = [rows, ids, rows, rows, rows, size, size, size]
-    lib.row_sums.restype = None
-    return lib
 
 
 @functools.cache
@@ -332,7 +334,14 @@ def _kernel() -> ctypes.CDLL | None:
     package's own ``__pycache__``, or None: then training sums in numpy,
     silently, with the same output. No shared temporary directory:
     another user could plant a library there."""
-    return _build_kernel(Path(__file__).with_name("__pycache__"))
+    lib = _build_kernel(Path(__file__).with_name("__pycache__"))
+    if lib is not None:
+        rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        ids = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+        size = ctypes.c_int64
+        lib.row_sums.argtypes = [rows, ids, rows, rows, rows, size, size, size]
+        lib.row_sums.restype = None
+    return lib
 
 
 def train_embeddings(store: SentenceStore, vocab: Vocabulary, cfg: EmbedConfig) -> SkipGramTable:

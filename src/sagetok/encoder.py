@@ -5,15 +5,34 @@ repeatedly take the longest vocabulary token that prefixes the remaining
 suffix. A character with no match at all (not even as a single-character
 token) emits the reserved UNK id and advances one position; the source
 character is recorded so decoding stays lossless.
+
+Bulk segmentation (:meth:`CompiledVocab.encode_words`, which
+``corpus.build_index`` and ``WordIndex.resegment`` call) runs in one call
+of the C loop in ``_encode.c`` per batch of words: the words go in as one
+UTF-32 buffer and the trie as flat first-child/next-sibling arrays, which
+that file also builds. The library is compiled on first use into the
+package's ``__pycache__``, as the SGNS row sums are
+(``embeddings._build_kernel``). Where it cannot be built or loaded, every
+word is segmented by the Python walk over a dict trie, silently, with the
+same ids; that walk also serves banned segmentation
+(``encode_word(word, banned)``), whose calls are too small for a C call
+to pay, and is the oracle of the compiled loop.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import ctypes
+import functools
+from collections.abc import Iterable, Sequence
+from pathlib import Path
+
+import numpy as np
 
 from .corpus import RawCorpus, SentenceStore, build_index
 from .errors import VocabError
 from .vocab import Vocabulary
+
+_KERNEL_SOURCE = Path(__file__).with_name("_encode.c")
 
 
 class _TrieNode:
@@ -31,14 +50,28 @@ class CompiledVocab:
     shared with other readers must not be pruned under them. ``token_ids``
     keep the ids of the underlying vocabulary, so a trie compiled over a
     pruned subset still emits stable ids.
+
+    ``flat`` holds the trie in the arrays of ``_encode.c``, ``(code
+    points, first children, next siblings, token ids, node of each
+    vocabulary id)``, or None where that kernel cannot be loaded. ``root``
+    is the same trie as linked ``_TrieNode`` objects, which the Python
+    walk (:meth:`longest_prefix`) reads; with ``flat`` it is built from
+    the active ids the first time it is read.
     """
 
-    __slots__ = ("vocab", "root", "unk_id")
+    __slots__ = ("vocab", "unk_id", "flat", "_root")
 
-    def __init__(self, vocab: Vocabulary, root: _TrieNode):
+    def __init__(self, vocab: Vocabulary, root: _TrieNode | None = None, flat=None):
         self.vocab = vocab
-        self.root = root
         self.unk_id = vocab.unk_id
+        self.flat = flat
+        self._root = root
+
+    @property
+    def root(self) -> _TrieNode:
+        if self._root is None:
+            self._root = _dict_trie(self.vocab, np.flatnonzero(self.flat[4] >= 0).tolist())
+        return self._root
 
     def longest_prefix(self, text: str, start: int = 0, banned: frozenset[int] = frozenset()):
         """(token_id, match length) of the longest active token prefixing text[start:].
@@ -59,23 +92,19 @@ class CompiledVocab:
 
     def remove(self, token_ids: Iterable[int]) -> None:
         """Deactivate ``token_ids`` in place, leaving the trie that
-        :func:`compile` would build without them: nodes that no longer
-        lead to an active token are dropped."""
+        :func:`compile` would build without them. The dict trie drops
+        nodes that no longer lead to an active token; the flat trie keeps
+        them, and a walk through such a node matches nothing there."""
         for token_id in token_ids:
             token = self.vocab.tokens[token_id]
-            path = [self.root]
-            for ch in token:
-                node = path[-1].children.get(ch)
-                if node is None:
-                    break
-                path.append(node)
-            if len(path) <= len(token) or path[-1].token_id != token_id:
-                raise VocabError(f"token {token!r} is not active")
-            path[-1].token_id = None
-            for depth in range(len(token), 0, -1):
-                if path[depth].token_id is not None or path[depth].children:
-                    break
-                del path[depth - 1].children[token[depth - 1]]
+            if self.flat is not None:
+                tok, node_of = self.flat[3], self.flat[4]
+                if node_of[token_id] < 0:
+                    raise VocabError(f"token {token!r} is not active")
+                tok[node_of[token_id]] = -1
+                node_of[token_id] = -1
+            if self._root is not None:
+                _remove_path(self._root, token, token_id)
 
     def encode_word(self, word: str, banned: frozenset[int] = frozenset()):
         """Segment one marker-prefixed word into token ids.
@@ -98,15 +127,44 @@ class CompiledVocab:
                 pos += length
         return ids, unks
 
+    def encode_words(self, words: Sequence[str]) -> list[tuple[list[int], list[str]]]:
+        """``[encode_word(w) for w in words]``, in one call of the compiled
+        loop where it is loaded. The UNK characters are read from each
+        word and the lengths of its tokens (an UNK is one character)."""
+        if self.flat is None:
+            return [self.encode_word(w) for w in words]
+        ch, child, sibling, tok, _ = self.flat
+        text = _code_points("".join(words))
+        start = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, words), dtype=np.int64, count=len(words)), out=start[1:])
+        ids = np.empty(len(text), dtype=np.int64)
+        counts = np.empty(len(words), dtype=np.int64)
+        n = _kernel().encode_words(ch, child, sibling, tok, self.unk_id, text, start, len(words), ids, counts)
+        flat = ids[:n].tolist()
+        ends = np.cumsum(counts).tolist()
+        out = [(flat[a:b], []) for a, b in zip([0] + ends, ends)]
+        unk = self.unk_id
+        if unk in flat:
+            tokens = self.vocab.tokens
+            for word, (seg, unks) in zip(words, out):
+                if unk in seg:
+                    pos = 0
+                    for t in seg:
+                        if t == unk:
+                            unks.append(word[pos])
+                            pos += 1
+                        else:
+                            pos += len(tokens[t])
+        return out
 
-def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> CompiledVocab:
-    """Build the longest-prefix structure over ``active_ids`` (default: all).
 
-    Build time is linear in total token characters.
-    """
-    if len(vocab) == 0:
-        raise VocabError("cannot compile an empty vocabulary")
-    ids = range(len(vocab)) if active_ids is None else sorted(set(active_ids))
+def _code_points(text: str) -> np.ndarray:
+    """``text`` as UTF-32 code points, one per character (a lone surrogate
+    included)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _dict_trie(vocab: Vocabulary, ids: Iterable[int]) -> _TrieNode:
     root = _TrieNode()
     for token_id in ids:
         token = vocab.tokens[token_id]
@@ -120,7 +178,76 @@ def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> Compi
         if node.token_id is not None:
             raise VocabError(f"duplicate token {token!r} while compiling")
         node.token_id = token_id
-    return CompiledVocab(vocab, root)
+    return root
+
+
+def _remove_path(root: _TrieNode, token: str, token_id: int) -> None:
+    """Clear ``token_id`` from the dict trie and drop the nodes that no
+    longer lead to an active token."""
+    path = [root]
+    for ch in token:
+        node = path[-1].children.get(ch)
+        if node is None:
+            break
+        path.append(node)
+    if len(path) <= len(token) or path[-1].token_id != token_id:
+        raise VocabError(f"token {token!r} is not active")
+    path[-1].token_id = None
+    for depth in range(len(token), 0, -1):
+        if path[depth].token_id is not None or path[depth].children:
+            break
+        del path[depth - 1].children[token[depth - 1]]
+
+
+def _flat_trie(lib: ctypes.CDLL, vocab: Vocabulary, ids: Sequence[int]):
+    """The flat trie arrays of :class:`CompiledVocab`, built by the kernel."""
+    tokens = [vocab.tokens[i] for i in ids]
+    chars = _code_points("".join(tokens))
+    size = len(chars) + 1
+    ch = np.empty(size, dtype=np.uint32)
+    child, sibling, tok = (np.empty(size, dtype=np.int32) for _ in range(3))
+    node_of = np.full(len(vocab), -1, dtype=np.int64)
+    lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    got = lib.build_trie(chars, lens, np.asarray(ids, dtype=np.int64), len(tokens), ch, child, sibling, tok, node_of)
+    if got < 0:
+        raise VocabError(f"duplicate token {tokens[-1 - got]!r} while compiling")
+    return ch, child, sibling, tok, node_of
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The compiled loops of ``_encode.c``, built on first use into the
+    package's own ``__pycache__`` as the SGNS row sums are, or None: then
+    every word is segmented by the Python walk, silently, with the same
+    ids."""
+    from .embeddings import _build_kernel
+
+    lib = _build_kernel(Path(__file__).with_name("__pycache__"), source=_KERNEL_SOURCE)
+    if lib is not None:
+        def arr(dtype):
+            return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")
+
+        points, index, ids, size = arr(np.uint32), arr(np.int32), arr(np.int64), ctypes.c_int64
+        lib.build_trie.argtypes = [points, ids, ids, size, points, index, index, index, ids]
+        lib.encode_words.argtypes = [points, index, index, index, size, points, ids, size, ids, ids]
+        lib.build_trie.restype = lib.encode_words.restype = size
+    return lib
+
+
+def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> CompiledVocab:
+    """Build the longest-prefix structure over ``active_ids`` (default: all).
+
+    Build time is linear in total token characters.
+    """
+    if len(vocab) == 0:
+        raise VocabError("cannot compile an empty vocabulary")
+    ids = range(len(vocab)) if active_ids is None else sorted(set(active_ids))
+    if ids and not 0 <= ids[0] <= ids[-1] < len(vocab):
+        raise VocabError("active token id out of range")
+    lib = _kernel()
+    if lib is None:
+        return CompiledVocab(vocab, root=_dict_trie(vocab, ids))
+    return CompiledVocab(vocab, flat=_flat_trie(lib, vocab, ids))
 
 
 def encode_corpus(corpus: RawCorpus, cv: CompiledVocab) -> SentenceStore:

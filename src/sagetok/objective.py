@@ -112,9 +112,10 @@ def batched_sentence_nll(ids: np.ndarray, lengths: np.ndarray, table, window: in
     _check_ids(flat, rows)
     owners: list[np.ndarray] = []
     keys: list[np.ndarray] = []
-    for left, right, sentence in window_pairs(flat, lengths, window):
+    sentences = np.arange(len(lengths))
+    for delta, (left, right) in enumerate(window_pairs(flat, lengths, window), 1):
         # each pair keyed by its unordered ids
-        owners.append(sentence)
+        owners.append(np.repeat(sentences, np.maximum(lengths - delta, 0)))
         keys.append(np.minimum(left, right) * rows + np.maximum(left, right))
     if keys:
         terms = _pair_terms(table, np.concatenate(keys))

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sagetok import cli, embeddings, encoder, sage
+from sagetok import cli, embeddings, encoder, sage, unigram
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from sagetok.objective import ablation_losses, attach_nll_cache
-from sagetok.vocab import is_protected
+from sagetok.vocab import Vocabulary, is_protected
 
 from textgen import generate_corpus
 
@@ -71,6 +71,27 @@ def test_sgns_child_trains_on_the_saved_lines(tmp_path, monkeypatch):
     assert got["digest"] == hashlib.sha256(table.target.tobytes() + table.context.tobytes()).hexdigest()
     assert got["seconds"] > 0 and got["peak_rss_mb"] > 0 and got["pairs_per_s"] == 1000 / got["seconds"]
     assert got["row_sums"] == ("numpy" if embeddings._kernel() is None else "compiled")
+
+
+def test_encode_child_segments_the_saved_lines(tmp_path, monkeypatch):
+    bench = _script("encode", monkeypatch)
+    for name, call, corpus_spec, bpe_spec, cfg in bench.CASES[:2]:
+        lines, arrays = bench._inputs(corpus_spec, bpe_spec)
+        inputs = tmp_path / f"{name}.npz"
+        np.savez(inputs, **arrays)
+        got = bench._child(SRC, str(inputs), call, json.dumps({**cfg, "passes": 1}))
+
+        corpus = RawCorpus.from_lines(lines)
+        if call == "build_index":
+            index = build_index(corpus, encoder.compile(Vocabulary(arrays["tokens"].tolist())))
+            payload = [index.segs, index.unks]
+            assert got["words_per_s"] == len(index.type_ids) / got["seconds"]
+        else:
+            payload = list(unigram.train_unigram(corpus, cfg["target"], cfg["prune_batch"]).tokens)
+        digest = hashlib.sha256(json.dumps(payload, ensure_ascii=False).encode("utf-8")).hexdigest()
+        assert got["digest"] == digest
+        assert got["seconds"] > 0 and got["peak_rss_mb"] > 0
+        assert got["encoder"] == ("python" if encoder._kernel() is None else "compiled")
 
 
 def test_nll_children_score_the_saved_lines(tmp_path, monkeypatch):

@@ -78,6 +78,14 @@ class TestPretokenize:
         words = pretokenize(line)
         assert " ".join(w[1:] for w in words) == line
 
+    def test_equals_the_per_word_form(self):
+        # one replace and one split give what prefixing each split word gives
+        lines = ["", " a", "a ", "a  b", " ", "a" + MARKER + "b c"]
+        for seed in (0, 5):
+            lines += generate_corpus(300, seed=seed, n_stems=200)
+        for line in lines:
+            assert pretokenize(line) == (tuple(MARKER + w for w in line.split(" ")) if line else ())
+
 
 class TestBuildIndex:
     def test_direct_enumeration(self):
@@ -343,6 +351,30 @@ class TestRoundTrip:
             ids, _ = cv.encode_word(word)
             got = [vocab.tokens[i] for i in ids]
             assert got == naive_encode_word(vocab.tokens, word)
+
+
+class TestSegmentWithout:
+    def test_equals_a_full_banned_encode(self):
+        # the tokens before the banned token's first occurrence are kept and
+        # only the rest of the word is segmented again; UNK characters ("¤",
+        # "𝔘") count one character each in that prefix
+        rng = np.random.default_rng(23)
+        alphabet = list("abc")
+        for _ in range(200):
+            tokens = {MARKER, *alphabet}
+            for _i in range(int(rng.integers(1, 10))):
+                token = "".join(rng.choice(alphabet, size=int(rng.integers(2, 5))))
+                tokens.add(MARKER + token if rng.random() < 0.3 else token)
+            vocab = Vocabulary(sorted(tokens))
+            cv = encoder.compile(vocab)
+            letters = alphabet + ["¤", "𝔘"]
+            lines = [" ".join("".join(rng.choice(letters, size=int(rng.integers(1, 9))))
+                              for _w in range(int(rng.integers(1, 4)))) for _l in range(6)]
+            index = build_index(RawCorpus.from_lines(lines), cv)
+            for t in range(len(vocab)):
+                banned = frozenset((t,))
+                expected = {w: cv.encode_word(index.types[w], banned)[0] for w in index.postings.get(t, ())}
+                assert index.segment_without(t, cv) == expected
 
 
 def _assert_matches_rebuild(corpus, index, cv):

@@ -1,9 +1,12 @@
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagetok import encoder
+from sagetok import embeddings, encoder
 from sagetok.corpus import RawCorpus, build_index, pretokenize
 from sagetok.errors import VocabError
 from sagetok.vocab import MARKER, Vocabulary
@@ -54,26 +57,39 @@ def _trie(node):
     return node.token_id, {ch: _trie(child) for ch, child in node.children.items()}
 
 
+def _removal_in_batches():
+    from sagetok.bpe import train_bpe
+    from sagetok.vocab import is_protected
+
+    corpus = RawCorpus.from_lines(generate_corpus(80, seed=6, n_stems=70))
+    vocab, _ = train_bpe(corpus, 200)
+    words = sorted({w for line in corpus.lines for w in pretokenize(line)}) + [MARKER + "x¤𝔘", ""]
+    cv = encoder.compile(vocab)
+    alive = set(range(len(vocab)))
+    rng = np.random.default_rng(6)
+    prunable = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
+    for i, batch in enumerate(np.array_split(rng.permutation(prunable), 6)):
+        cv.remove(batch.tolist())
+        alive -= set(batch.tolist())
+        fresh = encoder.compile(vocab, alive)
+        # the flat trie alone at first; the dict trie is built on the
+        # second batch's read and kept in step after that
+        assert cv.encode_words(words) == fresh.encode_words(words)
+        if i:
+            assert _trie(cv.root) == _trie(fresh.root)
+        assert [cv.encode_word(w) for w in words] == [fresh.encode_word(w) for w in words]
+        assert cv.encode_words(words) == [fresh.encode_word(w) for w in words]
+    # only protected tokens are left; nothing below them was dropped
+    assert _trie(cv.root) == _trie(encoder.compile(vocab, alive).root)
+
+
 class TestRemove:
     def test_removal_in_batches_equals_fresh_compile(self):
-        from sagetok.bpe import train_bpe
-        from sagetok.vocab import is_protected
+        _removal_in_batches()
 
-        corpus = RawCorpus.from_lines(generate_corpus(80, seed=6, n_stems=70))
-        vocab, _ = train_bpe(corpus, 200)
-        words = sorted({w for line in corpus.lines for w in pretokenize(line)})
-        cv = encoder.compile(vocab)
-        alive = set(range(len(vocab)))
-        rng = np.random.default_rng(6)
-        prunable = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-        for batch in np.array_split(rng.permutation(prunable), 6):
-            cv.remove(batch.tolist())
-            alive -= set(batch.tolist())
-            fresh = encoder.compile(vocab, alive)
-            assert _trie(cv.root) == _trie(fresh.root)
-            assert [cv.encode_word(w) for w in words] == [fresh.encode_word(w) for w in words]
-        # only protected tokens are left; nothing below them was dropped
-        assert _trie(cv.root) == _trie(encoder.compile(vocab, alive).root)
+    def test_removal_on_the_python_path(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_kernel", lambda: None)
+        _removal_in_batches()
 
     def test_inactive_token_rejected(self):
         vocab = _vocab("bb")
@@ -168,6 +184,132 @@ class TestEncodeWord:
             for t in naive_encode_word(vocab.tokens, word)
         ]
         assert got == expected
+
+
+def _compiled_kernel():
+    lib = encoder._kernel()
+    if lib is None:
+        pytest.skip("no C compiler: the compiled encoder cannot be built here")
+    return lib
+
+
+@pytest.fixture(params=["compiled", "python"])
+def path(request, monkeypatch):
+    """Compile on the kernel's path, or on the Python walk's."""
+    if request.param == "compiled":
+        _compiled_kernel()
+    else:
+        monkeypatch.setattr(encoder, "_kernel", lambda: None)
+    return request.param
+
+
+def _bpe_case():
+    from sagetok.bpe import train_bpe
+
+    vocab, _ = train_bpe(RawCorpus.from_lines(generate_corpus(150, seed=31, n_stems=120)), 260)
+    held = RawCorpus.from_lines(generate_corpus(120, seed=32, n_stems=300) + ["x¤y z¤¤ ¤", "𝔘nicode a𝔘b 😀"])
+    words = list(dict.fromkeys(w for line in held.lines for w in pretokenize(line)))
+    return vocab, held, words + ["", MARKER, "¤"]
+
+
+class TestEncodeWords:
+    def test_equals_encode_word_on_both_paths(self, path):
+        vocab, _, words = _bpe_case()
+        cv = encoder.compile(vocab)
+        assert (cv.flat is None) == (path == "python")
+        got = cv.encode_words(words)
+        assert got == [cv.encode_word(w) for w in words]
+        assert any(unks for _, unks in got) and cv.encode_words([]) == []
+
+    def test_compiled_equals_the_python_walk(self, monkeypatch):
+        _compiled_kernel()
+        vocab, _, words = _bpe_case()
+        compiled = encoder.compile(vocab).encode_words(words)
+        monkeypatch.setattr(encoder, "_kernel", lambda: None)
+        assert compiled == encoder.compile(vocab).encode_words(words)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_matches_encode_word(self, data):
+        # "¤" and "😀" are never tokens, so they segment as UNK; "𝔘" is
+        # outside the BMP, one code point and one Python character
+        tokens = {MARKER, "a", "b", "𝔘"}
+        for _ in range(data.draw(st.integers(0, 10))):
+            tokens.add(data.draw(st.text(alphabet="ab𝔘" + MARKER, min_size=1, max_size=5)))
+        vocab = Vocabulary(sorted(tokens))
+        active = sorted(data.draw(st.sets(st.sampled_from(range(len(vocab))))))
+        cv = encoder.compile(vocab, active)
+        words = data.draw(st.lists(st.text(alphabet="ab𝔘¤😀" + MARKER, max_size=10), max_size=6))
+        expected = [cv.encode_word(w) for w in words]
+        assert cv.encode_words(words) == expected
+        for word, (ids, unks) in zip(words, expected):
+            queue = list(unks)
+            assert "".join(queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids) == word
+
+    def test_build_index_leaves_the_dict_trie_unbuilt(self):
+        _compiled_kernel()
+        vocab, held, _ = _bpe_case()
+        cv = encoder.compile(vocab)
+        index = build_index(held, cv)
+        assert cv._root is None
+        # the Python walk builds it from the active ids, the trie compile builds
+        assert [cv.encode_word(w) for w in index.types] == list(zip(index.segs, map(list, index.unks)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoder, "_kernel", lambda: None)
+            assert _trie(cv.root) == _trie(encoder.compile(vocab).root)
+
+    def test_bad_vocabularies_rejected_on_both_paths(self, path):
+        vocab = _vocab()
+        with pytest.raises(VocabError):
+            encoder.compile(vocab, [0, len(vocab)])
+        with pytest.raises(VocabError):
+            encoder.compile(vocab, [-1, 0])
+        twice = Vocabulary(["a", "b"])
+        twice.tokens = ("a", "a")
+        with pytest.raises(VocabError, match="duplicate"):
+            encoder.compile(twice)
+
+
+class TestEncodeKernelBuild:
+    def test_source_compiles_without_warnings(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        argv = ["cc", *embeddings._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(encoder._KERNEL_SOURCE),
+                "-o", str(tmp_path / "encode.so")]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_builds_once_then_loads_from_the_cache(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        cache = tmp_path / "__pycache__"
+        assert embeddings._build_kernel(cache, source=encoder._KERNEL_SOURCE) is not None
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 1 and built[0].startswith("_encode.") and built[0].endswith(".so")
+        assert embeddings._build_kernel(cache, "no-such-cc", encoder._KERNEL_SOURCE) is not None
+        assert sorted(p.name for p in cache.iterdir()) == built
+
+    @pytest.mark.parametrize("case", ["no compiler", "compiler fails", "cache not writable"])
+    def test_falls_back_to_python_silently_with_the_same_output(self, tmp_path, monkeypatch, capfd, case):
+        vocab, held, words = _bpe_case()
+        expected = encoder.compile(vocab).encode_words(words)
+        expected_index = build_index(held, encoder.compile(vocab))
+        cache = tmp_path / "__pycache__"
+        compiler = {"no compiler": "no-such-cc", "compiler fails": "false"}.get(case, "cc")
+        if case == "cache not writable":
+            # a path below a regular file cannot be created, even by root
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "__pycache__"
+        assert embeddings._build_kernel(cache, compiler, encoder._KERNEL_SOURCE) is None
+        monkeypatch.setattr(encoder, "_kernel", lambda: embeddings._build_kernel(cache, compiler,
+                                                                                encoder._KERNEL_SOURCE))
+        cv = encoder.compile(vocab)
+        assert cv.flat is None
+        assert cv.encode_words(words) == expected
+        assert build_index(held, cv) == expected_index
+        assert capfd.readouterr() == ("", "")
+        if cache.is_dir():
+            assert list(cache.iterdir()) == []
 
 
 class TestEncodeCorpus:
