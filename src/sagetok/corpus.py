@@ -348,11 +348,11 @@ class WordIndex:
         for t in removed:
             changed |= self.postings.pop(t, set())
         old = {w: self.segs[w] for w in sorted(changed)}
-        for w, (ids, unks) in zip(old, cv.encode_words([self.types[w] for w in old])):
+        for w, ids, unks in zip(old, *cv.encode_words([self.types[w] for w in old])):
             self._set_segmentation(w, ids, unks)
         return old
 
-    def _set_segmentation(self, w: int, ids: list[int], unks: list[str]) -> None:
+    def _set_segmentation(self, w: int, ids: list[int], unks: tuple[str, ...]) -> None:
         if self._postings is not None:
             old, new = set(self.segs[w]), set(ids)
             for t in old - new:
@@ -364,7 +364,7 @@ class WordIndex:
             for t in new - old - {self.unk_id}:
                 self._postings.setdefault(t, set()).add(w)
         self.segs[w] = ids
-        self.unks[w] = tuple(unks)
+        self.unks[w] = unks
         self._flat = None
 
 
@@ -375,21 +375,16 @@ def build_index(corpus: RawCorpus, cv) -> WordIndex:
     built on first use.
     """
     lines = [pretokenize(line) for line in corpus.lines]
-    words = list(chain.from_iterable(lines))
-    type_of = {w: i for i, w in enumerate(dict.fromkeys(words))}
-    type_ids = list(map(type_of.__getitem__, words))
-    offsets = list(accumulate(map(len, lines), initial=0))
+    offsets = np.fromiter(accumulate(map(len, lines), initial=0), dtype=np.int64, count=len(lines) + 1)
+    type_of = {w: i for i, w in enumerate(dict.fromkeys(chain.from_iterable(lines)))}
+    type_ids = np.fromiter(map(type_of.__getitem__, chain.from_iterable(lines)), dtype=np.int32, count=offsets[-1])
+    # the lines hold every running word: free them before segmenting
+    del lines
     types = tuple(type_of)
-    segmented = cv.encode_words(types)
-    return WordIndex(
-        types,
-        np.bincount(np.asarray(type_ids, dtype=np.int64), minlength=len(type_of)),
-        np.asarray(type_ids, dtype=np.int32),
-        np.asarray(offsets, dtype=np.int64),
-        cv.unk_id,
-        [ids for ids, _ in segmented],
-        [tuple(unks) for _, unks in segmented],
-    )
+    del type_of
+    segs, unks = cv.encode_words(types)
+    counts = np.bincount(type_ids, minlength=len(types))
+    return WordIndex(types, counts, type_ids, offsets, cv.unk_id, segs, unks)
 
 
 def retokenize_sentences(

@@ -59,13 +59,14 @@ class CompiledVocab:
     the active ids the first time it is read.
     """
 
-    __slots__ = ("vocab", "unk_id", "flat", "_root")
+    __slots__ = ("vocab", "unk_id", "flat", "_root", "_ids")
 
     def __init__(self, vocab: Vocabulary, root: _TrieNode | None = None, flat=None):
         self.vocab = vocab
         self.unk_id = vocab.unk_id
         self.flat = flat
         self._root = root
+        self._ids: np.ndarray | None = None
 
     @property
     def root(self) -> _TrieNode:
@@ -127,12 +128,14 @@ class CompiledVocab:
                 pos += length
         return ids, unks
 
-    def encode_words(self, words: Sequence[str]) -> list[tuple[list[int], list[str]]]:
-        """``[encode_word(w) for w in words]``, in one call of the compiled
-        loop where it is loaded. The UNK characters are read from each
-        word and the lengths of its tokens (an UNK is one character)."""
+    def encode_words(self, words: Sequence[str]) -> tuple[list[list[int]], list[tuple[str, ...]]]:
+        """(ids, UNK characters) of every word, as :meth:`encode_word` gives
+        them (the characters as a tuple), in one call of the compiled loop
+        where it is loaded. The UNK characters are read from each word and
+        the lengths of its tokens (an UNK is one character)."""
         if self.flat is None:
-            return [self.encode_word(w) for w in words]
+            pairs = [self.encode_word(w) for w in words]
+            return [ids for ids, _ in pairs], [tuple(unks) for _, unks in pairs]
         ch, child, sibling, tok, _ = self.flat
         text = _code_points("".join(words))
         start = np.zeros(len(words) + 1, dtype=np.int64)
@@ -140,22 +143,32 @@ class CompiledVocab:
         ids = np.empty(len(text), dtype=np.int64)
         counts = np.empty(len(words), dtype=np.int64)
         n = _kernel().encode_words(ch, child, sibling, tok, self.unk_id, text, start, len(words), ids, counts)
-        flat = ids[:n].tolist()
+        # one int object per id, shared by every segmentation, as the dict
+        # trie's token ids are
+        flat = self._id_objects()[ids[:n]].tolist()
         ends = np.cumsum(counts).tolist()
-        out = [(flat[a:b], []) for a, b in zip([0] + ends, ends)]
+        segs = [flat[a:b] for a, b in zip([0] + ends, ends)]
+        unks: list[tuple[str, ...]] = [()] * len(words)
         unk = self.unk_id
         if unk in flat:
             tokens = self.vocab.tokens
-            for word, (seg, unks) in zip(words, out):
+            for w, seg in enumerate(segs):
                 if unk in seg:
-                    pos = 0
+                    pos, chars = 0, []
                     for t in seg:
                         if t == unk:
-                            unks.append(word[pos])
+                            chars.append(words[w][pos])
                             pos += 1
                         else:
                             pos += len(tokens[t])
-        return out
+                    unks[w] = tuple(chars)
+        return segs, unks
+
+    def _id_objects(self) -> np.ndarray:
+        """Every id, UNK included, as an object array of Python ints."""
+        if self._ids is None:
+            self._ids = np.array(range(self.unk_id + 1), dtype=object)
+        return self._ids
 
 
 def _code_points(text: str) -> np.ndarray:

@@ -57,6 +57,12 @@ def _trie(node):
     return node.token_id, {ch: _trie(child) for ch, child in node.children.items()}
 
 
+def _word_by_word(cv, words):
+    """``encode_words``'s result from one ``encode_word`` call per word."""
+    pairs = [cv.encode_word(w) for w in words]
+    return [ids for ids, _ in pairs], [tuple(unks) for _, unks in pairs]
+
+
 def _removal_in_batches():
     from sagetok.bpe import train_bpe
     from sagetok.vocab import is_protected
@@ -78,7 +84,7 @@ def _removal_in_batches():
         if i:
             assert _trie(cv.root) == _trie(fresh.root)
         assert [cv.encode_word(w) for w in words] == [fresh.encode_word(w) for w in words]
-        assert cv.encode_words(words) == [fresh.encode_word(w) for w in words]
+        assert cv.encode_words(words) == _word_by_word(fresh, words)
     # only protected tokens are left; nothing below them was dropped
     assert _trie(cv.root) == _trie(encoder.compile(vocab, alive).root)
 
@@ -217,9 +223,9 @@ class TestEncodeWords:
         vocab, _, words = _bpe_case()
         cv = encoder.compile(vocab)
         assert (cv.flat is None) == (path == "python")
-        got = cv.encode_words(words)
-        assert got == [cv.encode_word(w) for w in words]
-        assert any(unks for _, unks in got) and cv.encode_words([]) == []
+        segs, unks = cv.encode_words(words)
+        assert (segs, unks) == _word_by_word(cv, words)
+        assert any(unks) and cv.encode_words([]) == ([], [])
 
     def test_compiled_equals_the_python_walk(self, monkeypatch):
         _compiled_kernel()
@@ -240,9 +246,9 @@ class TestEncodeWords:
         active = sorted(data.draw(st.sets(st.sampled_from(range(len(vocab))))))
         cv = encoder.compile(vocab, active)
         words = data.draw(st.lists(st.text(alphabet="ab𝔘¤😀" + MARKER, max_size=10), max_size=6))
-        expected = [cv.encode_word(w) for w in words]
+        expected = _word_by_word(cv, words)
         assert cv.encode_words(words) == expected
-        for word, (ids, unks) in zip(words, expected):
+        for word, ids, unks in zip(words, *expected):
             queue = list(unks)
             assert "".join(queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids) == word
 
