@@ -333,8 +333,10 @@ class WordIndex:
         for w in self.postings.get(token_id, ()):
             seg = self.segs[w]
             at = seg.index(token_id)
-            # an UNK stands for one character
-            pos = sum(1 if t == unk else len(tokens[t]) for t in seg[:at])
+            pos = 0
+            for t in seg[:at]:
+                # an UNK stands for one character
+                pos += 1 if t == unk else len(tokens[t])
             out[w] = seg[:at] + cv.encode_word(self.types[w][pos:], banned)[0]
         return out
 
