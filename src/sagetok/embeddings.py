@@ -292,8 +292,9 @@ def _compiled_sums(lib: ctypes.CDLL) -> Callable[..., np.ndarray]:
 def _compile_library(source: bytes, lib_path: Path, compiler: str) -> None:
     """Compile C ``source`` into the shared library ``lib_path``; OSError
     when the compiler is missing or fails. The library is written to a
-    name of this thread's own and renamed, so a process never loads a
-    partly written one."""
+    name of this thread's own, created by the linker with the usual
+    permissions, and renamed, so a process never loads a partly written
+    one."""
     # imported here: a process that finds its libraries cached never needs it
     import subprocess
 

@@ -1,5 +1,8 @@
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +291,26 @@ class TestEncodeKernelBuild:
         assert len(built) == 1 and built[0].startswith("_encode.") and built[0].endswith(".so")
         assert embeddings._build_kernel(cache, "no-such-cc", encoder._KERNEL_SOURCE) is not None
         assert sorted(p.name for p in cache.iterdir()) == built
+
+    def test_a_cached_library_loads_without_importing_subprocess(self, tmp_path):
+        # every command segments words; only a build needs subprocess
+        _compiled_kernel()
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(generate_corpus(30, seed=3, n_stems=40)) + "\n", encoding="utf-8")
+        vocab, out = tmp_path / "bpe.vocab", tmp_path / "enc.txt"
+        script = (
+            "import sys\n"
+            "from sagetok import cli, encoder\n"
+            f"assert cli.main(['train-bpe', '--corpus', {str(corpus)!r}, '--vocab-size', '60', '--out', {str(vocab)!r}]) == 0\n"
+            f"assert cli.main(['encode', '--vocab', {str(vocab)!r}, '--in', {str(corpus)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert encoder._kernel() is not None\n"
+            "print('subprocess' in sys.modules)\n"
+        )
+        src = str(Path(encoder.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "False"
 
     @pytest.mark.parametrize("case", ["no compiler", "compiler fails", "cache not writable"])
     def test_falls_back_to_python_silently_with_the_same_output(self, tmp_path, monkeypatch, capfd, case):
