@@ -81,8 +81,9 @@ def _removal_in_batches():
         cv.remove(batch.tolist())
         alive -= set(batch.tolist())
         fresh = encoder.compile(vocab, alive)
-        # the flat trie alone at first; the dict trie is built on the
-        # second batch's read and kept in step after that
+        # the first batch leaves the flat trie alone; the dict trie, built
+        # from the active ids by the first encode_word, is kept in step
+        # by remove after that
         assert cv.encode_words(words) == fresh.encode_words(words)
         if i:
             assert _trie(cv.root) == _trie(fresh.root)
