@@ -44,14 +44,13 @@ import ctypes
 import functools
 import hashlib
 import math
-import os
-import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._kernels import build_kernel
 from .corpus import SentenceStore, window_pairs
 from .errors import ConfigError, DataError, VocabError
 from .vocab import Vocabulary
@@ -65,8 +64,6 @@ _MAX_EXP = 6.0
 # gradient have the same bits in any block
 _NEG_BLOCK_BYTES = 3 << 17
 _KERNEL_SOURCE = Path(__file__).with_name("_sgns_rows.c")
-# no -march=native or -ffast-math: the loops must round as numpy does
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 @dataclass(frozen=True)
@@ -289,53 +286,12 @@ def _compiled_sums(lib: ctypes.CDLL) -> Callable[..., np.ndarray]:
     return row_sums
 
 
-def _compile_library(source: bytes, lib_path: Path, compiler: str) -> None:
-    """Compile C ``source`` into the shared library ``lib_path``; OSError
-    when the compiler is missing or fails. The library is written to a
-    name of this thread's own, created by the linker with the usual
-    permissions, and renamed, so a process never loads a partly written
-    one."""
-    # imported here: a process that finds its libraries cached never needs it
-    import subprocess
-
-    lib_path.parent.mkdir(exist_ok=True)
-    tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        subprocess.run([compiler, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp], input=source,
-                       capture_output=True, check=True, timeout=300)
-        os.replace(tmp, lib_path)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"{compiler} failed: {exc}") from None
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _build_kernel(cache: Path, compiler: str = "cc", source: Path = _KERNEL_SOURCE) -> ctypes.CDLL | None:
-    """The C file ``source``, compiled into ``cache`` on the first call and
-    loaded; None when the compiler is missing or fails, or ``cache``
-    cannot be written or read. The library's name hashes the source, the
-    flags and the platform, so an edit builds a new one. The caller
-    declares the argument types of the functions it calls."""
-    import sysconfig
-
-    try:
-        text = source.read_bytes()
-        key = hashlib.sha256(b"\0".join([text, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
-        lib_path = cache / f"{source.stem}.{key.hexdigest()[:16]}.so"
-        if not lib_path.exists():
-            _compile_library(text, lib_path, compiler)
-        return ctypes.CDLL(str(lib_path))
-    except OSError:
-        return None
-
-
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled row-sum loop, built on the first training into the
-    package's own ``__pycache__``, or None: then training sums in numpy,
-    silently, with the same output. No shared temporary directory:
-    another user could plant a library there."""
-    lib = _build_kernel(Path(__file__).with_name("__pycache__"))
+    package's own ``__pycache__`` (``_kernels.build_kernel``), or None:
+    then training sums in numpy, silently, with the same output."""
+    lib = build_kernel(_KERNEL_SOURCE, Path(__file__).with_name("__pycache__"))
     if lib is not None:
         rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
         ids = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")

@@ -12,7 +12,7 @@ of the C loop in ``_encode.c`` per batch of words: the words go in as one
 UTF-32 buffer and the trie as flat first-child/next-sibling arrays, which
 that file also builds. The library is compiled on first use into the
 package's ``__pycache__``, as the SGNS row sums are
-(``embeddings._build_kernel``). Where it cannot be built or loaded, every
+(``_kernels.build_kernel``). Where it cannot be built or loaded, every
 word is segmented by the Python walk over a dict trie, silently, with the
 same ids; that walk also serves banned segmentation
 (``encode_word(word, banned)``), whose calls are too small for a C call
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import build_kernel
 from .corpus import RawCorpus, SentenceStore, build_index
 from .errors import VocabError
 from .vocab import Vocabulary
@@ -230,12 +231,10 @@ def _flat_trie(lib: ctypes.CDLL, vocab: Vocabulary, ids: Sequence[int]):
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
     """The compiled loops of ``_encode.c``, built on first use into the
-    package's own ``__pycache__`` as the SGNS row sums are, or None: then
-    every word is segmented by the Python walk, silently, with the same
-    ids."""
-    from .embeddings import _build_kernel
-
-    lib = _build_kernel(Path(__file__).with_name("__pycache__"), source=_KERNEL_SOURCE)
+    package's own ``__pycache__`` (``_kernels.build_kernel``), or None:
+    then every word is segmented by the Python walk, silently, with the
+    same ids."""
+    lib = build_kernel(_KERNEL_SOURCE, Path(__file__).with_name("__pycache__"))
     if lib is not None:
         def arr(dtype):
             return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sagetok import cli, embeddings, encoder
+from sagetok._kernels import KERNEL_FLAGS, build_kernel
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
 from sagetok.embeddings import (
@@ -385,25 +386,31 @@ class TestRowSums:
         assert np.array_equal(compiled.context, fallback.context)
 
 
+# both compiled loops go through one builder
+SOURCES = (embeddings._KERNEL_SOURCE, encoder._KERNEL_SOURCE)
+
+
 class TestKernelBuild:
     def test_builds_once_then_loads_from_the_cache(self, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        cache = tmp_path / "__pycache__"
-        assert embeddings._build_kernel(cache) is not None
-        built = sorted(p.name for p in cache.iterdir())
-        assert len(built) == 1 and built[0].endswith(".so")
-        # the cached library loads without a compiler
-        assert embeddings._build_kernel(cache, compiler="no-such-cc") is not None
-        assert sorted(p.name for p in cache.iterdir()) == built
+        for source in SOURCES:
+            cache = tmp_path / f"{source.stem}.pycache"
+            assert build_kernel(source, cache) is not None
+            built = sorted(p.name for p in cache.iterdir())
+            assert len(built) == 1 and built[0].startswith(source.stem + ".") and built[0].endswith(".so")
+            # the cached library loads without a compiler
+            assert build_kernel(source, cache, compiler="no-such-cc") is not None
+            assert sorted(p.name for p in cache.iterdir()) == built
 
     def test_source_compiles_without_warnings(self, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        argv = ["cc", *embeddings._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(embeddings._KERNEL_SOURCE),
-                "-o", str(tmp_path / "rows.so")]
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
+        for source in SOURCES:
+            argv = ["cc", *KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", str(source),
+                    "-o", str(tmp_path / f"{source.stem}.so")]
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("case", ["no compiler", "compiler fails", "cache not writable"])
     def test_falls_back_to_numpy_silently_with_the_same_tables(self, tmp_path, monkeypatch, capfd, case):
@@ -413,8 +420,9 @@ class TestKernelBuild:
             # a path below a regular file cannot be created, even by root
             (tmp_path / "file").write_text("")
             cache = tmp_path / "file" / "__pycache__"
-        assert embeddings._build_kernel(cache, compiler) is None
-        monkeypatch.setattr(embeddings, "_kernel", lambda: embeddings._build_kernel(cache, compiler))
+        for source in SOURCES:
+            assert build_kernel(source, cache, compiler) is None
+        monkeypatch.setattr(embeddings, "_kernel", lambda: build_kernel(embeddings._KERNEL_SOURCE, cache, compiler))
         vocab, store = _bpe_store(60, 9, 80, 150)
         cfg = EmbedConfig(dim=5, window=2, negatives=4, epochs=1, seed=2, batch_pairs=200)
         table = train_embeddings(store, vocab, cfg)
