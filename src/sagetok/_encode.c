@@ -13,12 +13,11 @@
 
 /* Insert token t = ids[t_i], the next lens[t_i] code points of chars,
  * for each of the n tokens in turn, and set node_of[ids[t_i]] to the node
- * where it ends. Returns the node count, or -1 - t_i when token t_i ends
- * at a node that already holds a token. */
-int64_t build_trie(const uint32_t *restrict chars, const int64_t *restrict lens,
-                   const int64_t *restrict ids, int64_t n, uint32_t *restrict ch,
-                   int32_t *restrict child, int32_t *restrict sibling,
-                   int32_t *restrict tok, int64_t *restrict node_of)
+ * where it ends. The tokens must be distinct (the caller checks). */
+void build_trie(const uint32_t *restrict chars, const int64_t *restrict lens,
+                const int64_t *restrict ids, int64_t n, uint32_t *restrict ch,
+                int32_t *restrict child, int32_t *restrict sibling,
+                int32_t *restrict tok, int64_t *restrict node_of)
 {
     int32_t nodes = 1;
     child[0] = sibling[0] = tok[0] = -1;
@@ -39,12 +38,9 @@ int64_t build_trie(const uint32_t *restrict chars, const int64_t *restrict lens,
             }
             node = next;
         }
-        if (tok[node] >= 0)
-            return -1 - t_i;
         tok[node] = (int32_t)ids[t_i];
         node_of[ids[t_i]] = node;
     }
-    return nodes;
 }
 
 /* Segment word w = text[start[w]:start[w + 1]] for each of the n words:

@@ -9,14 +9,15 @@ character is recorded so decoding stays lossless.
 Bulk segmentation (:meth:`CompiledVocab.encode_words`, which
 ``corpus.build_index`` and ``WordIndex.resegment`` call) runs in one call
 of the C loop in ``_encode.c`` per batch of words: the words go in as one
-UTF-32 buffer and the trie as flat first-child/next-sibling arrays, which
-that file also builds. The library is compiled on first use into the
-package's ``__pycache__``, as the SGNS row sums are
+UTF-32 buffer and the active tokens as a flat first-child/next-sibling
+trie, which that file also builds. The library is compiled on first use
+into the package's ``__pycache__``, as the SGNS row sums are
 (``_kernels.build_kernel``). Where it cannot be built or loaded, every
-word is segmented by the Python walk over a dict trie, silently, with the
-same ids; that walk also serves banned segmentation
-(``encode_word(word, banned)``), whose calls are too small for a C call
-to pay, and is the oracle of the compiled loop.
+word is segmented by the Python walk (:meth:`CompiledVocab.longest_prefix`:
+each prefix of the rest of the word, longest first, looked up in a map of
+the active tokens), silently, with the same ids; that walk also serves
+banned segmentation (``encode_word(word, banned)``), whose calls are too
+small for a C call to pay, and is the oracle of the compiled loop.
 """
 
 from __future__ import annotations
@@ -36,77 +37,58 @@ from .vocab import Vocabulary
 _KERNEL_SOURCE = Path(__file__).with_name("_encode.c")
 
 
-class _TrieNode:
-    __slots__ = ("children", "token_id")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.token_id: int | None = None
-
-
 class CompiledVocab:
-    """Prefix trie over the active tokens of a vocabulary.
+    """Longest-match lookup over the active tokens of a vocabulary.
 
-    Only :meth:`remove` changes it, in place, for the pruning loop; a trie
-    shared with other readers must not be pruned under them. ``token_ids``
-    keep the ids of the underlying vocabulary, so a trie compiled over a
-    pruned subset still emits stable ids.
+    Only :meth:`remove` changes it, in place, for the pruning loop; a
+    lookup shared with other readers must not be pruned under them. Token
+    ids are those of the underlying vocabulary, so a lookup compiled over
+    a pruned subset still emits stable ids.
 
-    ``flat`` holds the trie in the arrays of ``_encode.c``, ``(code
-    points, first children, next siblings, token ids, node of each
-    vocabulary id)``, or None where that kernel cannot be loaded. ``root``
-    is the same trie as linked ``_TrieNode`` objects, which the Python
-    walk (:meth:`longest_prefix`) reads; with ``flat`` it is built from
-    the active ids the first time it is read.
+    ``active`` maps each active token to its id, and ``max_len`` is the
+    length of the longest token compiled; the Python walk
+    (:meth:`longest_prefix`) reads both. ``flat`` holds the same tokens as
+    the trie arrays of ``_encode.c``, ``(code points, first children, next
+    siblings, token ids, node of each vocabulary id)``, or None where that
+    kernel cannot be loaded.
     """
 
-    __slots__ = ("vocab", "unk_id", "flat", "_root", "_ids")
+    __slots__ = ("vocab", "unk_id", "active", "max_len", "flat", "_ids")
 
-    def __init__(self, vocab: Vocabulary, root: _TrieNode | None = None, flat=None):
+    def __init__(self, vocab: Vocabulary, active: dict[str, int], flat=None):
         self.vocab = vocab
         self.unk_id = vocab.unk_id
+        self.active = active
+        self.max_len = max(map(len, active), default=0)
         self.flat = flat
-        self._root = root
         self._ids: np.ndarray | None = None
 
-    @property
-    def root(self) -> _TrieNode:
-        if self._root is None:
-            self._root = _dict_trie(self.vocab, np.flatnonzero(self.flat[4] >= 0).tolist())
-        return self._root
-
     def longest_prefix(self, text: str, start: int = 0, banned: frozenset[int] = frozenset()):
-        """(token_id, match length) of the longest active token prefixing text[start:].
+        """(token_id, match length) of the longest active token, not in
+        ``banned``, prefixing text[start:].
 
         Returns (None, 0) when nothing matches.
         """
-        node = self.root
-        best_id: int | None = None
-        best_len = 0
-        for i in range(start, len(text)):
-            node = node.children.get(text[i])
-            if node is None:
-                break
-            if node.token_id is not None and node.token_id not in banned:
-                best_id = node.token_id
-                best_len = i - start + 1
-        return best_id, best_len
+        active = self.active
+        for end in range(min(len(text), start + self.max_len), start, -1):
+            token_id = active.get(text[start:end])
+            if token_id is not None and token_id not in banned:
+                return token_id, end - start
+        return None, 0
 
     def remove(self, token_ids: Iterable[int]) -> None:
-        """Deactivate ``token_ids`` in place, leaving the trie that
-        :func:`compile` would build without them. The dict trie drops
-        nodes that no longer lead to an active token; the flat trie keeps
-        them, and a walk through such a node matches nothing there."""
+        """Deactivate ``token_ids`` in place, leaving the lookup that
+        :func:`compile` would build without them. The flat trie keeps the
+        nodes of a removed token, and a walk through such a node matches
+        nothing there."""
         for token_id in token_ids:
             token = self.vocab.tokens[token_id]
+            if self.active.pop(token, None) is None:
+                raise VocabError(f"token {token!r} is not active")
             if self.flat is not None:
                 tok, node_of = self.flat[3], self.flat[4]
-                if node_of[token_id] < 0:
-                    raise VocabError(f"token {token!r} is not active")
                 tok[node_of[token_id]] = -1
                 node_of[token_id] = -1
-            if self._root is not None:
-                _remove_path(self._root, token, token_id)
 
     def encode_word(self, word: str, banned: frozenset[int] = frozenset()):
         """Segment one marker-prefixed word into token ids.
@@ -144,8 +126,8 @@ class CompiledVocab:
         ids = np.empty(len(text), dtype=np.int64)
         counts = np.empty(len(words), dtype=np.int64)
         n = _kernel().encode_words(ch, child, sibling, tok, self.unk_id, text, start, len(words), ids, counts)
-        # one int object per id, shared by every segmentation, as the dict
-        # trie's token ids are
+        # one int object per id, shared by every segmentation, as the ids
+        # of the active map are
         flat = self._id_objects()[ids[:n]].tolist()
         ends = np.cumsum(counts).tolist()
         segs = [flat[a:b] for a, b in zip([0] + ends, ends)]
@@ -178,41 +160,6 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
-def _dict_trie(vocab: Vocabulary, ids: Iterable[int]) -> _TrieNode:
-    root = _TrieNode()
-    for token_id in ids:
-        token = vocab.tokens[token_id]
-        node = root
-        for ch in token:
-            nxt = node.children.get(ch)
-            if nxt is None:
-                nxt = _TrieNode()
-                node.children[ch] = nxt
-            node = nxt
-        if node.token_id is not None:
-            raise VocabError(f"duplicate token {token!r} while compiling")
-        node.token_id = token_id
-    return root
-
-
-def _remove_path(root: _TrieNode, token: str, token_id: int) -> None:
-    """Clear ``token_id`` from the dict trie and drop the nodes that no
-    longer lead to an active token."""
-    path = [root]
-    for ch in token:
-        node = path[-1].children.get(ch)
-        if node is None:
-            break
-        path.append(node)
-    if len(path) <= len(token) or path[-1].token_id != token_id:
-        raise VocabError(f"token {token!r} is not active")
-    path[-1].token_id = None
-    for depth in range(len(token), 0, -1):
-        if path[depth].token_id is not None or path[depth].children:
-            break
-        del path[depth - 1].children[token[depth - 1]]
-
-
 def _flat_trie(lib: ctypes.CDLL, vocab: Vocabulary, ids: Sequence[int]):
     """The flat trie arrays of :class:`CompiledVocab`, built by the kernel."""
     tokens = [vocab.tokens[i] for i in ids]
@@ -222,9 +169,7 @@ def _flat_trie(lib: ctypes.CDLL, vocab: Vocabulary, ids: Sequence[int]):
     child, sibling, tok = (np.empty(size, dtype=np.int32) for _ in range(3))
     node_of = np.full(len(vocab), -1, dtype=np.int64)
     lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    got = lib.build_trie(chars, lens, np.asarray(ids, dtype=np.int64), len(tokens), ch, child, sibling, tok, node_of)
-    if got < 0:
-        raise VocabError(f"duplicate token {tokens[-1 - got]!r} while compiling")
+    lib.build_trie(chars, lens, np.asarray(ids, dtype=np.int64), len(tokens), ch, child, sibling, tok, node_of)
     return ch, child, sibling, tok, node_of
 
 
@@ -232,8 +177,8 @@ def _flat_trie(lib: ctypes.CDLL, vocab: Vocabulary, ids: Sequence[int]):
 def _kernel() -> ctypes.CDLL | None:
     """The compiled loops of ``_encode.c``, built on first use into the
     package's own ``__pycache__`` (``_kernels.build_kernel``), or None:
-    then every word is segmented by the Python walk, silently, with the
-    same ids."""
+    then every word is segmented by the Python walk over the active-token
+    map, silently, with the same ids."""
     lib = build_kernel(_KERNEL_SOURCE, Path(__file__).with_name("__pycache__"))
     if lib is not None:
         def arr(dtype):
@@ -242,12 +187,13 @@ def _kernel() -> ctypes.CDLL | None:
         points, index, ids, size = arr(np.uint32), arr(np.int32), arr(np.int64), ctypes.c_int64
         lib.build_trie.argtypes = [points, ids, ids, size, points, index, index, index, ids]
         lib.encode_words.argtypes = [points, index, index, index, size, points, ids, size, ids, ids]
-        lib.build_trie.restype = lib.encode_words.restype = size
+        lib.build_trie.restype = None
+        lib.encode_words.restype = size
     return lib
 
 
 def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> CompiledVocab:
-    """Build the longest-prefix structure over ``active_ids`` (default: all).
+    """Build the longest-prefix lookup over ``active_ids`` (default: all).
 
     Build time is linear in total token characters.
     """
@@ -256,10 +202,13 @@ def compile(vocab: Vocabulary, active_ids: Iterable[int] | None = None) -> Compi
     ids = range(len(vocab)) if active_ids is None else sorted(set(active_ids))
     if ids and not 0 <= ids[0] <= ids[-1] < len(vocab):
         raise VocabError("active token id out of range")
+    active: dict[str, int] = {}
+    for token_id in ids:
+        token = vocab.tokens[token_id]
+        if active.setdefault(token, token_id) != token_id:
+            raise VocabError(f"duplicate token {token!r} while compiling")
     lib = _kernel()
-    if lib is None:
-        return CompiledVocab(vocab, root=_dict_trie(vocab, ids))
-    return CompiledVocab(vocab, flat=_flat_trie(lib, vocab, ids))
+    return CompiledVocab(vocab, active, None if lib is None else _flat_trie(lib, vocab, ids))
 
 
 def encode_corpus(corpus: RawCorpus, cv: CompiledVocab) -> SentenceStore:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sagetok import encoder
@@ -55,8 +55,10 @@ class TestCompile:
             assert length == naive_len
 
 
-def _trie(node):
-    return node.token_id, {ch: _trie(child) for ch, child in node.children.items()}
+def _active_state(cv):
+    """The active-token map and, on the compiled path, the ids that the
+    flat trie still holds."""
+    return cv.active, None if cv.flat is None else np.flatnonzero(cv.flat[4] >= 0).tolist()
 
 
 def _word_by_word(cv, words):
@@ -81,13 +83,9 @@ def _removal_in_batches():
         alive -= set(batch.tolist())
         fresh = encoder.compile(vocab, alive)
         assert cv.encode_words(words) == fresh.encode_words(words)
-        # on the compiled path the first read builds the dict trie from the
-        # active ids, and remove keeps it in step after that
-        assert _trie(cv.root) == _trie(fresh.root)
+        assert _active_state(cv) == _active_state(fresh)
         assert [cv.encode_word(w) for w in words] == [fresh.encode_word(w) for w in words]
         assert cv.encode_words(words) == _word_by_word(fresh, words)
-    # only protected tokens are left; nothing below them was dropped
-    assert _trie(cv.root) == _trie(encoder.compile(vocab, alive).root)
 
 
 class TestRemove:
@@ -216,13 +214,13 @@ def _bpe_case():
     vocab, _ = train_bpe(RawCorpus.from_lines(generate_corpus(150, seed=31, n_stems=120)), 260)
     held = RawCorpus.from_lines(generate_corpus(120, seed=32, n_stems=300) + ["x¤y z¤¤ ¤", "𝔘nicode a𝔘b 😀"])
     words = list(dict.fromkeys(w for line in held.lines for w in pretokenize(line)))
-    return vocab, held, words + ["", MARKER, "¤"]
+    return vocab, words + ["", MARKER, "¤"]
 
 
 class TestEncodeWords:
     def test_equals_encode_word_on_both_paths(self, path):
         # encode_word is the Python walk on both paths
-        vocab, _, words = _bpe_case()
+        vocab, words = _bpe_case()
         cv = encoder.compile(vocab)
         assert (cv.flat is None) == (path == "python")
         segs, unks = cv.encode_words(words)
@@ -230,8 +228,10 @@ class TestEncodeWords:
         assert any(unks) and cv.encode_words([]) == ([], [])
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_fuzz_matches_encode_word(self, data):
+    # the path fixture is meant to hold for every example
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzz_matches_encode_word(self, path, data):
         # "¤" and "😀" are never tokens, so they segment as UNK; "𝔘" is
         # outside the BMP, one code point and one Python character
         tokens = {MARKER, "a", "b", "𝔘"}
@@ -239,6 +239,7 @@ class TestEncodeWords:
             tokens.add(data.draw(st.text(alphabet="ab𝔘" + MARKER, min_size=1, max_size=5)))
         vocab = Vocabulary(sorted(tokens))
         active = sorted(data.draw(st.sets(st.sampled_from(range(len(vocab))))))
+        banned = frozenset(data.draw(st.sets(st.sampled_from(range(len(vocab))))))
         cv = encoder.compile(vocab, active)
         words = data.draw(st.lists(st.text(alphabet="ab𝔘¤😀" + MARKER, max_size=10), max_size=6))
         expected = _word_by_word(cv, words)
@@ -246,18 +247,12 @@ class TestEncodeWords:
         for word, ids, unks in zip(words, *expected):
             queue = list(unks)
             assert "".join(queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids) == word
-
-    def test_build_index_leaves_the_dict_trie_unbuilt(self):
-        _compiled_kernel()
-        vocab, held, _ = _bpe_case()
-        cv = encoder.compile(vocab)
-        index = build_index(held, cv)
-        assert cv._root is None
-        # the Python walk builds it from the active ids, the trie compile builds
-        assert [cv.encode_word(w) for w in index.types] == list(zip(index.segs, map(list, index.unks)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoder, "_kernel", lambda: None)
-            assert _trie(cv.root) == _trie(encoder.compile(vocab).root)
+        allowed = [vocab.tokens[i] for i in active if i not in banned]
+        for word in words:
+            ids, unks = cv.encode_word(word, banned)
+            queue = list(unks)
+            got = [("UNK", queue.pop(0)) if i == cv.unk_id else vocab.tokens[i] for i in ids]
+            assert got == naive_encode_word(allowed, word)
 
     def test_bad_vocabularies_rejected_on_both_paths(self, path):
         vocab = _vocab()
