@@ -79,7 +79,7 @@ def _child(src: str, inputs: str, call: str, cfg_json: str) -> dict:
             times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)
         out.update(words_per_s=len(index.type_ids) / seconds, types_per_s=len(index.types) / seconds)
-        payload = json.dumps([index.segs, index.unks], ensure_ascii=False)
+        payload = json.dumps(index.segs, ensure_ascii=False)
     else:
         for _ in range(cfg["passes"]):
             t0 = time.perf_counter()

@@ -216,9 +216,9 @@ def cmd_encode(args) -> int:
         rendered = [" ".join(map(str, seg)) for seg in index.segs]
     else:
         rendered = []
-        for seg, unks in zip(index.segs, index.unks):
-            unk_iter = iter(unks)
-            rendered.append(" ".join(next(unk_iter) if i == cv.unk_id else vocab.tokens[i] for i in seg))
+        for word, seg in zip(index.types, index.segs):
+            unks = iter(cv.unk_chars(word, seg) if cv.unk_id in seg else ())
+            rendered.append(" ".join(next(unks) if i == cv.unk_id else vocab.tokens[i] for i in seg))
     lines = (" ".join(rendered[w] for w in index.sentence_types(s)) + "\n" for s in range(len(index.offsets) - 1))
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as out:

@@ -133,7 +133,7 @@ class SentenceStore:
     ``flat`` holds every sentence's ids one after another (int64) and
     ``lengths`` each sentence's token count. ``vocab_digest`` is the digest
     of the full vocabulary the ids index into. Nothing changes a store
-    after it is built. Its ``WordIndex`` keeps the UNK characters.
+    after it is built. ``CompiledVocab.unk_chars`` recovers UNK characters.
     """
 
     __slots__ = ("flat", "lengths", "vocab_digest")
@@ -162,29 +162,28 @@ class WordIndex:
     ``types`` are the distinct pretokenized words, ``counts`` their corpus
     occurrences. Sentence ``s`` is the type-id run
     ``type_ids[offsets[s]:offsets[s + 1]]``; neither ever changes.
-    Pruning changes ``segs`` (each type's token ids) and ``unks`` (its UNK
-    characters). Two maps serve only pruning and are built together the
-    first time one is read: ``type_sentences[w]`` lists the sentences
-    holding type ``w`` (fixed), and ``postings`` maps a token id to the
-    types whose segmentation holds it (kept in step with ``segs`` once
-    built; UNK is not indexed). A token's sentences and corpus frequency
-    are derived from these, so there is nothing else to keep in step.
-    ``gather`` reads the segmentations in flat form (every type's ids in
-    one array, with each type's start and length), built on first use
+    Pruning changes ``segs`` (each type's token ids; an UNK's character is
+    read back from the type). Two maps serve only pruning and are built
+    together the first time one is read: ``type_sentences[w]`` lists the
+    sentences holding type ``w`` (fixed), and ``postings`` maps a token id
+    to the types whose segmentation holds it (kept in step with ``segs``
+    once built; UNK is not indexed). A token's sentences and corpus
+    frequency are derived from these, so there is nothing else to keep in
+    step. ``gather`` reads the segmentations in flat form (every type's ids
+    in one array, with each type's start and length), built on first use
     after a segmentation changes.
     """
 
-    __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unks", "unk_id",
+    __slots__ = ("types", "counts", "type_ids", "offsets", "segs", "unk_id",
                  "_type_sentences", "_postings", "_flat")
 
-    def __init__(self, types, counts, type_ids, offsets, unk_id: int, segs, unks):
+    def __init__(self, types, counts, type_ids, offsets, unk_id: int, segs):
         self.types: tuple[str, ...] = types
         self.counts: np.ndarray = counts
         self.type_ids: np.ndarray = type_ids
         self.offsets: np.ndarray = offsets
         self.unk_id = unk_id
         self.segs: list[list[int]] = segs
-        self.unks: list[tuple[str, ...]] = unks
         self._type_sentences: list[list[int]] | None = None
         self._postings: dict[int, set[int]] | None = None
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -197,7 +196,6 @@ class WordIndex:
             and np.array_equal(self.type_ids, other.type_ids)
             and np.array_equal(self.offsets, other.offsets)
             and self.segs == other.segs
-            and self.unks == other.unks
             and self.type_sentences == other.type_sentences
             and self.postings == other.postings
         )
@@ -337,7 +335,7 @@ class WordIndex:
             for t in seg[:at]:
                 # an UNK stands for one character
                 pos += 1 if t == unk else len(tokens[t])
-            out[w] = seg[:at] + cv.encode_word(self.types[w][pos:], banned)[0]
+            out[w] = seg[:at] + cv.encode_word(self.types[w][pos:], banned)
         return out
 
     def resegment(self, removed, cv) -> dict[int, list[int]]:
@@ -350,11 +348,11 @@ class WordIndex:
         for t in removed:
             changed |= self.postings.pop(t, set())
         old = {w: self.segs[w] for w in sorted(changed)}
-        for w, ids, unks in zip(old, *cv.encode_words([self.types[w] for w in old])):
-            self._set_segmentation(w, ids, unks)
+        for w, ids in zip(old, cv.encode_words([self.types[w] for w in old])):
+            self._set_segmentation(w, ids)
         return old
 
-    def _set_segmentation(self, w: int, ids: list[int], unks: tuple[str, ...]) -> None:
+    def _set_segmentation(self, w: int, ids: list[int]) -> None:
         if self._postings is not None:
             old, new = set(self.segs[w]), set(ids)
             for t in old - new:
@@ -366,7 +364,6 @@ class WordIndex:
             for t in new - old - {self.unk_id}:
                 self._postings.setdefault(t, set()).add(w)
         self.segs[w] = ids
-        self.unks[w] = unks
         self._flat = None
 
 
@@ -384,9 +381,9 @@ def build_index(corpus: RawCorpus, cv) -> WordIndex:
     del lines
     types = tuple(type_of)
     del type_of
-    segs, unks = cv.encode_words(types)
+    segs = cv.encode_words(types)
     counts = np.bincount(type_ids, minlength=len(types))
-    return WordIndex(types, counts, type_ids, offsets, cv.unk_id, segs, unks)
+    return WordIndex(types, counts, type_ids, offsets, cv.unk_id, segs)
 
 
 def retokenize_sentences(

@@ -3,8 +3,8 @@
 Every trainer and every inference path segments a word the same way:
 repeatedly take the longest vocabulary token that prefixes the remaining
 suffix. A character with no match at all (not even as a single-character
-token) emits the reserved UNK id and advances one position; the source
-character is recorded so decoding stays lossless.
+token) emits the reserved UNK id and advances one position; decoding
+reads the character back from the word (:meth:`CompiledVocab.unk_chars`).
 
 Bulk segmentation (:meth:`CompiledVocab.encode_words`, which
 ``corpus.build_index`` and ``WordIndex.resegment`` call) runs in one call
@@ -90,35 +90,26 @@ class CompiledVocab:
                 tok[node_of[token_id]] = -1
                 node_of[token_id] = -1
 
-    def encode_word(self, word: str, banned: frozenset[int] = frozenset()):
-        """Segment one marker-prefixed word into token ids.
-
-        Returns (ids, unk_chars); unk_chars lists the source characters
-        of UNK emissions in order.
-        """
+    def encode_word(self, word: str, banned: frozenset[int] = frozenset()) -> list[int]:
+        """Segment one marker-prefixed word into token ids."""
         ids: list[int] = []
-        unks: list[str] = []
         pos = 0
         n = len(word)
         while pos < n:
             token_id, length = self.longest_prefix(word, pos, banned)
             if token_id is None:
                 ids.append(self.unk_id)
-                unks.append(word[pos])
                 pos += 1
             else:
                 ids.append(token_id)
                 pos += length
-        return ids, unks
+        return ids
 
-    def encode_words(self, words: Sequence[str]) -> tuple[list[list[int]], list[tuple[str, ...]]]:
-        """(ids, UNK characters) of every word, as :meth:`encode_word` gives
-        them (the characters as a tuple), in one call of the compiled loop
-        where it is loaded. The UNK characters are read from each word and
-        the lengths of its tokens (an UNK is one character)."""
+    def encode_words(self, words: Sequence[str]) -> list[list[int]]:
+        """The ids of every word, as :meth:`encode_word` gives them, in one
+        call of the compiled loop where it is loaded."""
         if self.flat is None:
-            pairs = [self.encode_word(w) for w in words]
-            return [ids for ids, _ in pairs], [tuple(unks) for _, unks in pairs]
+            return [self.encode_word(w) for w in words]
         ch, child, sibling, tok, _ = self.flat
         text = _code_points("".join(words))
         start = np.zeros(len(words) + 1, dtype=np.int64)
@@ -130,22 +121,19 @@ class CompiledVocab:
         # of the active map are
         flat = self._id_objects()[ids[:n]].tolist()
         ends = np.cumsum(counts).tolist()
-        segs = [flat[a:b] for a, b in zip([0] + ends, ends)]
-        unks: list[tuple[str, ...]] = [()] * len(words)
-        unk = self.unk_id
-        if unk in flat:
-            tokens = self.vocab.tokens
-            for w, seg in enumerate(segs):
-                if unk in seg:
-                    pos, chars = 0, []
-                    for t in seg:
-                        if t == unk:
-                            chars.append(words[w][pos])
-                            pos += 1
-                        else:
-                            pos += len(tokens[t])
-                    unks[w] = tuple(chars)
-        return segs, unks
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+    def unk_chars(self, word: str, ids: Sequence[int]) -> list[str]:
+        """The characters of ``word`` that its segmentation ``ids`` emits as
+        UNK, in order: an UNK stands for one character, any other id for
+        its token's length."""
+        tokens, unk = self.vocab.tokens, self.unk_id
+        chars, pos = [], 0
+        for t in ids:
+            if t == unk:
+                chars.append(word[pos])
+            pos += 1 if t == unk else len(tokens[t])
+        return chars
 
     def _id_objects(self) -> np.ndarray:
         """Every id, UNK included, as an object array of Python ints."""

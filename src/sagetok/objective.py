@@ -152,8 +152,7 @@ def _pair_terms(table, keys: np.ndarray) -> np.ndarray:
             bwd = np.einsum("ij,ij->i", table.target[b], table.context[a])
             terms[start : start + _TERM_BLOCK] = softplus(-fwd) + softplus(-bwd)
         store.add(new, terms)
-        slot, _ = store.find(missing)
-        vals[absent] = store.terms[slot]
+        vals[absent] = terms[np.searchsorted(new, missing)]
     return vals
 
 

@@ -98,6 +98,10 @@ class SageConfig:
             problems.append(f"unknown base trainer {self.base_trainer!r}")
         if self.base_trainer == "file" and not self.initial_vocab_path:
             problems.append("base trainer 'file' requires initial_vocab_path")
+        if self.unigram_max_len < 1:
+            problems.append("unigram_max_len must be >= 1")
+        if self.unigram_min_count < 1:
+            problems.append("unigram_min_count must be >= 1")
         if not math.isfinite(self.overshoot):
             problems.append("overshoot must be finite")
         elif (
@@ -125,25 +129,24 @@ class PruneState:
     """Everything the pruning loop mutates, plus its replayable event log."""
 
     vocab: Vocabulary
-    alive: set[int]
     cv: encoder.CompiledVocab
     index: WordIndex
     nll: np.ndarray
     table: SkipGramTable
     total_nll: float
     iteration: int = 0
-    bottom: list[int] = field(default_factory=list)
-    losses: dict[int, float] = field(default_factory=dict)
+    # the bottom set: token -> ablation loss, in prune order
+    bottom: dict[int, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     # candidate -> (loss under the current table, tokens its banned
     # segmentation used); see the module docstring for when entries go
     scored: dict[int, tuple[float, frozenset[int]]] = field(default_factory=dict)
 
     def alive_size(self) -> int:
-        return len(self.alive)
+        return len(self.cv.active)
 
     def alive_vocabulary(self) -> Vocabulary:
-        return self.vocab.subset(self.alive)
+        return self.vocab.subset(self.cv.active.values())
 
 
 def _train_base(corpus: RawCorpus, cfg: SageConfig) -> Vocabulary:
@@ -173,8 +176,9 @@ def _check_encodable(corpus: RawCorpus, vocab: Vocabulary) -> None:
     tokens of ``vocab`` cannot encode. Pruning never removes those tokens,
     so a corpus they encode without UNK stays encodable at every step."""
     protected = [i for i, t in enumerate(vocab.tokens) if is_protected(t)]
-    index = build_index(corpus, encoder.compile(vocab, protected))
-    missing = sorted({ch for chars in index.unks for ch in chars})
+    cv = encoder.compile(vocab, protected)
+    index = build_index(corpus, cv)
+    missing = sorted({ch for w, seg in zip(index.types, index.segs) for ch in cv.unk_chars(w, seg)})
     if missing:
         raise DataError(
             "initial vocabulary lacks corpus characters: " + " ".join(map(repr, missing))
@@ -208,7 +212,7 @@ def _encoded_state(
     if table is None:
         table = train_embeddings(store, vocab, cfg.embed)
     nll, total_nll = attach_nll_cache(store, table, cfg.window)
-    return PruneState(vocab, alive, cv, index, nll, table, total_nll)
+    return PruneState(vocab, cv, index, nll, table, total_nll)
 
 
 def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
@@ -234,9 +238,7 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
         forced = True
 
     if full:
-        candidates = [
-            t for t in sorted(state.alive) if not is_protected(state.vocab.tokens[t])
-        ]
+        candidates = [t for t in sorted(state.cv.active.values()) if not is_protected(state.vocab.tokens[t])]
     else:
         candidates = list(state.bottom)
 
@@ -248,17 +250,11 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
     # prune order: lowest loss, then lowest corpus frequency, then token
     # string; between full recalculations the bottom set is within the pool
     freq = state.index.frequencies()
-    state.bottom = sorted(
-        candidates, key=lambda t: (losses[t], int(freq[t]), state.vocab.tokens[t])
-    )[: cfg.candidate_pool]
-    state.losses = {t: losses[t] for t in state.bottom}
-
-    pruned_list = state.bottom[:need]
+    ranked = sorted(candidates, key=lambda t: (losses[t], int(freq[t]), state.vocab.tokens[t]))[: cfg.candidate_pool]
+    pruned_list = ranked[:need]
     pruned = set(pruned_list)
-    state.bottom = state.bottom[need:]
-    event_losses = {t: state.losses.pop(t) for t in pruned_list}
+    state.bottom = {t: losses[t] for t in ranked[need:]}
 
-    state.alive -= pruned
     state.cv.remove(pruned)
     delta, touched = retokenize_sentences(
         state.nll, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
@@ -273,7 +269,7 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
         {
             "iteration": state.iteration,
             "pruned": [
-                {"id": int(t), "token": state.vocab.tokens[t], "loss": float(event_losses[t])}
+                {"id": int(t), "token": state.vocab.tokens[t], "loss": float(losses[t])}
                 for t in pruned_list
             ],
             "vocab_size": state.alive_size(),
@@ -349,13 +345,13 @@ def save_checkpoint(state: PruneState, cfg: SageConfig, corpus: RawCorpus, path)
         provenance=np.frombuffer(
             json.dumps(list(state.vocab.provenance)).encode("utf-8"), dtype=np.uint8
         ),
-        alive=np.asarray(sorted(state.alive), dtype=np.int64),
+        alive=np.asarray(sorted(state.cv.active.values()), dtype=np.int64),
         iteration=np.asarray([state.iteration], dtype=np.int64),
         target=state.table.target,
         context=state.table.context,
         window=np.asarray([state.table.window], dtype=np.int64),
-        bottom=np.asarray(state.bottom, dtype=np.int64),
-        bottom_losses=np.asarray([state.losses.get(t, 0.0) for t in state.bottom]),
+        bottom=np.asarray(list(state.bottom), dtype=np.int64),
+        bottom_losses=np.asarray(list(state.bottom.values())),
         events=np.frombuffer(json.dumps(state.events).encode("utf-8"), dtype=np.uint8),
         total_nll=np.asarray([state.total_nll]),
         config_digest=np.frombuffer(cfg.digest().encode("utf-8"), dtype=np.uint8),
@@ -402,8 +398,7 @@ def load_checkpoint(path, corpus: RawCorpus, cfg: SageConfig) -> PruneState:
                 raise DataError(f"checkpoint {path} does not match its own vocabulary")
             saved = dict(
                 iteration=int(z["iteration"][0]),
-                bottom=bottom,
-                losses=dict(zip(bottom, (float(x) for x in z["bottom_losses"]))),
+                bottom=dict(zip(bottom, (float(x) for x in z["bottom_losses"]), strict=True)),
                 events=json.loads(bytes(z["events"]).decode("utf-8")),
                 total_nll=float(z["total_nll"][0]),
             )

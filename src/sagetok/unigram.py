@@ -36,6 +36,8 @@ def init_substring_vocab(corpus: RawCorpus, max_len: int = MAX_LEN, min_count: i
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
+    if min_count < 1:
+        raise ConfigError("min_count must be >= 1")
     if len(corpus) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
     wcounts = word_type_counts(corpus)
@@ -47,9 +49,10 @@ def init_substring_vocab(corpus: RawCorpus, max_len: int = MAX_LEN, min_count: i
             for j in range(i + 1, top + 1):
                 sub_counts[word[i:j]] += count
     chars, initials = corpus_alphabet(wcounts.keys())
-    alphabet = sorted(set(chars) | set(initials))
+    protected = set(chars) | set(initials)
+    alphabet = sorted(protected)
     learned = sorted(
-        (t for t, c in sub_counts.items() if c >= min_count and t not in set(alphabet)),
+        (t for t, c in sub_counts.items() if c >= min_count and t not in protected),
         key=lambda t: (-sub_counts[t], t),
     )
     tokens = alphabet + learned
@@ -163,31 +166,29 @@ def train_unigram(
     if target_size >= len(vocab):
         return vocab
 
-    alive = set(range(len(vocab)))
-    cv = encoder.compile(vocab, alive)
+    cv = encoder.compile(vocab)
     index = build_index(corpus, cv)
-    while len(alive) > target_size:
-        batch = min(prune_batch, len(alive) - target_size)
-        scored = score_candidates(index, vocab, alive, cv)
+    while len(cv.active) > target_size:
+        batch = min(prune_batch, len(cv.active) - target_size)
+        scored = score_candidates(index, vocab, cv)
         scored.sort(key=lambda item: item[:3])
         pruned = {item[3] for item in scored[:batch]}
 
-        alive -= pruned
         cv.remove(pruned)
         index.resegment(pruned, cv)
 
-    return vocab.subset(alive)
+    return vocab.subset(cv.active.values())
 
 
-def score_candidates(index: WordIndex, vocab: Vocabulary, alive: set[int], cv) -> list[tuple[float, int, str, int]]:
-    """``(loss, corpus frequency, token, id)`` of every unprotected alive
-    token, in id order: the log-likelihood change of removing it, with the
+def score_candidates(index: WordIndex, vocab: Vocabulary, cv) -> list[tuple[float, int, str, int]]:
+    """``(loss, corpus frequency, token, id)`` of every unprotected token of
+    ``cv``, in id order: the log-likelihood change of removing it, with the
     types that hold it re-segmented and MLE probabilities refit."""
     counts = index.frequencies()
     terms = _CountLogTerms(counts)
     weights = index.counts.tolist()
     scored: list[tuple[float, int, str, int]] = []
-    for t in sorted(alive):
+    for t in sorted(cv.active.values()):
         if is_protected(vocab.tokens[t]):
             continue
         delta: dict[int, int] = {}

@@ -96,10 +96,11 @@ def decode_words(index, s, vocab):
     from its token ids alone.
 
     A new word starts at every marker-initial token. UNK ids are
-    replaced, in order, by the source characters the index recorded for
-    the sentence's word types (``index.unks``).
+    replaced, in order, by the characters that ``naive_encode_word`` over
+    all of ``vocab``'s tokens emits as UNK in the sentence's word types.
     """
-    unk_iter = iter([ch for w in index.sentence_types(s) for ch in index.unks[w]])
+    unk_iter = iter([piece[1] for w in index.sentence_types(s)
+                     for piece in naive_encode_word(vocab.tokens, index.types[w]) if isinstance(piece, tuple)])
     words = []
     for token_id in sentence(index, s):
         if token_id == vocab.unk_id:

@@ -206,9 +206,9 @@ class TestCriterion5RoundTrip:
             ids = []
             unks = []
             for word in pretokenize(line):
-                got_ids, got_unks = cv.encode_word(word)
+                got_ids = cv.encode_word(word)
                 ids.extend(got_ids)
-                unks.extend(got_unks)
+                unks.extend(cv.unk_chars(word, got_ids))
             queue = list(unks)
             pieces = [queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids]
             rebuilt = "".join(pieces).replace(MARKER, " ").lstrip(" ")

@@ -84,7 +84,7 @@ def test_encode_child_segments_the_saved_lines(tmp_path, monkeypatch):
         corpus = RawCorpus.from_lines(lines)
         if call == "build_index":
             index = build_index(corpus, encoder.compile(Vocabulary(arrays["tokens"].tolist())))
-            payload = [index.segs, index.unks]
+            payload = index.segs
             assert got["words_per_s"] == len(index.type_ids) / got["seconds"]
         else:
             payload = list(unigram.train_unigram(corpus, cfg["target"], cfg["prune_batch"]).tokens)

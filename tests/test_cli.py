@@ -88,6 +88,18 @@ class TestTrainUnigramCommand:
         assert len(vocab) == 10
         assert (tmp_path / "p.tsv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-count", "0"], "min_count must be >= 1"),
+        (["--min-count", "-3"], "min_count must be >= 1"),
+        (["--max-len", "0"], "max_len must be >= 1"),
+    ], ids=["min-count-0", "min-count-negative", "max-len-0"])
+    def test_invalid_flag_exits_2_before_writing(self, tmp_path, corpus_file, capsys, flags, message):
+        argv = ["train-unigram", "--corpus", str(corpus_file), "--vocab-size", "30",
+                "--out", str(tmp_path / "u.vocab"), "--probs-out", str(tmp_path / "p.tsv")]
+        assert main(argv + flags) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [corpus_file]
+
 
 class TestSageDefaults:
     def test_no_flag_defaults(self):

@@ -141,7 +141,8 @@ class TestBuildIndex:
         corpus = RawCorpus.from_lines(lines)
         tokens = [MARKER, "a", "b", "c", MARKER + "a", MARKER + "ab", "ab", "bc", "cd", "abc", "dd"]
         vocab = Vocabulary(tokens)
-        index = build_index(corpus, encoder.compile(vocab))
+        cv = encoder.compile(vocab)
+        index = build_index(corpus, cv)
         # naive greedy segmentation of every word, UNK pieces dropped
         segmented = [
             [tokens.index(p) for w in pretokenize(line) for p in naive_encode_word(tokens, w)
@@ -160,7 +161,8 @@ class TestBuildIndex:
             [vocab.unk_id if isinstance(p, tuple) else tokens.index(p) for p in ps] for ps in pieces
         ]
         assert store.lengths.tolist() == [len(ps) for ps in pieces]
-        unk_chars = [tuple(ch for w in index.sentence_types(s) for ch in index.unks[w]) for s in range(len(store))]
+        unk_chars = [tuple(ch for w in index.sentence_types(s) for ch in cv.unk_chars(index.types[w], index.segs[w]))
+                     for s in range(len(store))]
         assert unk_chars == [tuple(p[1] for p in ps if isinstance(p, tuple)) for ps in pieces]
         assert any(unk_chars)
 
@@ -198,7 +200,7 @@ class TestGather:
         vocab, _ = train_bpe(corpus, 150)
         alive = [t for t in range(len(vocab)) if "¤" not in vocab.tokens[t]]
         index = build_index(corpus, encoder.compile(vocab, alive))
-        assert any(index.unks)
+        assert any(vocab.unk_id in seg for seg in index.segs)
         sentences = rng.integers(0, len(corpus), size=70)
         overrides = []
         for _ in range(6):
@@ -348,8 +350,7 @@ class TestRoundTrip:
         vocab = Vocabulary([MARKER, "a", "b", "c", MARKER + "a", MARKER + "ab", "bc"])
         cv = encoder.compile(vocab)
         for word in [MARKER + "abc", MARKER + "abcbc", MARKER + "ccc"]:
-            ids, _ = cv.encode_word(word)
-            got = [vocab.tokens[i] for i in ids]
+            got = [vocab.tokens[i] for i in cv.encode_word(word)]
             assert got == naive_encode_word(vocab.tokens, word)
 
 
@@ -373,7 +374,7 @@ class TestSegmentWithout:
             index = build_index(RawCorpus.from_lines(lines), cv)
             for t in range(len(vocab)):
                 banned = frozenset((t,))
-                expected = {w: cv.encode_word(index.types[w], banned)[0] for w in index.postings.get(t, ())}
+                expected = {w: cv.encode_word(index.types[w], banned) for w in index.postings.get(t, ())}
                 assert index.segment_without(t, cv) == expected
 
 

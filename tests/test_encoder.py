@@ -31,7 +31,8 @@ class TestCompile:
 
     def test_empty_word_no_match(self):
         cv = encoder.compile(_vocab())
-        assert cv.encode_word("") == ([], [])
+        assert cv.encode_word("") == []
+        assert cv.unk_chars("", []) == []
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(VocabError):
@@ -63,8 +64,7 @@ def _active_state(cv):
 
 def _word_by_word(cv, words):
     """``encode_words``'s result from one ``encode_word`` call per word."""
-    pairs = [cv.encode_word(w) for w in words]
-    return [ids for ids, _ in pairs], [tuple(unks) for _, unks in pairs]
+    return [cv.encode_word(w) for w in words]
 
 
 def _removal_in_batches():
@@ -112,19 +112,20 @@ class TestEncodeWord:
         tokens = [MARKER, *sorted(set("pseudogene")), MARKER + "pseud", "ogene", "og", "ene"]
         vocab = Vocabulary(tokens)
         cv = encoder.compile(vocab)
-        ids, _ = cv.encode_word(MARKER + "pseudogene")
+        ids = cv.encode_word(MARKER + "pseudogene")
         assert [vocab.tokens[i] for i in ids] == [MARKER + "pseud", "ogene"]
 
     def test_alphabet_fallback_one_token_per_char(self):
         vocab = Vocabulary([MARKER, "x", "y", "z"])
         cv = encoder.compile(vocab)
-        ids, _ = cv.encode_word(MARKER + "zyx")
+        ids = cv.encode_word(MARKER + "zyx")
         assert [vocab.tokens[i] for i in ids] == [MARKER, "z", "y", "x"]
 
     def test_unk_preserves_source_characters(self):
         vocab = Vocabulary([MARKER, "x", "y", MARKER + "x"])
         cv = encoder.compile(vocab)
-        ids, unks = cv.encode_word(MARKER + "x¤y")
+        ids = cv.encode_word(MARKER + "x¤y")
+        unks = cv.unk_chars(MARKER + "x¤y", ids)
         assert ids.count(cv.unk_id) == 1
         assert unks == ["¤"]
         rebuilt = "".join(
@@ -136,7 +137,7 @@ class TestEncodeWord:
         vocab = _vocab()
         cv = encoder.compile(vocab)
         banned = frozenset((vocab.id_of[MARKER + "ab"],))
-        ids, _ = cv.encode_word(MARKER + "ab", banned)
+        ids = cv.encode_word(MARKER + "ab", banned)
         assert [vocab.tokens[i] for i in ids] == [MARKER + "a", "b"]
 
     def test_greedy_dominance(self):
@@ -144,7 +145,7 @@ class TestEncodeWord:
         vocab = _vocab("ba", "bab", MARKER + "aba")
         cv = encoder.compile(vocab)
         word = MARKER + "ababab"
-        ids, _ = cv.encode_word(word)
+        ids = cv.encode_word(word)
         pos = 0
         for i in ids:
             token = vocab.tokens[i]
@@ -165,8 +166,8 @@ class TestEncodeWord:
         vocab = Vocabulary(sorted(tokens))
         cv = encoder.compile(vocab)
         word = MARKER + data.draw(st.text(alphabet=alphabet, min_size=1, max_size=12))
-        ids, unks = cv.encode_word(word)
-        queue = list(unks)
+        ids = cv.encode_word(word)
+        queue = cv.unk_chars(word, ids)
         rebuilt = "".join(
             queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids
         )
@@ -181,8 +182,8 @@ class TestEncodeWord:
         vocab = Vocabulary(sorted(tokens))
         cv = encoder.compile(vocab)
         word = MARKER + data.draw(st.text(alphabet="ab", min_size=1, max_size=10))
-        ids, unks = cv.encode_word(word)
-        queue = list(unks)
+        ids = cv.encode_word(word)
+        queue = cv.unk_chars(word, ids)
         got = [queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids]
         expected = [
             t[1] if isinstance(t, tuple) else t
@@ -223,9 +224,13 @@ class TestEncodeWords:
         vocab, words = _bpe_case()
         cv = encoder.compile(vocab)
         assert (cv.flat is None) == (path == "python")
-        segs, unks = cv.encode_words(words)
-        assert (segs, unks) == _word_by_word(cv, words)
-        assert any(unks) and cv.encode_words([]) == ([], [])
+        segs = cv.encode_words(words)
+        assert segs == _word_by_word(cv, words)
+        unks = [cv.unk_chars(w, seg) for w, seg in zip(words, segs)]
+        assert any(unks) and cv.encode_words([]) == []
+        for word, seg, chars in zip(words, segs, unks):
+            queue = iter(chars)
+            assert "".join(next(queue) if i == cv.unk_id else vocab.tokens[i] for i in seg) == word
 
     @given(st.data())
     # the path fixture is meant to hold for every example
@@ -244,13 +249,13 @@ class TestEncodeWords:
         words = data.draw(st.lists(st.text(alphabet="ab𝔘¤😀" + MARKER, max_size=10), max_size=6))
         expected = _word_by_word(cv, words)
         assert cv.encode_words(words) == expected
-        for word, ids, unks in zip(words, *expected):
-            queue = list(unks)
+        for word, ids in zip(words, expected):
+            queue = cv.unk_chars(word, ids)
             assert "".join(queue.pop(0) if i == cv.unk_id else vocab.tokens[i] for i in ids) == word
         allowed = [vocab.tokens[i] for i in active if i not in banned]
         for word in words:
-            ids, unks = cv.encode_word(word, banned)
-            queue = list(unks)
+            ids = cv.encode_word(word, banned)
+            queue = cv.unk_chars(word, ids)
             got = [("UNK", queue.pop(0)) if i == cv.unk_id else vocab.tokens[i] for i in ids]
             assert got == naive_encode_word(allowed, word)
 

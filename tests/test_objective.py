@@ -188,7 +188,7 @@ class TestAblationLoss:
             affected = sorted(index.sentences(t))
             banned = frozenset((t,))
             rescored = [
-                np.asarray([i for w in pretokenize(corpus.lines[s]) for i in cv.encode_word(w, banned)[0]])
+                np.asarray([i for w in pretokenize(corpus.lines[s]) for i in cv.encode_word(w, banned)])
                 for s in affected
             ]
             want = float(np.sum(batched_sentence_nll(*flatten(rescored), table, 2)) - np.sum(nll[affected]))

@@ -28,6 +28,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from sagetok import embeddings, encoder  # noqa: E402
 from sagetok.cli import main  # noqa: E402
 
 from textgen import generate_corpus  # noqa: E402
@@ -139,8 +140,21 @@ def case_digests(name: str, workdir: Path) -> dict[str, str]:
     return {p.relative_to(workdir).as_posix(): _digest(p) for p in CASES[name](workdir)}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_recorded_digests(name, tmp_path):
+_PATHS = [(name, path) for path in ("compiled", "python") for name in sorted(CASES)]
+
+
+# the compiled cases keep the bare case name as their id
+@pytest.mark.parametrize("name, path", _PATHS,
+                         ids=[name if path == "compiled" else f"{name}-{path}" for name, path in _PATHS])
+def test_outputs_match_recorded_digests(name, path, tmp_path, monkeypatch):
+    """Both the compiled kernels and the Python and numpy code that stands
+    in for them where they cannot be built give the recorded bytes."""
+    if path == "compiled":
+        if encoder._kernel() is None or embeddings._kernel() is None:
+            pytest.skip("no C compiler: the compiled kernels cannot be built here")
+    else:
+        monkeypatch.setattr(encoder, "_kernel", lambda: None)
+        monkeypatch.setattr(embeddings, "_kernel", lambda: None)
     assert case_digests(name, tmp_path) == DIGESTS[name]
 
 

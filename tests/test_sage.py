@@ -1,4 +1,5 @@
 import json
+import shutil
 import zipfile
 
 import numpy as np
@@ -52,6 +53,13 @@ class TestSageConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_unigram_limits_listed_with_the_other_problems(self):
+        cfg = SageConfig(final_size=10, window=0, unigram_max_len=0, unigram_min_count=-3)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        for message in ("window must be >= 1", "unigram_max_len must be >= 1", "unigram_min_count must be >= 1"):
+            assert message in str(err.value)
+
     def test_defaults_match_documented_values(self):
         cfg = SageConfig(final_size=16000)
         assert (cfg.overshoot, cfg.prune_batch, cfg.candidate_pool) == (1.25, 100, 1500)
@@ -68,7 +76,7 @@ class TestInitState:
         )
         state = init_state(corpus, cfg)
         assert state.iteration == 0
-        assert state.alive == set(range(len(state.vocab)))
+        assert set(state.cv.active.values()) == set(range(len(state.vocab)))
         # the index round-trips every sentence, and a store snapshot of it
         # holds each sentence's ids
         store = state.index.store(state.vocab.digest())
@@ -282,7 +290,7 @@ class TestLossReuse:
         assert p in before.uses
         # a bottom-set iteration between full recalculations, in which p's
         # loss is the lowest and c is scored
-        state.iteration, state.bottom, state.scored = 1, [p, c], {p: (-1e9, frozenset())}
+        state.iteration, state.bottom, state.scored = 1, {p: -1e9, c: before.loss}, {p: (-1e9, frozenset())}
         nll_before = state.nll.copy()
         prune_iteration(state, cfg)
         assert [e["id"] for e in state.events[-1]["pruned"]] == [p]
@@ -425,6 +433,8 @@ class TestCheckpoint:
         assert len(events) == 8
         # the loop's last step wrote the final state already when 8 is a multiple of every
         assert saved == expected
+        final = tmp_path / "final.npz"
+        shutil.copy(path, final)
         # no iteration runs on a resume from the final state, so it is written once more
         resumed_vocab, resumed_events = train_sage(
             corpus, cfg, checkpoint_path=path, checkpoint_every=every, resume_path=path
@@ -432,6 +442,14 @@ class TestCheckpoint:
         assert saved == expected + [8]
         assert resumed_vocab.tokens == vocab.tokens
         assert json.dumps(resumed_events) == json.dumps(events)
+        # the rewrite holds the restored state, the bottom set and its
+        # losses among it, member for member
+        with np.load(final) as want, np.load(path) as got:
+            assert len(want["bottom"]) > 0
+            assert got.files == want.files
+            for name in want.files:
+                assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+                assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_compressed_checkpoint_resumes(self, tmp_path):
         # checkpoints are written stored (uncompressed); one written
@@ -472,17 +490,40 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path, corpus, other)
 
-    def test_checkpoint_ids_outside_vocabulary_rejected(self, tmp_path):
+    @staticmethod
+    def _rewritten_checkpoint(path, edit):
+        """A checkpoint after one iteration, saved to ``path`` and then
+        rewritten with ``edit(arrays, vocabulary size)`` applied to its
+        member arrays; returns the corpus and config to resume with."""
         corpus = _toy_corpus(30, seed=15)
         cfg = SageConfig(final_size=55, overshoot=1.3, prune_batch=2, recalc_period=2,
                          candidate_pool=10, window=2, embed=_small_embed())
         state = init_state(corpus, cfg)
         prune_iteration(state, cfg)
-        state.alive.add(len(state.vocab))
-        path = tmp_path / "ckpt"
         save_checkpoint(state, cfg, corpus, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        edit(arrays, len(state.vocab))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        return corpus, cfg
+
+    def test_checkpoint_ids_outside_vocabulary_rejected(self, tmp_path):
+        def add_alive(arrays, size):
+            arrays["alive"] = np.append(arrays["alive"], size)
+
+        corpus, cfg = self._rewritten_checkpoint(tmp_path / "ckpt", add_alive)
         with pytest.raises(DataError, match="does not match"):
-            load_checkpoint(path, corpus, cfg)
+            load_checkpoint(tmp_path / "ckpt", corpus, cfg)
+
+    def test_checkpoint_bottom_losses_of_another_length_rejected(self, tmp_path):
+        def drop_loss(arrays, size):
+            assert len(arrays["bottom_losses"]) > 0
+            arrays["bottom_losses"] = arrays["bottom_losses"][:-1]
+
+        corpus, cfg = self._rewritten_checkpoint(tmp_path / "ckpt", drop_loss)
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / "ckpt", corpus, cfg)
 
 
 class TestEventLogIO:

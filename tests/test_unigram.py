@@ -30,6 +30,11 @@ class TestInitSubstringVocab:
         assert MARKER + "ab" not in vocab.tokens
         assert "ab" in vocab.tokens
 
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_rejected(self, min_count):
+        with pytest.raises(ConfigError, match="min_count must be >= 1"):
+            init_substring_vocab(RawCorpus.from_lines(["ab ab"]), min_count=min_count)
+
     def test_counts_are_occurrence_weighted(self):
         # "xy" appears twice in one line: substring counted per occurrence
         vocab = init_substring_vocab(RawCorpus.from_lines(["xy xy"]), min_count=2)
@@ -167,9 +172,9 @@ class TestScoreCandidates:
         real = unigram.score_candidates
         seen = {"iterations": 0, "candidates": 0, "entered": 0, "left": 0}
 
-        def checked(index, vocab, alive, cv):
-            got = real(index, vocab, alive, cv)
-            ref = unigram_reference_losses(index, vocab, alive, cv)
+        def checked(index, vocab, cv):
+            got = real(index, vocab, cv)
+            ref = unigram_reference_losses(index, vocab, cv.active.values(), cv)
             assert [(t, loss) for loss, _, _, t in got] == [(t, loss) for t, loss, _, _ in ref]
             seen["iterations"] += 1
             seen["candidates"] += len(ref)
