@@ -50,6 +50,7 @@ is the share of terms it reads back rather than computes.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import sys
 import time
 import tracemalloc
@@ -89,6 +90,8 @@ def _child(src: str, kind: str, inputs: str) -> dict:
     rows = arrays["target"], arrays["context"]
     corpus = RawCorpus.from_lines(lines)
     cv = encoder.compile(vocab)
+    # a tree from before ablation_losses read the vocabulary from cv takes it as an argument
+    old_api = (vocab,) if "vocab" in inspect.signature(ablation_losses).parameters else ()
 
     def table():
         return SkipGramTable(*rows, rows[0].shape[1], WINDOW, vocab.digest())
@@ -101,7 +104,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
         def score(table) -> tuple[dict, str]:
             nll, _ = attach_nll_cache(store, table, WINDOW)
             t0 = time.perf_counter()
-            losses = ablation_losses(candidates, nll, index, vocab, table, cv, WINDOW)
+            losses = ablation_losses(candidates, nll, index, *old_api, table, cv, WINDOW)
             seconds = {"seconds": time.perf_counter() - t0}
             return seconds, _digest(nll, np.array([r.loss for r in losses]))
     elif kind == "top":
@@ -115,7 +118,7 @@ def _child(src: str, kind: str, inputs: str) -> dict:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             t0 = time.perf_counter()
-            loss = ablation_losses([top], nll, index, vocab, table, cv, WINDOW)[0]
+            loss = ablation_losses([top], nll, index, *old_api, table, cv, WINDOW)[0]
             seconds = time.perf_counter() - t0
             # zero when tracemalloc is off
             extra = max(tracemalloc.get_traced_memory()[1] - held, 0)

@@ -14,8 +14,10 @@ trainer all segment through it. Pruning uses two steps on it:
 ``WordIndex.segment_without`` (pure: how the types holding a token would
 segment without it; only the part of each word from the token's first
 occurrence on is segmented again) and ``WordIndex.resegment`` (mutating:
-re-segment them, in one ``encode_words`` call, after the token is
-removed). ``WordIndex.gather`` turns
+remove tokens from the compiled vocabulary and re-segment the types that
+held them, in one ``encode_words`` call). Both pruning loops take their
+candidates from ``prunable`` and prune in ``prune_order``; they differ
+only in the loss. ``WordIndex.gather`` turns
 any run of sentences into one flat id array and per-sentence lengths in
 a few numpy passes, optionally with per-sentence segmentation overrides
 (the candidates of ablation scoring). ``retokenize_sentences`` applies a
@@ -38,7 +40,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import DataError, VocabError
-from .vocab import MARKER, Vocabulary, is_protected
+from .vocab import MARKER, is_protected
 
 
 def normalize_line(line: str, lowercase: bool = False) -> str:
@@ -339,11 +341,10 @@ class WordIndex:
         return out
 
     def resegment(self, removed, cv) -> dict[int, list[int]]:
-        """Re-segment under ``cv`` every type holding a removed token, and
-        return those types' old segmentations.
-
-        ``cv`` must already exclude the removed tokens.
+        """Remove the ``removed`` tokens from ``cv``, re-segment under it
+        every type holding one, and return those types' old segmentations.
         """
+        cv.remove(removed)
         changed: set[int] = set()
         for t in removed:
             changed |= self.postings.pop(t, set())
@@ -386,31 +387,41 @@ def build_index(corpus: RawCorpus, cv) -> WordIndex:
     return WordIndex(types, counts, type_ids, offsets, cv.unk_id, segs)
 
 
+def prunable(cv) -> list[int]:
+    """The unprotected active ids of ``cv`` in id order: a full pass's candidates."""
+    return [t for t in sorted(cv.active.values()) if not is_protected(cv.vocab.tokens[t])]
+
+
+def prune_order(losses: dict[int, float], index: WordIndex, cv) -> list[int]:
+    """The tokens of ``losses`` by lowest loss, then corpus frequency, then token string."""
+    freq, tokens = index.frequencies(), cv.vocab.tokens
+    return sorted(losses, key=lambda t: (losses[t], int(freq[t]), tokens[t]))
+
+
 def retokenize_sentences(
     nll: np.ndarray,
     index: WordIndex,
     removed: set[int],
-    vocab: Vocabulary,
     cv,
     table,
     window: int,
 ) -> tuple[float, np.ndarray]:
-    """Re-segment after removing tokens: update the index, then rescore
-    exactly the sentences that held a removed token.
+    """Remove tokens: update ``cv`` and the index, then rescore exactly the
+    sentences that held a removed token.
 
-    ``cv`` must already exclude the removed tokens. ``nll`` holds one
-    skipgram NLL per sentence under ``table``; the entries of rescored
-    sentences are replaced and every other entry is left bit-identical.
-    Returns the new minus old total NLL, and the sorted ids of every token
-    found in a rescored sentence before or after its re-segmentation.
+    ``nll`` holds one skipgram NLL per sentence under ``table``; the
+    entries of rescored sentences are replaced and every other entry is
+    left bit-identical. Returns the new minus old total NLL, and the sorted
+    ids of every token found in a rescored sentence before or after its
+    re-segmentation.
     """
     for t in removed:
-        if is_protected(vocab.tokens[t]):
-            raise VocabError(f"cannot remove protected token {vocab.tokens[t]!r}")
+        if is_protected(cv.vocab.tokens[t]):
+            raise VocabError(f"cannot remove protected token {cv.vocab.tokens[t]!r}")
     order = sorted(set().union(*(index.sentences(t) for t in removed)))
+    old_segs = index.resegment(removed, cv)
     if not order:
         return 0.0, np.zeros(0, dtype=np.int64)
-    old_segs = index.resegment(removed, cv)
     from .objective import batched_sentence_nll
 
     flat, lengths = index.gather(order)

@@ -174,7 +174,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_count(store: SentenceStore, window: int) -> int:
-    """Number of in-window ordered pairs over the store."""
+    """Number of in-window ordered pairs over the store (no offset past the longest sentence pairs any)."""
+    window = min(window, int(store.lengths.max(initial=0)))
     return 2 * sum(int(np.maximum(store.lengths - d, 0).sum()) for d in range(1, window + 1))
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .corpus import SentenceStore, WordIndex, sorted_unique, window_pairs
 from .errors import VocabError
-from .vocab import Vocabulary, is_protected
+from .vocab import is_protected
 
 # tokens per batched scoring pass (see the module docstring)
 _SCORE_BUDGET_TOKENS = 8192
@@ -256,7 +256,6 @@ def ablation_losses(
     candidates,
     nll: np.ndarray,
     index: WordIndex,
-    vocab: Vocabulary,
     table,
     cv,
     window: int,
@@ -271,7 +270,7 @@ def ablation_losses(
     """
     results: list[AblationLoss] = []
     lengths = index.sentence_lengths()
-    for pending in _batches(candidates, index, vocab, cv, lengths):
+    for pending in _batches(candidates, index, cv, lengths):
         vals = _batch_values(pending, index, lengths, table, window)
         offset = 0
         for token_id, affected, changed in pending:
@@ -283,7 +282,7 @@ def ablation_losses(
     return results
 
 
-def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv, lengths: np.ndarray):
+def _batches(candidates, index: WordIndex, cv, lengths: np.ndarray):
     """Yield lists of ``(candidate, its sorted affected sentences, its
     re-segmented types)`` whose sentences, rebuilt without each
     candidate, hold at most ``_SCORE_BUDGET_TOKENS`` tokens, or of one
@@ -292,7 +291,7 @@ def _batches(candidates, index: WordIndex, vocab: Vocabulary, cv, lengths: np.nd
     pending: list[tuple[int, np.ndarray, dict[int, list[int]]]] = []
     tokens = 0
     for token_id in candidates:
-        token = vocab.tokens[token_id]
+        token = cv.vocab.tokens[token_id]
         if is_protected(token):
             raise VocabError(f"token {token!r} is protected and cannot be ablated")
         affected = np.array(sorted(index.sentences(token_id)), dtype=np.int64)
@@ -344,10 +343,9 @@ def ablation_loss(
     token_id: int,
     nll: np.ndarray,
     index: WordIndex,
-    vocab: Vocabulary,
     table,
     cv,
     window: int,
 ) -> AblationLoss:
     """Score removing one token; :func:`ablation_losses` for one candidate."""
-    return ablation_losses([token_id], nll, index, vocab, table, cv, window)[0]
+    return ablation_losses([token_id], nll, index, table, cv, window)[0]

@@ -6,8 +6,10 @@ then iteratively removes the batch of tokens whose ablation least hurts
 the corpus skipgram likelihood. Heavy steps are amortized: full loss
 recalculation happens every ``recalc_period`` iterations (candidates in
 between come from a cached bottom set), and embeddings are retrained
-every ``embed_period`` full-recalculation cycles. Protected tokens are
-never candidates. One word-type index (``corpus.WordIndex``) carries the
+every ``embed_period`` full-recalculation cycles. Only the loss differs
+from unigram pruning: both take their candidates from ``corpus.prunable``
+(never a protected token) and prune in ``corpus.prune_order``. One
+word-type index (``corpus.WordIndex``) carries the
 segmentation and one array the NLL of each sentence: a candidate is
 scored by re-segmenting only the word types that hold it, and a prune
 re-segments those types and rescores only the sentences holding them.
@@ -43,14 +45,14 @@ import numpy as np
 
 from . import encoder
 from .bpe import train_bpe
-from .corpus import RawCorpus, WordIndex, build_index, retokenize_sentences
+from .corpus import RawCorpus, WordIndex, build_index, prunable, prune_order, retokenize_sentences
 from .embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from .errors import ConfigError, DataError, VocabError
 # ablation_loss is re-exported only for perfbench/test_perfbench.py, which
 # looks it up here; it goes when perfbench's hooks move to ablation_losses
 from .objective import ablation_loss, ablation_losses, attach_nll_cache, corpus_nll  # noqa: F401
 from .unigram import MAX_LEN, MIN_COUNT, train_unigram
-from .vocab import Vocabulary, is_protected, load_vocab
+from .vocab import Vocabulary, check_target, is_protected, load_vocab
 
 BASE_TRAINERS = ("bpe", "unigram", "file")
 
@@ -102,7 +104,7 @@ class SageConfig:
             problems.append("unigram_max_len must be >= 1")
         if self.unigram_min_count < 1:
             problems.append("unigram_min_count must be >= 1")
-        if not math.isfinite(self.overshoot):
+        if not math.isfinite(self.overshoot * self.final_size):
             problems.append("overshoot must be finite")
         elif (
             self.base_trainer != "file"
@@ -128,7 +130,6 @@ class SageConfig:
 class PruneState:
     """Everything the pruning loop mutates, plus its replayable event log."""
 
-    vocab: Vocabulary
     cv: encoder.CompiledVocab
     index: WordIndex
     nll: np.ndarray
@@ -141,6 +142,10 @@ class PruneState:
     # candidate -> (loss under the current table, tokens its banned
     # segmentation used); see the module docstring for when entries go
     scored: dict[int, tuple[float, frozenset[int]]] = field(default_factory=dict)
+
+    @property
+    def vocab(self) -> Vocabulary:
+        return self.cv.vocab
 
     def alive_size(self) -> int:
         return len(self.cv.active)
@@ -191,12 +196,7 @@ def init_state(corpus: RawCorpus, cfg: SageConfig) -> PruneState:
     if len(corpus) == 0:
         raise DataError("cannot train on an empty corpus")
     vocab = _train_base(corpus, cfg)
-    n_protected = sum(1 for t in vocab.tokens if is_protected(t))
-    if cfg.final_size < n_protected:
-        raise ConfigError(
-            f"target size {cfg.final_size} is below the {n_protected} protected tokens "
-            "of the base vocabulary"
-        )
+    check_target(vocab, cfg.final_size)
     return _encoded_state(corpus, cfg, vocab, set(range(len(vocab))))
 
 
@@ -212,7 +212,7 @@ def _encoded_state(
     if table is None:
         table = train_embeddings(store, vocab, cfg.embed)
     nll, total_nll = attach_nll_cache(store, table, cfg.window)
-    return PruneState(vocab, cv, index, nll, table, total_nll)
+    return PruneState(cv, index, nll, table, total_nll)
 
 
 def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
@@ -237,28 +237,19 @@ def prune_iteration(state: PruneState, cfg: SageConfig) -> PruneState:
         full = True
         forced = True
 
-    if full:
-        candidates = [t for t in sorted(state.cv.active.values()) if not is_protected(state.vocab.tokens[t])]
-    else:
-        candidates = list(state.bottom)
-
+    candidates = prunable(state.cv) if full else list(state.bottom)
     todo = [t for t in candidates if t not in state.scored]
-    for r in ablation_losses(todo, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window):
+    for r in ablation_losses(todo, state.nll, state.index, state.table, state.cv, cfg.window):
         state.scored[r.token_id] = (r.loss, r.uses)
     losses = {t: state.scored[t][0] for t in candidates}
 
-    # prune order: lowest loss, then lowest corpus frequency, then token
-    # string; between full recalculations the bottom set is within the pool
-    freq = state.index.frequencies()
-    ranked = sorted(candidates, key=lambda t: (losses[t], int(freq[t]), state.vocab.tokens[t]))[: cfg.candidate_pool]
+    # between full recalculations the bottom set is within the pool
+    ranked = prune_order(losses, state.index, state.cv)[: cfg.candidate_pool]
     pruned_list = ranked[:need]
     pruned = set(pruned_list)
     state.bottom = {t: losses[t] for t in ranked[need:]}
 
-    state.cv.remove(pruned)
-    delta, touched = retokenize_sentences(
-        state.nll, state.index, pruned, state.vocab, state.cv, state.table, cfg.window
-    )
+    delta, touched = retokenize_sentences(state.nll, state.index, pruned, state.cv, state.table, cfg.window)
     state.total_nll += delta
     stale = pruned.union(touched.tolist())
     state.scored = {
@@ -394,7 +385,8 @@ def load_checkpoint(path, corpus: RawCorpus, cfg: SageConfig) -> PruneState:
                 int(z["window"][0]), vocab.digest(),
             )
             bottom = [int(t) for t in z["bottom"]]
-            if not set(bottom) <= alive <= set(range(len(vocab))) or table.rows() != len(vocab):
+            if (not set(bottom) <= alive <= set(range(len(vocab))) or table.rows() != len(vocab)
+                    or table.context.shape != table.target.shape):
                 raise DataError(f"checkpoint {path} does not match its own vocabulary")
             saved = dict(
                 iteration=int(z["iteration"][0]),

@@ -5,8 +5,8 @@ removes the batch of tokens whose ablation costs the least corpus
 log-likelihood, where likelihood uses maximum-likelihood unigram
 probabilities refit to the retokenized corpus. Decoding is the shared
 greedy encoder throughout, and protected tokens are never candidates.
-Candidates are scored and prunes applied on the same word-type index
-as the SaGe trainer (``corpus.WordIndex``).
+It is the SaGe trainer's loop with another loss: the same word-type index
+(``corpus.WordIndex``), ``corpus.prunable`` and ``corpus.prune_order``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from . import encoder
 from .bpe import word_type_counts
-from .corpus import RawCorpus, SentenceStore, WordIndex, build_index
+from .corpus import RawCorpus, SentenceStore, WordIndex, build_index, prunable, prune_order
 from .errors import ConfigError, DataError
-from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, corpus_alphabet, header_lines, is_protected
+from .vocab import PROV_ALPHABET, PROV_SURVIVOR, Vocabulary, check_target, corpus_alphabet, header_lines
 
 MAX_LEN = 16
 MIN_COUNT = 2
@@ -152,17 +152,13 @@ def train_unigram(
 
     Each iteration scores every prunable token by the likelihood change
     of removing it (retokenizing affected words, refitting MLE
-    probabilities), prunes the lowest min(batch, excess) tokens, and
-    refits. Ties go to lower corpus frequency, then the smaller string.
+    probabilities), prunes the first min(batch, excess) tokens in
+    ``corpus.prune_order``, and refits.
     """
     if prune_batch < 1:
         raise ConfigError("prune batch must be >= 1")
     vocab = init_substring_vocab(corpus, max_len=max_len, min_count=min_count)
-    n_protected = sum(1 for t in vocab.tokens if is_protected(t))
-    if target_size < n_protected:
-        raise ConfigError(
-            f"target size {target_size} is below the protected alphabet size {n_protected}"
-        )
+    check_target(vocab, target_size)
     if target_size >= len(vocab):
         return vocab
 
@@ -170,27 +166,20 @@ def train_unigram(
     index = build_index(corpus, cv)
     while len(cv.active) > target_size:
         batch = min(prune_batch, len(cv.active) - target_size)
-        scored = score_candidates(index, vocab, cv)
-        scored.sort(key=lambda item: item[:3])
-        pruned = {item[3] for item in scored[:batch]}
-
-        cv.remove(pruned)
-        index.resegment(pruned, cv)
+        losses = score_candidates(index, cv)
+        index.resegment(prune_order(losses, index, cv)[:batch], cv)
 
     return vocab.subset(cv.active.values())
 
 
-def score_candidates(index: WordIndex, vocab: Vocabulary, cv) -> list[tuple[float, int, str, int]]:
-    """``(loss, corpus frequency, token, id)`` of every unprotected token of
-    ``cv``, in id order: the log-likelihood change of removing it, with the
-    types that hold it re-segmented and MLE probabilities refit."""
-    counts = index.frequencies()
-    terms = _CountLogTerms(counts)
+def score_candidates(index: WordIndex, cv) -> dict[int, float]:
+    """Loss of every ``corpus.prunable`` token of ``cv``, in id order: the
+    log-likelihood change of removing it, with the types that hold it
+    re-segmented and MLE probabilities refit."""
+    terms = _CountLogTerms(index.frequencies())
     weights = index.counts.tolist()
-    scored: list[tuple[float, int, str, int]] = []
-    for t in sorted(cv.active.values()):
-        if is_protected(vocab.tokens[t]):
-            continue
+    losses: dict[int, float] = {}
+    for t in prunable(cv):
         delta: dict[int, int] = {}
         for w, new_ids in index.segment_without(t, cv).items():
             weight = weights[w]
@@ -198,9 +187,8 @@ def score_candidates(index: WordIndex, vocab: Vocabulary, cv) -> list[tuple[floa
                 delta[old_t] = delta.get(old_t, 0) - weight
             for new_t in new_ids:
                 delta[new_t] = delta.get(new_t, 0) + weight
-        loss = terms.loglik(delta) - terms.base
-        scored.append((loss, int(counts[t]), vocab.tokens[t], t))
-    return scored
+        losses[t] = terms.loglik(delta) - terms.base
+    return losses
 
 
 def save_probs(model: UnigramModel, path, meta: dict | None = None) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Sequence
 
-from .errors import DataError, VocabError
+from .errors import ConfigError, DataError, VocabError
 
 MARKER = "▁"
 
@@ -36,6 +36,14 @@ def content_length(token: str) -> int:
 def is_protected(token: str) -> bool:
     """True for tokens pruning must never remove (content length <= 1)."""
     return content_length(token) <= 1
+
+
+def check_target(vocab: "Vocabulary", target: int) -> None:
+    """Raise ConfigError when ``target`` is below the protected token count
+    of ``vocab``: pruning never removes those tokens."""
+    n_protected = sum(1 for t in vocab.tokens if is_protected(t))
+    if target < n_protected:
+        raise ConfigError(f"target size {target} is below the {n_protected} protected tokens of the vocabulary")
 
 
 def is_word_initial(token: str) -> bool:

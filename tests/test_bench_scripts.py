@@ -112,7 +112,7 @@ def test_nll_children_score_the_saved_lines(tmp_path, monkeypatch):
     table = SkipGramTable(trained.target, trained.context, trained.dim, nll.WINDOW, vocab.digest())
     scores, total = attach_nll_cache(store, table, nll.WINDOW)
     candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-    losses = ablation_losses(candidates, scores, index, vocab, table, cv, nll.WINDOW)
+    losses = ablation_losses(candidates, scores, index, table, cv, nll.WINDOW)
     assert shape["sentences"] == len(store) and shape["tokens"] == store.total_tokens()
     assert ablation["digest"] == nll._digest(scores, np.array([r.loss for r in losses]))
     assert attach["digest"] == nll._digest(scores, np.array([total]))

@@ -238,6 +238,21 @@ class TestTrainSageCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overshoot_overflowing_the_initial_size_exits_2(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "x.vocab"
+        assert main(_sage_args(corpus_file, out, overshoot="1e308")) == 2
+        assert "overshoot must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_field_without_a_key_exits_2(self, tmp_path, corpus_file, capsys):
+        # unigram_max_len is a SageConfig field with no flag and no config key
+        config = tmp_path / "sage.json"
+        config.write_text(json.dumps({"unigram_max_len": 8}), encoding="utf-8")
+        assert main(_sage_args(corpus_file, tmp_path / "x.vocab") + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config file keys" in err and "unigram_max_len" in err
+        assert sorted(tmp_path.iterdir()) == sorted([corpus_file, config])
+
     @pytest.mark.parametrize("every", ["0", "-2"])
     def test_checkpoint_every_below_one_exits_2(self, tmp_path, corpus_file, capsys, every):
         ckpt = tmp_path / "run.ckpt"
@@ -450,6 +465,8 @@ def _write_bad_input(tmp_path, kind):
         path.write_text(json.dumps({"lr": "x"}), encoding="utf-8")
     elif kind == "config-overshoot-nan":
         path.write_text('{"overshoot": NaN}', encoding="utf-8")
+    elif kind == "config-overshoot-1e308":
+        path.write_text('{"overshoot": 1e308}', encoding="utf-8")
     elif kind == "config-lr-infinity":
         path.write_text('{"lr": Infinity}', encoding="utf-8")
     elif kind == "config-lr-zero":
@@ -491,6 +508,7 @@ def _write_bad_input(tmp_path, kind):
         ("config-vocab-size-string", 2),
         ("config-lr-string", 2),
         ("config-overshoot-nan", 2),
+        ("config-overshoot-1e308", 2),
         ("config-lr-infinity", 2),
         ("config-lr-zero", 2),
         ("initvocab-missing-chars", 3),

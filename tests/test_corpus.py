@@ -9,6 +9,8 @@ from sagetok.corpus import (
     load_corpus,
     normalize_line,
     pretokenize,
+    prunable,
+    prune_order,
     retokenize_sentences,
 )
 from sagetok.embeddings import EmbedConfig
@@ -227,8 +229,7 @@ class TestGather:
         )
         assert index.gather([1, 0])[0].tolist() == sentence(index, 1) + sentence(index, 0)
         abc = vocab.id_of[MARKER + "abc"]
-        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {abc}, cv, table, 2)
         assert abc not in index.gather([0, 1])[0]
         assert index.gather([1, 0])[0].tolist() == sentence(index, 1) + sentence(index, 0)
         assert index.sentence_lengths().tolist() == [len(sentence(index, 0)), len(sentence(index, 1))]
@@ -241,9 +242,9 @@ class TestRetokenize:
         )
         unused = vocab.id_of["zzz"]
         before, nll_before = _sentences(index), nll.copy()
-        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {unused})
-        delta, touched = retokenize_sentences(nll, index, {unused}, vocab, cv2, table, 2)
+        delta, touched = retokenize_sentences(nll, index, {unused}, cv, table, 2)
         assert delta == 0.0 and len(touched) == 0
+        assert "zzz" not in cv.active
         assert _sentences(index) == before
         assert nll.tobytes() == nll_before.tobytes()
 
@@ -257,9 +258,7 @@ class TestRetokenize:
         tokens_of = lambda s: [vocab.tokens[t] for t in sentence(index, s)]
         assert tokens_of(0)[:2] == [MARKER + "includ", "e"]
         tail_before = tokens_of(0)[2:]
-        alive = set(range(len(vocab))) - {includ}
-        cv2 = encoder.compile(vocab, alive)
-        retokenize_sentences(nll, index, {includ}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {includ}, cv, table, 2)
         assert tokens_of(0)[:4] == [MARKER + "inc", "l", "u", "de"]
         assert tokens_of(0)[4:] == tail_before
 
@@ -277,7 +276,7 @@ class TestRetokenize:
         target = vocab.id_of["ab"]
         alive = set(range(len(vocab))) - {target}
         cv2 = encoder.compile(vocab, alive)
-        retokenize_sentences(nll, index, {target}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {target}, cv, table, 2)
         scratch = encoder.encode_corpus(corpus, cv2)
         assert _sentences(index) == [a.tolist() for a in scratch.ids]
         assert build_index(corpus, cv2) == index
@@ -292,8 +291,7 @@ class TestRetokenize:
         includ = vocab.id_of[MARKER + "includ"]
         rescored = sorted(index.sentences(includ))
         before = {t for s in rescored for t in sentence(index, s)}
-        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {includ})
-        _, touched = retokenize_sentences(nll, index, {includ}, vocab, cv2, table, 2)
+        _, touched = retokenize_sentences(nll, index, {includ}, cv, table, 2)
         after = {t for s in rescored for t in sentence(index, s)}
         assert rescored == [0, 1] and before != after
         assert touched.tolist() == sorted(before | after)
@@ -304,8 +302,7 @@ class TestRetokenize:
         )
         abc = vocab.id_of[MARKER + "abc"]
         before, nll_before = _sentences(index), nll.copy()
-        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        retokenize_sentences(nll, index, {abc}, cv, table, 2)
         assert sentence(index, 0) != before[0]
         assert sentence(index, 1) == before[1]
         assert nll[1:].tobytes() == nll_before[1:].tobytes()
@@ -314,7 +311,8 @@ class TestRetokenize:
         corpus, vocab, cv, nll, index, table = _setup_encoded(["ab ab"], ["ab"])
         single = vocab.id_of["a"]
         with pytest.raises(VocabError):
-            retokenize_sentences(nll, index, {single}, vocab, cv, table, 2)
+            retokenize_sentences(nll, index, {single}, cv, table, 2)
+        assert cv.active == encoder.compile(vocab).active
 
     def test_delta_tracks_total(self):
         corpus, vocab, cv, nll, index, table = _setup_encoded(
@@ -322,9 +320,28 @@ class TestRetokenize:
         )
         total_before = nll.sum()
         abc = vocab.id_of[MARKER + "abc"]
-        cv2 = encoder.compile(vocab, set(range(len(vocab))) - {abc})
-        delta, _ = retokenize_sentences(nll, index, {abc}, vocab, cv2, table, 2)
+        delta, _ = retokenize_sentences(nll, index, {abc}, cv, table, 2)
         assert nll.sum() == pytest.approx(total_before + delta, rel=1e-12)
+
+
+class TestPruneRules:
+    def test_prunable_is_the_unprotected_active_ids_in_id_order(self):
+        corpus, vocab, cv, nll, index, table = _setup_encoded(["ab cd", "ef"], [MARKER + "ab", "cd", MARKER + "ef"])
+        extras = [vocab.id_of[t] for t in (MARKER + "ab", "cd", MARKER + "ef")]
+        assert prunable(cv) == sorted(extras)
+        index.resegment([vocab.id_of["cd"]], cv)
+        assert prunable(cv) == sorted(set(extras) - {vocab.id_of["cd"]})
+
+    def test_loss_then_frequency_then_string(self):
+        corpus, vocab, cv, nll, index, table = _setup_encoded(
+            ["ab cd ab", "ef gh"], [MARKER + "ab", MARKER + "cd", MARKER + "ef", MARKER + "gh"]
+        )
+        ab, cd, ef, gh = (vocab.id_of[MARKER + w] for w in ("ab", "cd", "ef", "gh"))
+        assert index.frequencies()[[ab, cd, ef, gh]].tolist() == [2, 1, 1, 1]
+        # ab and cd tie in loss: the rarer cd goes first; ef and cd tie in
+        # loss and frequency: the smaller string goes first
+        losses = {ab: 0.5, ef: 0.5, gh: 0.7, cd: 0.5}
+        assert prune_order(losses, index, cv) == [cd, ef, ab, gh]
 
 
 class TestRoundTrip:

@@ -224,6 +224,8 @@ class TestPairBatches:
         assert np.array_equal(np.concatenate([t for t, _ in batches]), targets)
         assert np.array_equal(np.concatenate([c for _, c in batches]), contexts)
         assert _pair_count(store, 5) == len(targets)
+        # no offset beyond the longest sentence pairs anything
+        assert _pair_count(store, 10**12) == _pair_count(store, int(store.lengths.max()))
 
 
 def _sampler_reference(cdf, canon, u):

@@ -1,5 +1,5 @@
-"""Every module of the package, and every ``bench/`` script, uses each
-name it imports.
+"""Every module of the package, every ``bench/`` script and every test
+module uses each name it imports.
 
 No linter ships with the project, so this walks the syntax trees. A
 package ``__init__`` re-exports by importing, and an import marked
@@ -14,8 +14,10 @@ import pytest
 import sagetok
 
 PACKAGE = Path(sagetok.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(BENCH.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(BENCH.glob("*.py"))
+           + sorted(TESTS.glob("*.py")))
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -52,7 +54,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"bench/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source)

@@ -130,7 +130,7 @@ def _ablation_setup(lines, extras, seed=0, window=2, dim=5):
 class TestAblationLoss:
     def test_empty_postings(self):
         corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["zz"])
-        result = ablation_loss(vocab.id_of["zz"], nll, index, vocab, table, cv, 2)
+        result = ablation_loss(vocab.id_of["zz"], nll, index, table, cv, 2)
         assert result.loss == 0.0
         assert result.affected_sentences == 0
 
@@ -141,7 +141,7 @@ class TestAblationLoss:
         corpus, vocab, cv, nll, index, table = _ablation_setup(lines, extras)
         target = vocab.id_of[MARKER + "includ"]
         old = encoder.encode_corpus(corpus, cv)
-        got = ablation_loss(target, nll, index, vocab, table, cv, 2)
+        got = ablation_loss(target, nll, index, table, cv, 2)
         # oracle: re-encode the whole corpus from scratch and rescore everything
         alive = set(range(len(vocab))) - {target}
         cv2 = encoder.compile(vocab, alive)
@@ -159,7 +159,7 @@ class TestAblationLoss:
         store = index.store(vocab.digest())
         znll, _ = attach_nll_cache(store, ztable, 2)
         target = vocab.id_of[MARKER + "abc"]
-        got = ablation_loss(target, znll, index, vocab, ztable, cv, 2)
+        got = ablation_loss(target, znll, index, ztable, cv, 2)
         alive = set(range(len(vocab))) - {target}
         scratch = encoder.encode_corpus(corpus, encoder.compile(vocab, alive))
         diff = sum(pair_count(list(ids), 2) for ids in scratch.ids) - sum(
@@ -172,7 +172,7 @@ class TestAblationLoss:
             ["abab abab", "ba ab"], ["ab", "ba", MARKER + "ab"]
         )
         nll_before = nll.copy()
-        ablation_loss(vocab.id_of["ab"], nll, index, vocab, table, cv, 2)
+        ablation_loss(vocab.id_of["ab"], nll, index, table, cv, 2)
         assert np.array_equal(nll_before, nll)
         assert index == build_index(corpus, cv)
 
@@ -192,12 +192,12 @@ class TestAblationLoss:
                 for s in affected
             ]
             want = float(np.sum(batched_sentence_nll(*flatten(rescored), table, 2)) - np.sum(nll[affected]))
-            assert ablation_loss(t, nll, index, vocab, table, cv, 2).loss == want
+            assert ablation_loss(t, nll, index, table, cv, 2).loss == want
 
     def test_protected_token_rejected(self):
         corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], [])
         with pytest.raises(VocabError):
-            ablation_loss(vocab.id_of["a"], nll, index, vocab, table, cv, 2)
+            ablation_loss(vocab.id_of["a"], nll, index, table, cv, 2)
 
 
 class TestAblationLosses:
@@ -213,7 +213,7 @@ class TestAblationLosses:
         table = random_table(len(vocab), 6, np.random.default_rng(4))
         nll, _ = attach_nll_cache(index.store(vocab.digest()), table, 3)
         candidates = [t for t in range(len(vocab)) if not is_protected(vocab.tokens[t])]
-        single = [ablation_loss(t, nll, index, vocab, table, cv, 3) for t in candidates]
+        single = [ablation_loss(t, nll, index, table, cv, 3) for t in candidates]
 
         passes = []
 
@@ -224,7 +224,7 @@ class TestAblationLosses:
         monkeypatch.setattr(objective, "batched_sentence_nll", counted)
         if budget is not None:
             monkeypatch.setattr(objective, "_SCORE_BUDGET_TOKENS", budget)
-        batched = ablation_losses(candidates, nll, index, vocab, table, cv, 3)
+        batched = ablation_losses(candidates, nll, index, table, cv, 3)
         assert [r.token_id for r in batched] == candidates
         for got, want in zip(batched, single):
             assert got.loss == want.loss
@@ -249,7 +249,7 @@ class TestAblationLosses:
         corpus, vocab, cv, nll, index, table = _ablation_setup(["ab ab"], ["ab"])
         ids = [vocab.id_of["ab"], vocab.id_of["a"]]
         with pytest.raises(VocabError):
-            ablation_losses(ids, nll, index, vocab, table, cv, 2)
+            ablation_losses(ids, nll, index, table, cv, 2)
 
 
 def _zipf_sentences(rng, rows, tokens):

@@ -228,7 +228,7 @@ def _assert_entries_fresh(state, cfg):
     ablation_losses call on the current state, bit for bit, and so do the
     tokens its banned segmentation uses."""
     kept = sorted(state.scored)
-    fresh = ablation_losses(kept, state.nll, state.index, state.vocab, state.table, state.cv, cfg.window)
+    fresh = ablation_losses(kept, state.nll, state.index, state.table, state.cv, cfg.window)
     assert [(r.loss, r.uses) for r in fresh] == [state.scored[t] for t in kept]
 
 
@@ -286,7 +286,7 @@ class TestLossReuse:
                          candidate_pool=10, embed_period=1000, window=2, embed=_small_embed())
         table = random_table(len(vocab), 6, np.random.default_rng(31), window=2)
         state = sage._encoded_state(RawCorpus.from_lines(lines), cfg, vocab, set(range(len(vocab))), table)
-        before = ablation_losses([c], state.nll, state.index, vocab, table, state.cv, cfg.window)[0]
+        before = ablation_losses([c], state.nll, state.index, table, state.cv, cfg.window)[0]
         assert p in before.uses
         # a bottom-set iteration between full recalculations, in which p's
         # loss is the lowest and c is scored
@@ -297,7 +297,7 @@ class TestLossReuse:
         assert state.index.segs[state.index.types.index(MARKER + "abc")] == [c]
         assert state.nll[0] == nll_before[0] and state.nll[1] != nll_before[1]
         assert c not in state.scored
-        after = ablation_losses([c], state.nll, state.index, vocab, table, state.cv, cfg.window)[0]
+        after = ablation_losses([c], state.nll, state.index, table, state.cv, cfg.window)[0]
         assert p not in after.uses and after.loss != before.loss
 
 
@@ -513,6 +513,16 @@ class TestCheckpoint:
             arrays["alive"] = np.append(arrays["alive"], size)
 
         corpus, cfg = self._rewritten_checkpoint(tmp_path / "ckpt", add_alive)
+        with pytest.raises(DataError, match="does not match"):
+            load_checkpoint(tmp_path / "ckpt", corpus, cfg)
+
+    @pytest.mark.parametrize("cut", ["rows", "dim"])
+    def test_checkpoint_context_of_another_shape_rejected(self, tmp_path, cut):
+        def shrink_context(arrays, size):
+            context = arrays["context"]
+            arrays["context"] = context[:-1] if cut == "rows" else context[:, :-1]
+
+        corpus, cfg = self._rewritten_checkpoint(tmp_path / "ckpt", shrink_context)
         with pytest.raises(DataError, match="does not match"):
             load_checkpoint(tmp_path / "ckpt", corpus, cfg)
 

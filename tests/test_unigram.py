@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sagetok import encoder, unigram
@@ -172,10 +171,10 @@ class TestScoreCandidates:
         real = unigram.score_candidates
         seen = {"iterations": 0, "candidates": 0, "entered": 0, "left": 0}
 
-        def checked(index, vocab, cv):
-            got = real(index, vocab, cv)
-            ref = unigram_reference_losses(index, vocab, cv.active.values(), cv)
-            assert [(t, loss) for loss, _, _, t in got] == [(t, loss) for t, loss, _, _ in ref]
+        def checked(index, cv):
+            got = real(index, cv)
+            ref = unigram_reference_losses(index, cv.vocab, cv.active.values(), cv)
+            assert list(got.items()) == [(t, loss) for t, loss, _, _ in ref]
             seen["iterations"] += 1
             seen["candidates"] += len(ref)
             seen["entered"] += sum(entered for _, _, entered, _ in ref)
