@@ -6,12 +6,16 @@ Exports ``--base`` with ``git archive`` into a temporary directory and
 times ``sagetok.bpe.train_bpe`` from that tree and from this checkout's
 ``src/`` on seeded ``tests/textgen.py`` corpora. Both sides read the same
 corpus files, generated once by this checkout's generator. Each
-measurement runs in a fresh process: it times one training with
-``time.perf_counter``, reads its peak RSS (``common.peak_rss_mb``),
-then trains again with ``heapq.heappop`` wrapped to count heap pops (the
-wrapper slows that second run, so it is not timed). The two sides
-alternate, and the record keeps every run, the median seconds, and a
-digest of the vocabulary, provenance and merge log of each side.
+measurement runs in a fresh process: it loads the compiled merge loop
+(``bpe._kernel``, built first if need be, outside the timing), times one
+training with ``time.perf_counter``, reads its peak RSS
+(``common.peak_rss_mb``), then trains again on the Python loop with
+``heapq.heappop`` wrapped to count heap pops (the wrapper slows that
+second run, so it is not timed). ``kernel`` names the loop of the timed
+run: ``compiled``, or ``python`` where the library cannot be built or the
+tree has none. The two sides alternate, and the record keeps every run,
+the median seconds, and a digest of the vocabulary, provenance and merge
+log of each side.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ def _child(src: str, corpus: str, target: str) -> dict:
     sys.path.insert(0, src)
     import heapq
 
+    from sagetok import bpe
     from sagetok.bpe import train_bpe
     from sagetok.corpus import RawCorpus
 
@@ -43,6 +48,8 @@ def _child(src: str, corpus: str, target: str) -> dict:
         lines = f.read().splitlines()
     raw = RawCorpus.from_lines(lines)
     target = int(target)
+    kernel = getattr(bpe, "_kernel", None)
+    compiled = kernel is not None and kernel() is not None
     t0 = time.perf_counter()
     vocab, merges = train_bpe(raw, target)
     seconds = time.perf_counter() - t0
@@ -57,10 +64,14 @@ def _child(src: str, corpus: str, target: str) -> dict:
         return heappop(heap)
 
     heapq.heappop = counting_heappop
+    if kernel is not None:
+        bpe._kernel = lambda: None
     try:
         train_bpe(raw, target)
     finally:
         heapq.heappop = heappop
+        if kernel is not None:
+            bpe._kernel = kernel
 
     payload = json.dumps(
         [list(vocab.tokens), list(vocab.provenance), [(m.left, m.right, m.count) for m in merges]],
@@ -71,6 +82,7 @@ def _child(src: str, corpus: str, target: str) -> dict:
         "merges": len(merges),
         "merges_per_s": len(merges) / seconds,
         "heap_pops": pops,
+        "kernel": "compiled" if compiled else "python",
         "peak_rss_mb": peak_mb,
         "digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }

@@ -1,11 +1,12 @@
 """Compile-on-first-use C libraries, loaded through ``ctypes``.
 
 Each compiled loop (``_sgns_rows.c`` for the SGNS row sums, ``_encode.c``
-for the greedy encoder) is built by :func:`build_kernel` into the
-package's own ``__pycache__`` and loaded from there. No shared temporary
-directory: another user could plant a library there. Where no C compiler
-runs or that directory cannot be written, the caller gets None and uses
-its Python path, which gives the same output.
+for the greedy encoder, ``_bpe.c`` for the BPE merge loop) is built by
+:func:`build_kernel` into the package's own ``__pycache__`` and loaded
+from there. No shared temporary directory: another user could plant a
+library there. Where no C compiler runs or that directory cannot be
+written, the caller gets None and uses its Python path, which gives the
+same output.
 """
 
 from __future__ import annotations

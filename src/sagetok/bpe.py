@@ -15,15 +15,35 @@ and applied to the pair counts once per merge. The heap is lazy: an
 entry whose count is out of date is re-pushed with the current count
 when it is popped, so the pop order, and with it the tie rule, is that
 of a full recount.
+
+The merge loop runs in one call of the C loop in ``_bpe.c``: the word
+types go in once as UTF-32 code points mapped to alphabet ids, with a
+start offset and an int64 weight per word, and one (left id, right id,
+result id, count) row comes back per merge. The library is compiled on
+first use into the package's ``__pycache__``, as the encoder's is
+(``_kernels.build_kernel``). Where it cannot be built or loaded, the
+Python loop (:func:`_python_merges`) runs instead, silently; it is also
+the oracle of the compiled one. Both give the same merges: each pop is
+the maximum of the pair counts under the tie rule, and the counts after
+a merge do not depend on the order in which the words are rewritten or
+the pairs stored, so neither loop's layout can move a merge. The target
+the compiled loop gets is clamped to the alphabet plus the most merges
+there can be (each merge shortens a word), so any ``target_size`` works.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
+
+from ._kernels import build_kernel
 from .corpus import RawCorpus, pretokenize
 from .errors import ConfigError, DataError
 from .vocab import PROV_ALPHABET, PROV_MERGED, Vocabulary, header_lines
@@ -31,6 +51,8 @@ from .vocab import PROV_ALPHABET, PROV_MERGED, Vocabulary, header_lines
 log = logging.getLogger(__name__)
 
 MIN_MERGE_COUNT = 2
+
+_KERNEL_SOURCE = Path(__file__).with_name("_bpe.c")
 
 
 @dataclass(frozen=True)
@@ -64,12 +86,57 @@ def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[Mer
         raise ConfigError(
             f"target size {target_size} is below the alphabet size {len(alphabet)}"
         )
+    word_types = sorted(wcounts.items())
+    lib = _kernel()
+    if lib is None:
+        tokens, merges = _python_merges(alphabet, word_types, target_size)
+    else:
+        tokens, merges = _compiled_merges(lib, alphabet, word_types, target_size)
+    if len(tokens) < target_size:
+        log.warning("merge pool exhausted at %d tokens (requested %d)", len(tokens), target_size)
+    n_alpha = len(alphabet)
+    provenance = [PROV_ALPHABET] * n_alpha + [PROV_MERGED] * (len(tokens) - n_alpha)
+    return Vocabulary(tokens, provenance), merges
+
+
+def _compiled_merges(lib: ctypes.CDLL, alphabet: list[str], word_types: list[tuple[str, int]],
+                     target_size: int) -> tuple[list[str], list[MergeRecord]]:
+    """The merge loop of ``_bpe.c``: the words go in once as alphabet ids
+    with start offsets and weights, and come back as one row of (left id,
+    right id, result id, count) per merge."""
+    points = np.frombuffer("".join(w for w, _ in word_types).encode("utf-32-le"), dtype=np.uint32)
+    codes = np.fromiter(map(ord, alphabet), dtype=np.uint32, count=len(alphabet))
+    symbols = np.searchsorted(codes, points).astype(np.int32)
+    start = np.zeros(len(word_types) + 1, dtype=np.int64)
+    np.cumsum([len(w) for w, _ in word_types], out=start[1:])
+    weights = np.fromiter((c for _, c in word_types), dtype=np.int64, count=len(word_types))
+    # each merge shortens a word, so there are at most this many, and the
+    # vocabulary cannot grow past the alphabet plus them
+    pool = len(points) - len(word_types)
+    rows = np.empty(4 * pool, dtype=np.int64)
+    n = lib.bpe_merges(codes, len(codes), symbols, start, weights, len(word_types),
+                       min(target_size, len(alphabet) + pool), rows, pool)
+    if n < 0:
+        raise MemoryError("the BPE merge loop ran out of memory")
+    tokens = list(alphabet)
+    merges = []
+    for left, right, result, count in rows[: 4 * n].reshape(n, 4).tolist():
+        if result == len(tokens):
+            tokens.append(tokens[left] + tokens[right])
+        merges.append(MergeRecord(tokens[left], tokens[right], tokens[result], count))
+    return tokens, merges
+
+
+def _python_merges(alphabet: list[str], word_types: list[tuple[str, int]],
+                   target_size: int) -> tuple[list[str], list[MergeRecord]]:
+    """The merge loop in Python: the fallback where ``_bpe.c`` cannot be
+    built, and the oracle of the compiled loop."""
     # id -> symbol string; alphabet first, then merge results in creation order
     tokens: list[str] = list(alphabet)
     ids: dict[str, int] = {s: i for i, s in enumerate(tokens)}
     words: list[list[int]] = []
     weights: list[int] = []
-    for word, count in sorted(wcounts.items()):
+    for word, count in word_types:
         words.append([ids[ch] for ch in word])
         weights.append(count)
 
@@ -102,9 +169,6 @@ def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[Mer
             best = (left, right, a, b, current)
             break
         if best is None:
-            log.warning(
-                "merge pool exhausted at %d tokens (requested %d)", len(tokens), target_size
-            )
             break
         left, right, a, b, count = best
         result = left + right
@@ -155,9 +219,24 @@ def train_bpe(corpus: RawCorpus, target_size: int) -> tuple[Vocabulary, list[Mer
                 del pair_counts[pair]
                 pair_words.pop(pair, None)
 
-    n_alpha = len(alphabet)
-    provenance = [PROV_ALPHABET] * n_alpha + [PROV_MERGED] * (len(tokens) - n_alpha)
-    return Vocabulary(tokens, provenance), merges
+    return tokens, merges
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The compiled merge loop of ``_bpe.c``, built on first use into the
+    package's own ``__pycache__`` (``_kernels.build_kernel``), or None:
+    then the Python loop runs, silently, with the same merges."""
+    lib = build_kernel(_KERNEL_SOURCE, Path(__file__).with_name("__pycache__"))
+    if lib is not None:
+        def arr(dtype):
+            return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")
+
+        size = ctypes.c_int64
+        lib.bpe_merges.argtypes = [arr(np.uint32), size, arr(np.int32), arr(np.int64), arr(np.int64),
+                                   size, size, arr(np.int64), size]
+        lib.bpe_merges.restype = size
+    return lib
 
 
 def save_merges(merges: list[MergeRecord], path, meta: dict | None = None) -> None:

@@ -37,6 +37,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -104,7 +105,10 @@ class SageConfig:
             problems.append("unigram_max_len must be >= 1")
         if self.unigram_min_count < 1:
             problems.append("unigram_min_count must be >= 1")
-        if not math.isfinite(self.overshoot * self.final_size):
+        if self.final_size > sys.float_info.max:
+            # compared as ints: the float products below would overflow
+            problems.append("final vocabulary size is too large")
+        elif not math.isfinite(self.overshoot * self.final_size):
             problems.append("overshoot must be finite")
         elif (
             self.base_trainer != "file"

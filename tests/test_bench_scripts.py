@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sagetok import cli, embeddings, encoder, sage, unigram
-from sagetok.bpe import train_bpe
+from sagetok.bpe import _kernel as bpe_kernel, train_bpe
 from sagetok.corpus import RawCorpus, build_index
 from sagetok.embeddings import EmbedConfig, SkipGramTable, train_embeddings
 from sagetok.objective import ablation_losses, attach_nll_cache
@@ -166,6 +166,7 @@ def test_compare_loop_records_a_bpe_case(tmp_path, monkeypatch):
         summary = case[side]
         assert summary["digest"] == _bpe_digest(vocab, merges)
         assert summary["merges_median"] == len(merges) and summary["heap_pops_median"] > 0
+        assert summary["kernel"] == ("python" if bpe_kernel() is None else "compiled")
         assert summary["seconds"] == [summary["seconds_median"]] and summary["peak_rss_mb_max"] > 0
     assert case["speedup"] > 0
 

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from sagetok import bpe
 from sagetok.bpe import MergeRecord, save_merges, train_bpe
 from sagetok.corpus import RawCorpus
 from sagetok.errors import ConfigError
@@ -24,6 +25,17 @@ def _random_corpus(rng, n_words=30, alphabet="abcd"):
         lines.append(" ".join(words[i : i + take]))
         i += take
     return RawCorpus.from_lines(lines)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def path(request, monkeypatch):
+    """Train with the compiled merge loop, or with the Python one."""
+    if request.param == "compiled":
+        if bpe._kernel() is None:
+            pytest.skip("no C compiler: the compiled merge loop cannot be built here")
+    else:
+        monkeypatch.setattr(bpe, "_kernel", lambda: None)
+    return request.param
 
 
 class TestTrainBpe:
@@ -138,7 +150,7 @@ class TestProperties:
         assert v1.tokens == v2.tokens
         assert m1 == m2
 
-    def test_matches_bruteforce_oracle_on_random_corpora(self):
+    def test_matches_bruteforce_oracle_on_random_corpora(self, path):
         rng = np.random.default_rng(42)
         for trial in range(30):
             corpus = _random_corpus(rng, n_words=int(rng.integers(5, 40)))
@@ -152,7 +164,7 @@ class TestProperties:
             assert [(m.left, m.right, m.count) for m in merges] == oracle_merges
             assert list(vocab.tokens) == oracle_tokens
 
-    def test_matches_bruteforce_oracle_on_repetitive_words(self):
+    def test_matches_bruteforce_oracle_on_repetitive_words(self, path):
         # a two-letter alphabet, longer words and runs of one letter put
         # merge sites next to each other and make them overlap (as in aaaa)
         rng = np.random.default_rng(43)
@@ -170,12 +182,46 @@ class TestProperties:
             assert [(m.left, m.right, m.count) for m in merges] == oracle_merges, trial
             assert list(vocab.tokens) == oracle_tokens, trial
 
-    def test_matches_bruteforce_oracle_on_textgen(self):
+    def test_matches_bruteforce_oracle_on_textgen(self, path):
         corpus = RawCorpus.from_lines(generate_corpus(150, seed=11, n_stems=300))
         oracle_tokens, oracle_merges = bpe_merge_oracle(corpus.lines, 400)
         vocab, merges = train_bpe(corpus, 400)
         assert [(m.left, m.right, m.count) for m in merges] == oracle_merges
         assert list(vocab.tokens) == oracle_tokens
+
+
+class TestCompiledLoop:
+    def test_equals_the_python_loop_on_random_corpora(self, caplog):
+        if bpe._kernel() is None:
+            pytest.skip("no C compiler: the compiled merge loop cannot be built here")
+        # astral-plane letters are one code point and one Python character;
+        # combining marks are code points of their own; runs of one letter
+        # and alternations (aaaa, abab) make merge sites overlap and abut
+        rng = np.random.default_rng(2026)
+        letters = ["a", "b", "c", "\u0301", "\u0308", "é", "𝔘", "𝔙", "😀"]
+        repeats = ["aaaa", "abab", "aaaaaaa", "ababab", "aab", "abb", "𝔘𝔘𝔘𝔘"]
+        for trial in range(150):
+            alphabet = list(rng.choice(letters, size=int(rng.integers(1, len(letters) + 1)), replace=False))
+            words = ["".join(rng.choice(alphabet, size=rng.integers(1, 9))) for _ in range(int(rng.integers(1, 30)))]
+            words += list(rng.choice(repeats, size=int(rng.integers(0, 8))))
+            lines = [" ".join(words[i:i + 4]) for i in range(0, len(words), 4)]
+            corpus = RawCorpus.from_lines(lines)
+            n_alpha = len({ch for w in words for ch in MARKER + w})
+            # up to well past the most merges there can be, and one target
+            # in ten past any int64
+            target = n_alpha + int(rng.integers(0, 2 * sum(map(len, words)) + 2))
+            if trial % 10 == 0:
+                target = 10**400
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                vocab, merges = train_bpe(corpus, target)
+            warned = any("exhausted" in r.message for r in caplog.records)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bpe, "_kernel", lambda: None)
+                oracle_vocab, oracle_merges = train_bpe(corpus, target)
+            assert merges == oracle_merges, trial
+            assert vocab.tokens == oracle_vocab.tokens and vocab.provenance == oracle_vocab.provenance, trial
+            assert warned == (len(vocab) < target), trial
 
 
 class TestMergeLogIO:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sagetok
-from sagetok import analysis, encoder, sage
+from sagetok import analysis, bpe, encoder, sage
 from sagetok.cli import _config_digest, _meta, main
 from sagetok.corpus import load_corpus
 from sagetok.vocab import MARKER, load_vocab
@@ -63,6 +64,21 @@ class TestTrainBpeCommand:
         rc = main(["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "3", "--out", str(out)])
         assert rc == 2
         assert "alphabet size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["compiled", "python"])
+    def test_vocab_size_past_the_merge_pool_exits_0_with_a_warning(self, tmp_path, corpus_file, caplog,
+                                                                  monkeypatch, path):
+        # the compiled loop takes the target clamped to the most merges there can be
+        if path == "compiled" and bpe._kernel() is None:
+            pytest.skip("no C compiler: the compiled merge loop cannot be built here")
+        if path == "python":
+            monkeypatch.setattr(bpe, "_kernel", lambda: None)
+        out = tmp_path / "bpe.vocab"
+        with caplog.at_level(logging.WARNING):
+            rc = main(["train-bpe", "--corpus", str(corpus_file), "--vocab-size", "9" * 401, "--out", str(out)])
+        assert rc == 0
+        assert any("merge pool exhausted" in r.message for r in caplog.records)
+        assert out.exists()
 
     def test_missing_corpus_exits_3(self, tmp_path):
         rc = main(["train-bpe", "--corpus", str(tmp_path / "nope.txt"), "--vocab-size", "50",
@@ -267,7 +283,8 @@ class TestTrainSageCommand:
         (["--lr", "-5"], "learning rate must be > 0"),
         (["--checkpoint-every", "2"], "--checkpoint-every needs --checkpoint"),
         (["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["lr-0", "lr-negative", "checkpoint-every-alone", "seed-negative"])
+        (["--vocab-size", "9" * 401], "final vocabulary size is too large"),
+    ], ids=["lr-0", "lr-negative", "checkpoint-every-alone", "seed-negative", "vocab-size-401-digits"])
     def test_invalid_flag_exits_2_before_writing(self, tmp_path, corpus_file, capsys, flags, message):
         assert main(_sage_args(corpus_file, tmp_path / "x.vocab") + flags) == 2
         assert message in capsys.readouterr().err

@@ -4,7 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sagetok import cli, embeddings, encoder
+from sagetok import bpe, cli, embeddings, encoder
 from sagetok._kernels import KERNEL_FLAGS, build_kernel
 from sagetok.bpe import train_bpe
 from sagetok.corpus import RawCorpus
@@ -388,8 +388,13 @@ class TestRowSums:
         assert np.array_equal(compiled.context, fallback.context)
 
 
-# both compiled loops go through one builder
-SOURCES = (embeddings._KERNEL_SOURCE, encoder._KERNEL_SOURCE)
+# every C file of the package goes through one builder, so a kernel
+# added later is built and checked here without a new entry
+SOURCES = tuple(sorted(embeddings._KERNEL_SOURCE.parent.glob("_*.c")))
+
+
+def test_sources_hold_every_kernel_the_package_loads():
+    assert {embeddings._KERNEL_SOURCE, encoder._KERNEL_SOURCE, bpe._KERNEL_SOURCE} <= set(SOURCES)
 
 
 class TestKernelBuild:
